@@ -15,14 +15,14 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import documents, flags, moduli, pairings, schubert
-from .chern import dual_chern, mukai_vector, twist_chern
+from .chern import MukaiVector, mukai_vector, twist_chern
 from .errors import DocumentError, LatticeValidationError, MukaiError
 from .flags import FlagDescriptor
 from .rational import as_vector, format_fraction, identity_matrix
-from .rings import GradedClass, K3Vector, ThreefoldRing
-from .chern import MukaiVector
+from .rings import GradedClass, K3Vector
 
 __all__ = ["main"]
 
@@ -33,7 +33,7 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
+        raise UsageError(f"{self.prog}: {message}")
 
 
 # --------------------------------------------------------------------------
@@ -67,26 +67,22 @@ def _flatten(payload: dict, prefix: str = ""):
 
 
 def emit_report(payload, as_json: bool, stream=None) -> None:
-    """Print a result deterministically: aligned text or sorted JSON."""
+    """Print a result deterministically: aligned text or sorted JSON.
+
+    A bare value (such as a count) prints bare in text mode, for script
+    use, and as {"value": ...} in JSON.
+    """
     stream = stream or sys.stdout
     if as_json:
-        print(json.dumps(documents.jsonable(payload), sort_keys=True), file=stream)
-        return
-    if not isinstance(payload, dict):
+        document = payload if isinstance(payload, dict) else {"value": payload}
+        print(json.dumps(documents.jsonable(document), sort_keys=True), file=stream)
+    elif not isinstance(payload, dict):
         print(_fmt(payload), file=stream)
-        return
-    rows = list(_flatten(payload))
-    width = max((len(k) for k, _ in rows), default=0)
-    for key, value in rows:
-        print(f"{key.ljust(width)}  {value}", file=stream)
-
-
-def _emit_count(value: int, as_json: bool) -> None:
-    """Counts print as a bare integer in text mode, for script use."""
-    if as_json:
-        emit_report({"value": value}, as_json=True)
     else:
-        print(value)
+        rows = list(_flatten(payload))
+        width = max((len(k) for k, _ in rows), default=0)
+        for key, value in rows:
+            print(f"{key.ljust(width)}  {value}", file=stream)
 
 
 # --------------------------------------------------------------------------
@@ -102,15 +98,15 @@ def _document_path(name: str) -> Path:
     raise DocumentError(f"cannot read {name}: no such file")
 
 
-def _load_manifold_arg(args) -> ThreefoldRing | FlagDescriptor:
-    source = getattr(args, "manifold", None) or getattr(args, "flag", None)
+def _manifold(args):
+    source = args.manifold or args.flag
     if source is None:
         raise UsageError("a --manifold or --flag document is required")
     return documents.load_manifold(_document_path(source))
 
 
-def _load_flag_arg(args) -> FlagDescriptor:
-    if getattr(args, "flag", None) is None:
+def _flag(args) -> FlagDescriptor:
+    if args.flag is None:
         raise UsageError("this command needs a --flag document")
     manifold = documents.load_manifold(_document_path(args.flag))
     if not isinstance(manifold, FlagDescriptor):
@@ -120,11 +116,24 @@ def _load_flag_arg(args) -> FlagDescriptor:
     return manifold
 
 
-def _load_bundle_arg(args, manifold, attr: str = "bundle"):
-    source = getattr(args, attr, None)
-    if source is None:
-        raise UsageError(f"this command needs a --{attr.replace('_', '-')} document")
-    return documents.load_bundle(_document_path(source), manifold)
+def _bundle(args, manifold, attr: str = "bundle"):
+    return documents.load_bundle(_document_path(getattr(args, attr)), manifold)
+
+
+def _bundles(args, manifold):
+    return _bundle(args, manifold), _bundle(args, manifold, "bundle2")
+
+
+def _gluing(args) -> flags.GluingDescriptor:
+    if args.gluing:
+        return documents.load_gluing(_document_path(args.gluing))
+    return flags.build_double(_flag(args))
+
+
+def _registry(args, missing_ok: bool = False) -> moduli.CDRegistry:
+    if not args.registry:
+        raise UsageError("cd commands need --registry <path>")
+    return documents.load_registry(args.registry, missing_ok=missing_ok)
 
 
 def _coords(text: str) -> tuple[Fraction, ...]:
@@ -134,24 +143,23 @@ def _coords(text: str) -> tuple[Fraction, ...]:
         raise UsageError(f"cannot read coordinates from {text!r}; expected e.g. 1,0 or 1/2") from None
 
 
-def _matrix_arg(text: str, rank: int):
+def _matrix(text: str, rank: int):
     if text == "identity":
         return identity_matrix(rank)
     if text == "-identity":
         return tuple(tuple(-x for x in row) for row in identity_matrix(rank))
-    doc = json.loads(Path(text).read_text(encoding="utf-8")) if Path(text).exists() else None
-    if doc is None:
+    if not Path(text).exists():
         raise DocumentError(f"cannot read matrix from {text!r}")
-    return tuple(as_vector(row) for row in doc)
+    return documents.load_matrix(text)
 
 
 _SIGMA_RE = re.compile(r"^sigma(\d+)(?:,(\d+))?(?:\^(\d+))?$")
 
 
-def _parse_schubert_expr(expr: str, n: int) -> schubert.SchubertElement:
+def _schubert_expr(args) -> schubert.SchubertElement:
     """Parse products like sigma1^4 or sigma2*sigma1,1 into an element."""
-    element = schubert.sigma(n, 0)
-    for token in expr.split("*"):
+    element = schubert.sigma(args.n, 0)
+    for token in args.expr.split("*"):
         match = _SIGMA_RE.match(token.strip())
         if not match:
             raise UsageError(
@@ -160,597 +168,422 @@ def _parse_schubert_expr(expr: str, n: int) -> schubert.SchubertElement:
         a = int(match.group(1))
         b = int(match.group(2) or 0)
         power = int(match.group(3) or 1)
-        element = element * (schubert.sigma(n, a, b) ** power)
+        element = element * (schubert.sigma(args.n, a, b) ** power)
     return element
 
 
-def _schubert_terms(element: schubert.SchubertElement) -> dict:
-    return {f"sigma({a},{b})": coeff for (a, b), coeff in sorted(element.terms.items())}
-
-
 # --------------------------------------------------------------------------
-# subcommand handlers
+# handlers: parsed arguments -> payload (a dict, or a bare count)
 
 
-def _cmd_mukai(args) -> int:
-    manifold = _load_manifold_arg(args)
-    ring = manifold.ring if isinstance(manifold, FlagDescriptor) else manifold
-    e = _load_bundle_arg(args, manifold)
+def _mukai(args) -> dict:
+    manifold = _manifold(args)
+    e = _bundle(args, manifold)
     vector = mukai_vector(e)
-    emit_report(
-        {
-            "manifold": ring.name,
-            "rank": e.rank,
-            "mukai_vector": vector.graded,
-            "normalization": vector.normalization,
-            "integral": vector.is_integral,
-        },
-        args.json,
-    )
-    return 0
+    return {
+        "manifold": manifold.name,
+        "rank": e.rank,
+        "mukai_vector": vector.graded,
+        "normalization": vector.normalization,
+        "integral": vector.is_integral,
+    }
 
 
-def _cmd_chi(args) -> int:
-    manifold = _load_manifold_arg(args)
-    e1 = _load_bundle_arg(args, manifold, "bundle")
-    e2 = _load_bundle_arg(args, manifold, "bundle2")
+def _chi(args) -> dict:
+    e1, e2 = _bundles(args, _manifold(args))
     result = pairings.euler_chi_result(e1, e2)
     payload = {"chi": result.value}
     if args.split:
-        plus, minus = pairings.chi_split(e1, e2)
-        payload["chi_plus"] = plus
-        payload["chi_minus"] = minus
+        payload["chi_plus"], payload["chi_minus"] = pairings.chi_split(e1, e2)
     if result.integrality_note:
         payload["integrality_note"] = result.integrality_note
-    emit_report(payload, args.json)
-    return 0
+    return payload
 
 
-def _cmd_pair(args) -> int:
+def _pair(args) -> dict:
     if args.flag:
-        flag = _load_flag_arg(args)
-        e1 = _load_bundle_arg(args, flag, "bundle")
-        e2 = _load_bundle_arg(args, flag, "bundle2")
-        u = pairings.mukai_restrict(flag, e1).vector
-        v = pairings.mukai_restrict(flag, e2).vector
-        emit_report(
-            {
-                "lattice": "k3",
-                "u": u,
-                "v": v,
-                "pairing": pairings.mukai_pairing_k3(flag.k3, u, v),
-            },
-            args.json,
-        )
-        return 0
-    manifold = _load_manifold_arg(args)
-    e1 = _load_bundle_arg(args, manifold, "bundle")
-    e2 = _load_bundle_arg(args, manifold, "bundle2")
-    u, v = mukai_vector(e1), mukai_vector(e2)
-    emit_report(
-        {
-            "lattice": "threefold",
-            "u": u.graded,
-            "v": v.graded,
-            "pairing": pairings.mukai_pairing_3fold(u, v),
-        },
-        args.json,
-    )
-    return 0
+        flag = _flag(args)
+        u, v = (pairings.mukai_restrict(flag, e).vector for e in _bundles(args, flag))
+        pairing = pairings.mukai_pairing_k3(flag.k3, u, v)
+        return {"lattice": "k3", "u": u, "v": v, "pairing": pairing}
+    u, v = (mukai_vector(e) for e in _bundles(args, _manifold(args)))
+    return {
+        "lattice": "threefold",
+        "u": u.graded,
+        "v": v.graded,
+        "pairing": pairings.mukai_pairing_3fold(u, v),
+    }
 
 
-def _cmd_restrict(args) -> int:
-    flag = _load_flag_arg(args)
-    e = _load_bundle_arg(args, flag)
-    result = pairings.mukai_restrict(flag, e)
-    emit_report(
-        {
-            "flag": flag.name,
-            "vector": result.vector,
-            "square": pairings.mukai_pairing_k3(flag.k3, result.vector, result.vector),
-            "degree2_matches": result.degree2_matches,
-            "degree4_matches": result.degree4_matches,
-            "diagnostic": result.note,
-        },
-        args.json,
-    )
-    return 0
+def _restrict(args) -> dict:
+    flag = _flag(args)
+    result = pairings.mukai_restrict(flag, _bundle(args, flag))
+    return {
+        "flag": flag.name,
+        "vector": result.vector,
+        "square": pairings.mukai_pairing_k3(flag.k3, result.vector, result.vector),
+        "degree2_matches": result.degree2_matches,
+        "degree4_matches": result.degree4_matches,
+        "diagnostic": result.note,
+    }
 
 
-def _cmd_vdim(args) -> int:
+def _vdim(args) -> dict:
     if args.flag:
-        flag = _load_flag_arg(args)
-        e = _load_bundle_arg(args, flag)
+        flag = _flag(args)
+        e = _bundle(args, flag)
         vector = pairings.mukai_restrict(flag, e).vector
         flag_dim = moduli.vdim_flag(flag, e)
         k3_dim = moduli.vdim_k3(flag.k3, vector)
-        emit_report(
-            {
-                "flag": flag.name,
-                "vector": vector,
-                "vdim_flag": flag_dim,
-                "vdim_k3": k3_dim,
-                "doubling_identity": k3_dim == 2 * flag_dim,
-            },
-            args.json,
-        )
-        return 0
-    manifold = _load_manifold_arg(args)
+        return {
+            "flag": flag.name,
+            "vector": vector,
+            "vdim_flag": flag_dim,
+            "vdim_k3": k3_dim,
+            "doubling_identity": k3_dim == 2 * flag_dim,
+        }
+    manifold = _manifold(args)
     if isinstance(manifold, FlagDescriptor):
         raise LatticeValidationError("use --flag for flag documents")
-    e = _load_bundle_arg(args, manifold)
-    report = moduli.vdim_cy3(manifold, e)
+    report = moduli.vdim_cy3(manifold, _bundle(args, manifold))
     payload = {"manifold": manifold.name, "vdim": report.value, "chi_self": report.chi_self}
     if report.note:
         payload["note"] = report.note
-    emit_report(payload, args.json)
-    return 0
+    return payload
 
 
-def _cmd_twist(args) -> int:
-    manifold = _load_manifold_arg(args)
-    ring = manifold.ring if isinstance(manifold, FlagDescriptor) else manifold
-    e = _load_bundle_arg(args, manifold)
-    twisted = twist_chern(e, _coords(args.L), args.k)
-    emit_report(
-        {
-            "manifold": ring.name,
-            "k": args.k,
-            "rank": twisted.rank,
-            "c1": twisted.c1,
-            "c2": twisted.c2,
-            "c3": twisted.c3,
-            "mukai_vector": mukai_vector(twisted).graded,
-        },
-        args.json,
-    )
-    return 0
+def _twist(args) -> dict:
+    manifold = _manifold(args)
+    twisted = twist_chern(_bundle(args, manifold), _coords(args.L), args.k)
+    return {
+        "manifold": manifold.name,
+        "k": args.k,
+        "rank": twisted.rank,
+        "c1": twisted.c1,
+        "c2": twisted.c2,
+        "c3": twisted.c3,
+        "mukai_vector": mukai_vector(twisted).graded,
+    }
 
 
-def _cmd_reflect(args) -> int:
-    manifold = _load_manifold_arg(args)
-    e1 = _load_bundle_arg(args, manifold, "bundle")
-    e2 = _load_bundle_arg(args, manifold, "bundle2")
+def _reflect(args) -> dict:
+    e1, e2 = _bundles(args, _manifold(args))
     m, mp = mukai_vector(e1).graded, mukai_vector(e2).graded
     if args.h is not None:
         declaration = pairings.HDeclaration(e1=e1, e2=e2, value=args.h)
-        value = Fraction(declaration.value)
-        mode = "h-declared"
+        mode, value = "h-declared", Fraction(declaration.value)
     else:
-        value = pairings.euler_chi(e1, e2)
-        mode = "chi"
-    emit_report(
-        {
-            "mode": mode,
-            "pairing_value": value,
-            "reflected": pairings.spherical_reflect(m, mp, value),
-        },
-        args.json,
-    )
-    return 0
+        mode, value = "chi", pairings.euler_chi(e1, e2)
+    reflected = pairings.spherical_reflect(m, mp, value)
+    return {"mode": mode, "pairing_value": value, "reflected": reflected}
 
 
-def _cmd_validate_flag(args) -> int:
+def _validate_flag(args) -> tuple[dict, int]:
     doc = documents._read_json(_document_path(args.path))
     flag = documents.flag_from_document(doc, where=str(args.path))
     report = flags.validate_flag(flag)
-    emit_report(
-        {
-            "flag": flag.name,
-            "valid": report.valid,
-            "gram": flag.k3.gram,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks
-            ],
-        },
-        args.json,
-    )
-    return 0 if report.valid else 1
+    checks = [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks]
+    payload = {"flag": flag.name, "valid": report.valid, "gram": flag.k3.gram, "checks": checks}
+    return payload, 0 if report.valid else 1
 
 
-def _cmd_double(args) -> int:
-    flag = _load_flag_arg(args)
+def _double(args) -> dict:
+    flag = _flag(args)
     double = flags.build_double(flag)
     kernel = flags.joint_obstruction_kernel(double)
-    emit_report(
-        {
-            "flag": flag.name,
-            "section_class_d": double.section_class_d,
-            "d_square": double.d_square(),
-            "smooth_total_space": flags.smooth_total_space(double),
-            "joint_kernel": {"dimension": kernel.dimension, "basis": kernel.basis},
-        },
-        args.json,
-    )
-    return 0
+    return {
+        "flag": flag.name,
+        "section_class_d": double.section_class_d,
+        "d_square": double.d_square(),
+        "smooth_total_space": flags.smooth_total_space(double),
+        "joint_kernel": {"dimension": kernel.dimension, "basis": kernel.basis},
+    }
 
 
-def _load_gluing_arg(args):
-    if getattr(args, "gluing", None):
-        return documents.load_gluing(_document_path(args.gluing))
-    flag = _load_flag_arg(args)
-    return flags.build_double(flag)
-
-
-def _cmd_glue_check(args) -> int:
-    gluing = _load_gluing_arg(args)
-    e_plus = _load_bundle_arg(args, gluing.flag_plus, "bundle")
-    e_minus = (
-        documents.load_bundle(_document_path(args.bundle2), gluing.flag_minus)
-        if args.bundle2
-        else documents.load_bundle(_document_path(args.bundle), gluing.flag_minus)
-    )
+def _glue_check(args) -> dict:
+    gluing = _gluing(args)
+    e_plus = _bundle(args, gluing.flag_plus)
+    e_minus = _bundle(args, gluing.flag_minus, "bundle2" if args.bundle2 else "bundle")
     v_plus = pairings.mukai_restrict(gluing.flag_plus, e_plus).vector
     v_minus = pairings.mukai_restrict(gluing.flag_minus, e_minus).vector
-    matrix = gluing.matrix if args.matrix is None else _matrix_arg(args.matrix, gluing.flag_plus.ring.rho)
+    matrix = gluing.matrix
+    if args.matrix is not None:
+        matrix = _matrix(args.matrix, gluing.flag_plus.ring.rho)
     match = pairings.gluing_match(gluing.flag_plus.k3, matrix, v_plus, v_minus)
-    emit_report({"v_plus": v_plus, "v_minus": v_minus, "match": match}, args.json)
-    return 0
+    return {"v_plus": v_plus, "v_minus": v_minus, "match": match}
 
 
-def _cmd_deform_dims(args) -> int:
-    gluing = _load_gluing_arg(args)
-    result = flags.deformation_dims(gluing, args.h12_plus, args.h12_minus, args.h0)
-    emit_report(
-        {
-            "dims": result.value,
-            "case": result.case,
-            "h0_sections": result.h0_sections,
-            "note": result.note,
-        },
-        args.json,
-    )
-    return 0
+def _deform_dims(args) -> dict:
+    result = flags.deformation_dims(_gluing(args), args.h12_plus, args.h12_minus, args.h0)
+    return {
+        "dims": result.value,
+        "case": result.case,
+        "h0_sections": result.h0_sections,
+        "note": result.note,
+    }
 
 
-# -- cd subcommands ---------------------------------------------------------
+def _constants(args) -> dict:
+    def value(c):
+        return c.value if c.value is not None else "open"
+
+    if args.name:
+        c = moduli.BUILTIN_CONSTANTS.get(args.name)
+        return {"name": c.name, "value": value(c), "citation": c.citation, "note": c.note}
+    return {
+        "constants": [
+            {"name": c.name, "value": value(c), "citation": c.citation}
+            for c in moduli.BUILTIN_CONSTANTS
+        ]
+    }
 
 
-def _registry(args, missing_ok: bool) -> moduli.CDRegistry:
-    if not args.registry:
-        raise UsageError("cd commands need --registry <path>")
-    return documents.load_registry(args.registry, missing_ok=missing_ok)
+def _entry(entry: moduli.CDEntry) -> dict:
+    return {
+        "key": entry.key,
+        "value": entry.value if entry.value is not None else entry.symbol,
+        "provenance": entry.provenance,
+        "exceptional": entry.exceptional,
+        "constraint": entry.constraint,
+        "sign_note": entry.sign_note,
+    }
 
 
-def _emit_entry(entry: moduli.CDEntry, as_json: bool) -> None:
-    emit_report(
-        {
-            "key": entry.key,
-            "value": entry.value if entry.value is not None else entry.symbol,
-            "provenance": entry.provenance,
-            "exceptional": entry.exceptional,
-            "constraint": entry.constraint,
-            "sign_note": entry.sign_note,
-        },
-        as_json,
-    )
+def _saved_entry(args, registry, entry: moduli.CDEntry) -> dict:
+    """Write the updated registry back, then report the entry that changed."""
+    documents.save_registry(args.registry, registry)
+    return _entry(entry)
 
 
-def _cmd_cd_seed(args) -> int:
+def _cd_seed(args) -> dict:
     registry = _registry(args, missing_ok=True)
-    manifold = _load_manifold_arg(args)
+    manifold = _manifold(args)
     ring = manifold.ring if isinstance(manifold, FlagDescriptor) else manifold
     entry = moduli.cd_seed(registry, ring, args.kind)
-    documents.save_registry(args.registry, registry)
-    _emit_entry(entry, args.json)
-    return 0
+    return _saved_entry(args, registry, entry)
 
 
-def _cmd_cd_closure(args) -> int:
-    registry = _registry(args, missing_ok=False)
-    entry = moduli.cd_closure(
-        registry,
-        registry.get(args.parent),
-        registry.get(args.parent2),
-        _coords(args.L),
-        args.k,
-    )
-    documents.save_registry(args.registry, registry)
-    _emit_entry(entry, args.json)
-    return 0
+def _cd_closure(args) -> dict:
+    registry = _registry(args)
+    parents = registry.get(args.parent), registry.get(args.parent2)
+    entry = moduli.cd_closure(registry, *parents, _coords(args.L), args.k)
+    return _saved_entry(args, registry, entry)
 
 
-def _cmd_cd_degeneration(args) -> int:
+def _cd_degeneration(args) -> dict:
     registry = _registry(args, missing_ok=True)
-    flag = _load_flag_arg(args)
-    e = _load_bundle_arg(args, flag)
+    flag = _flag(args)
+    e = _bundle(args, flag)
     try:
         chi = int(args.chi)
     except ValueError:
         chi = args.chi
-    entry = moduli.cd_degeneration(registry, flag, e, chi)
+    return _saved_entry(args, registry, moduli.cd_degeneration(registry, flag, e, chi))
+
+
+def _cd_mark(args) -> dict:
+    registry = _registry(args)
+    return _saved_entry(args, registry, registry.mark_exceptional(args.key))
+
+
+def _cd_list(args) -> dict:
+    registry = _registry(args)
+    entries = [
+        {"key": e.key, "value": e.display_value, "provenance": e.provenance}
+        for e in registry.entries()
+    ]
+    return {"registry": str(args.registry), "count": len(registry), "entries": entries}
+
+
+def _cd_save(args) -> dict:
+    registry = _registry(args)
     documents.save_registry(args.registry, registry)
-    _emit_entry(entry, args.json)
-    return 0
+    return {"registry": str(args.registry), "count": len(registry), "saved": True}
 
 
-def _cmd_cd_mark(args) -> int:
-    registry = _registry(args, missing_ok=False)
-    entry = registry.mark_exceptional(args.key)
-    documents.save_registry(args.registry, registry)
-    _emit_entry(entry, args.json)
-    return 0
+def _pieri(args) -> dict:
+    element = schubert.pieri_mult(_schubert_expr(args), args.k)
+    terms = {f"sigma({a},{b})": coeff for (a, b), coeff in sorted(element.terms.items())}
+    return {"n": args.n, "terms": terms}
 
 
-def _cmd_cd_list(args) -> int:
-    registry = _registry(args, missing_ok=False)
-    emit_report(
-        {
-            "registry": str(args.registry),
-            "count": len(registry),
-            "entries": [
-                {"key": e.key, "value": e.display_value, "provenance": e.provenance}
-                for e in registry.entries()
-            ],
-        },
-        args.json,
-    )
-    return 0
-
-
-def _cmd_cd_show(args) -> int:
-    registry = _registry(args, missing_ok=False)
-    _emit_entry(registry.get(args.key), args.json)
-    return 0
-
-
-def _cmd_cd_save(args) -> int:
-    registry = _registry(args, missing_ok=False)
-    documents.save_registry(args.registry, registry)
-    emit_report({"registry": str(args.registry), "count": len(registry), "saved": True}, args.json)
-    return 0
-
-
-def _cmd_constants(args) -> int:
-    table = moduli.BUILTIN_CONSTANTS
-    if args.name:
-        constant = table.get(args.name)
-        emit_report(
-            {
-                "name": constant.name,
-                "value": constant.value if constant.value is not None else "open",
-                "citation": constant.citation,
-                "note": constant.note,
-            },
-            args.json,
-        )
-        return 0
-    emit_report(
-        {
-            "constants": [
-                {
-                    "name": c.name,
-                    "value": c.value if c.value is not None else "open",
-                    "citation": c.citation,
-                }
-                for c in table
-            ]
-        },
-        args.json,
-    )
-    return 0
-
-
-# -- schubert subcommands -----------------------------------------------------
-
-
-def _cmd_schubert_lines_quintic(args) -> int:
-    _emit_count(schubert.top_chern_sym_dual_tautological(5, 5), args.json)
-    return 0
-
-
-def _cmd_schubert_lines_octic(args) -> int:
-    _emit_count(schubert.lines_on_octic_double(), args.json)
-    return 0
-
-
-def _cmd_schubert_integrate(args) -> int:
-    _emit_count(schubert.integrate(_parse_schubert_expr(args.expr, args.n)), args.json)
-    return 0
-
-
-def _cmd_schubert_pieri(args) -> int:
-    element = schubert.pieri_mult(_parse_schubert_expr(args.expr, args.n), args.k)
-    emit_report({"n": args.n, "terms": _schubert_terms(element)}, args.json)
-    return 0
-
-
-def _cmd_schubert_ctop(args) -> int:
-    _emit_count(schubert.top_chern_sym_dual_tautological(args.n, args.k), args.json)
-    return 0
-
-
-def _cmd_schubert_euler(args) -> int:
-    _emit_count(schubert.euler_char_g2n(args.n), args.json)
-    return 0
-
-
-def _cmd_schubert_four_lines(args) -> int:
+def _four_lines(args) -> dict:
     note = schubert.four_lines_count()
-    emit_report(
-        {
-            "parts": note.parts,
-            "part_descriptions": list(note.part_descriptions),
-            "total": note.total,
-            "schubert_total": note.schubert_total,
-            "consistent": note.consistent,
-        },
-        args.json,
-    )
-    return 0
+    return {
+        "parts": note.parts,
+        "part_descriptions": list(note.part_descriptions),
+        "total": note.total,
+        "schubert_total": note.schubert_total,
+        "consistent": note.consistent,
+    }
 
 
 # --------------------------------------------------------------------------
-# parser assembly
+# the command table
+
+
+class Command(NamedTuple):
+    """One subcommand: its arguments in order, and a handler or nested commands."""
+
+    name: str
+    help: str
+    args: tuple = ()
+    handler: Callable | None = None  # args -> payload, or (payload, exit code)
+    commands: tuple = ()
+
+
+def _arg(name: str, **options):
+    return name, options
+
+
+def _req(name: str, **options):
+    return name, {"required": True, **options}
+
+
+_EITHER = (_arg("--manifold"), _arg("--flag"))
+_BUNDLE = _req("--bundle")
+_BUNDLES = (_BUNDLE, _req("--bundle2"))
+_REGISTRY = _req("--registry")
+_N = _req("--n", type=int)
+
+COMMANDS = (
+    Command("mukai", "Mukai vector of a bundle document", (*_EITHER, _BUNDLE), _mukai),
+    Command(
+        "chi", "Euler form of two bundle documents",
+        (*_EITHER, *_BUNDLES,
+         _arg("--split", action="store_true", help="also report (chi+, chi-)")),
+        _chi,
+    ),
+    Command("pair", "Mukai pairing of two bundles (threefold or K3)", (*_EITHER, *_BUNDLES), _pair),
+    Command("restrict", "restrict a Mukai vector to the K3 member", (_req("--flag"), _BUNDLE),
+            _restrict),
+    Command("vdim", "virtual moduli dimension (flag or Calabi-Yau)", (*_EITHER, _BUNDLE), _vdim),
+    Command(
+        "twist", "twist a bundle by a power of a line bundle",
+        (*_EITHER, _BUNDLE, _req("--L", help="line bundle coordinates, e.g. 1 or 1,0"),
+         _arg("--k", type=int, default=1)),
+        _twist,
+    ),
+    Command(
+        "reflect", "lattice reflection of one Mukai vector through another",
+        (*_EITHER, *_BUNDLES,
+         _arg("--h", type=int, help="declared h value (otherwise chi is computed)")),
+        _reflect,
+    ),
+    Command("validate-flag", "check quasi-Fano flag axioms", (_arg("path"),), _validate_flag),
+    Command("double", "double a flag along its K3 member", (_req("--flag"),), _double),
+    Command(
+        "glue-check", "match restricted vectors across a gluing",
+        (_arg("--gluing"), _arg("--flag"), _BUNDLE, _arg("--bundle2"),
+         _arg("--matrix", help="'identity', '-identity' or a JSON matrix file")),
+        _glue_check,
+    ),
+    Command(
+        "deform-dims", "deformation count of a smoothed gluing",
+        (_arg("--gluing"), _arg("--flag"), _req("--h12-plus", type=int),
+         _req("--h12-minus", type=int), _arg("--h0", type=int)),
+        _deform_dims,
+    ),
+    Command("cd", "Casson-Donaldson registry operations", commands=(
+        Command(
+            "seed", "insert a canonical seed value",
+            (_REGISTRY, _req("--manifold"), _req("--kind", choices=("line-bundle", "skyscraper"))),
+            _cd_seed,
+        ),
+        Command(
+            "closure", "product rule for twisted exceptional pairs",
+            (_REGISTRY, _req("--parent"), _req("--parent2"), _arg("--L", default="1"),
+             _arg("--k", default="k")),
+            _cd_closure,
+        ),
+        Command(
+            "degeneration", "record |chi| of a flag moduli model",
+            (_REGISTRY, _req("--flag"), _BUNDLE, _req("--chi", help="integer or symbolic name")),
+            _cd_degeneration,
+        ),
+        Command("mark-exceptional", "assert exceptional realizations for a key",
+                (_REGISTRY, _req("--key")), _cd_mark),
+        Command("list", "list all entries", (_REGISTRY,), _cd_list),
+        Command("load", "load and display a registry file", (_REGISTRY,), _cd_list),
+        Command("save", "rewrite a registry file canonically", (_REGISTRY,), _cd_save),
+        Command("show", "show one entry", (_REGISTRY, _req("--key")),
+                lambda args: _entry(_registry(args).get(args.key))),
+    )),
+    Command("constants", "named literature constants with citations", (_arg("name", nargs="?"),),
+            _constants),
+    Command("schubert", "Schubert calculus on G(2,n)", commands=(
+        Command("lines-quintic", "lines on the quintic threefold (2875)",
+                handler=lambda args: schubert.top_chern_sym_dual_tautological(5, 5)),
+        Command("lines-octic-double", "lines on the octic double solid (12)",
+                handler=lambda args: schubert.lines_on_octic_double()),
+        Command("integrate", "integrate a product of Schubert classes",
+                (_arg("expr", help="e.g. sigma1^4 or sigma2*sigma1,1"), _N),
+                lambda args: schubert.integrate(_schubert_expr(args))),
+        Command("pieri", "multiply an expression by sigma_k",
+                (_arg("expr"), _N, _req("--k", type=int)), _pieri),
+        Command("ctop", "integrate c_top(Sym^k S*) over G(2,n)", (_N, _req("--k", type=int)),
+                lambda args: schubert.top_chern_sym_dual_tautological(args.n, args.k)),
+        Command("euler", "Euler characteristic of G(2,n)", (_N,),
+                lambda args: schubert.euler_char_g2n(args.n)),
+        Command("four-lines", "lines meeting four general lines, two ways", handler=_four_lines),
+    )),
+)
+
+
+def _missing(parser: _Parser, metavar: str) -> Callable:
+    """Handler of a parser called without its subcommand.
+
+    Not `required=True` on the subparsers: argparse would then report a
+    missing subcommand before unrecognized arguments (`mukai --bogus`).
+    """
+
+    def handler(args):
+        raise UsageError(f"{parser.prog}: the following arguments are required: {metavar}")
+
+    return handler
+
+
+def _add_commands(parser: _Parser, commands, metavar: str, common: _Parser) -> None:
+    """Add `commands` as subcommands of `parser`, recursing into nested ones."""
+    parser.set_defaults(handler=_missing(parser, metavar))
+    sub = parser.add_subparsers(metavar=metavar)
+    for command in commands:
+        p = sub.add_parser(command.name, parents=[common], help=command.help)
+        for name, options in command.args:
+            p.add_argument(name, **options)
+        if command.commands:
+            _add_commands(p, command.commands, f"<{command.name}-command>", common)
+        else:
+            p.set_defaults(handler=command.handler)
 
 
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a sorted-key JSON object")
-
     parser = _Parser(prog="mukai", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="<command>")
-
-    def add(name, func, help_text, parents=(common,)):
-        p = sub.add_parser(name, parents=list(parents), help=help_text)
-        p.set_defaults(func=func)
-        return p
-
-    p = add("mukai", _cmd_mukai, "Mukai vector of a bundle document")
-    p.add_argument("--manifold")
-    p.add_argument("--flag")
-    p.add_argument("--bundle", required=True)
-
-    p = add("chi", _cmd_chi, "Euler form of two bundle documents")
-    p.add_argument("--manifold")
-    p.add_argument("--flag")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--bundle2", required=True)
-    p.add_argument("--split", action="store_true", help="also report (chi+, chi-)")
-
-    p = add("pair", _cmd_pair, "Mukai pairing of two bundles (threefold or K3)")
-    p.add_argument("--manifold")
-    p.add_argument("--flag")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--bundle2", required=True)
-
-    p = add("restrict", _cmd_restrict, "restrict a Mukai vector to the K3 member")
-    p.add_argument("--flag", required=True)
-    p.add_argument("--bundle", required=True)
-
-    p = add("vdim", _cmd_vdim, "virtual moduli dimension (flag or Calabi-Yau)")
-    p.add_argument("--manifold")
-    p.add_argument("--flag")
-    p.add_argument("--bundle", required=True)
-
-    p = add("twist", _cmd_twist, "twist a bundle by a power of a line bundle")
-    p.add_argument("--manifold")
-    p.add_argument("--flag")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--L", required=True, help="line bundle coordinates, e.g. 1 or 1,0")
-    p.add_argument("--k", type=int, default=1)
-
-    p = add("reflect", _cmd_reflect, "lattice reflection of one Mukai vector through another")
-    p.add_argument("--manifold")
-    p.add_argument("--flag")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--bundle2", required=True)
-    p.add_argument("--h", type=int, help="declared h value (otherwise chi is computed)")
-
-    p = add("validate-flag", _cmd_validate_flag, "check quasi-Fano flag axioms")
-    p.add_argument("path")
-
-    p = add("double", _cmd_double, "double a flag along its K3 member")
-    p.add_argument("--flag", required=True)
-
-    p = add("glue-check", _cmd_glue_check, "match restricted vectors across a gluing")
-    p.add_argument("--gluing")
-    p.add_argument("--flag")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--bundle2")
-    p.add_argument("--matrix", help="'identity', '-identity' or a JSON matrix file")
-
-    p = add("deform-dims", _cmd_deform_dims, "deformation count of a smoothed gluing")
-    p.add_argument("--gluing")
-    p.add_argument("--flag")
-    p.add_argument("--h12-plus", type=int, required=True)
-    p.add_argument("--h12-minus", type=int, required=True)
-    p.add_argument("--h0", type=int)
-
-    cd = sub.add_parser("cd", parents=[common], help="Casson-Donaldson registry operations")
-    cd_sub = cd.add_subparsers(dest="cd_command", metavar="<cd-command>")
-
-    def add_cd(name, func, help_text):
-        p = cd_sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--registry", required=True)
-        p.set_defaults(func=func)
-        return p
-
-    p = add_cd("seed", _cmd_cd_seed, "insert a canonical seed value")
-    p.add_argument("--manifold", required=True)
-    p.add_argument("--kind", choices=("line-bundle", "skyscraper"), required=True)
-
-    p = add_cd("closure", _cmd_cd_closure, "product rule for twisted exceptional pairs")
-    p.add_argument("--parent", required=True)
-    p.add_argument("--parent2", required=True)
-    p.add_argument("--L", default="1")
-    p.add_argument("--k", default="k")
-
-    p = add_cd("degeneration", _cmd_cd_degeneration, "record |chi| of a flag moduli model")
-    p.add_argument("--flag", required=True)
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--chi", required=True, help="integer or symbolic name")
-
-    p = add_cd("mark-exceptional", _cmd_cd_mark, "assert exceptional realizations for a key")
-    p.add_argument("--key", required=True)
-
-    add_cd("list", _cmd_cd_list, "list all entries")
-    add_cd("load", _cmd_cd_list, "load and display a registry file")
-    add_cd("save", _cmd_cd_save, "rewrite a registry file canonically")
-
-    p = add_cd("show", _cmd_cd_show, "show one entry")
-    p.add_argument("--key", required=True)
-
-    p = add("constants", _cmd_constants, "named literature constants with citations")
-    p.add_argument("name", nargs="?")
-
-    sch = sub.add_parser("schubert", parents=[common], help="Schubert calculus on G(2,n)")
-    sch_sub = sch.add_subparsers(dest="schubert_command", metavar="<schubert-command>")
-
-    def add_sch(name, func, help_text):
-        p = sch_sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(func=func)
-        return p
-
-    add_sch("lines-quintic", _cmd_schubert_lines_quintic, "lines on the quintic threefold (2875)")
-    add_sch("lines-octic-double", _cmd_schubert_lines_octic, "lines on the octic double solid (12)")
-
-    p = add_sch("integrate", _cmd_schubert_integrate, "integrate a product of Schubert classes")
-    p.add_argument("expr", help="e.g. sigma1^4 or sigma2*sigma1,1")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add_sch("pieri", _cmd_schubert_pieri, "multiply an expression by sigma_k")
-    p.add_argument("expr")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add_sch("ctop", _cmd_schubert_ctop, "integrate c_top(Sym^k S*) over G(2,n)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add_sch("euler", _cmd_schubert_euler, "Euler characteristic of G(2,n)")
-    p.add_argument("--n", type=int, required=True)
-
-    add_sch("four-lines", _cmd_schubert_four_lines, "lines meeting four general lines, two ways")
-
+    _add_commands(parser, COMMANDS, "<command>", common)
     return parser
 
 
 def main(argv=None) -> int:
     """Dispatch a command line; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 64
-    except SystemExit as exc:  # --help and friends
+        args = build_parser().parse_args(argv)
+        result = args.handler(args)
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    func = getattr(args, "func", None)
-    if func is None:
-        print(parser.format_usage(), file=sys.stderr)
-        return 64
-    try:
-        return func(args)
     except UsageError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 64
     except DocumentError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (LatticeValidationError, MukaiError) as exc:
+    except MukaiError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
+    payload, code = result if isinstance(result, tuple) else (result, 0)
+    emit_report(payload, args.json)
+    return code
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ __all__ = [
     "load_manifold",
     "load_bundle",
     "load_gluing",
+    "load_matrix",
     "load_registry",
     "save_registry",
     "manifold_from_document",
@@ -69,6 +70,12 @@ def _vector(value, where: str) -> tuple[Fraction, ...]:
     return tuple(_scalar(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
+def _matrix(value, where: str) -> tuple[tuple[Fraction, ...], ...]:
+    if not isinstance(value, list):
+        raise DocumentError(f"{where}: expected an array of arrays")
+    return tuple(_vector(row, f"{where}[{i}]") for i, row in enumerate(value))
+
+
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise DocumentError(f"{where}: missing key {key!r}")
@@ -101,12 +108,9 @@ def _ring_from_document(doc: dict, where: str) -> ThreefoldRing:
     if len(basis) != rho:
         raise DocumentError(f"{where}: rho = {rho} but basis has {len(basis)} labels")
     triple_doc = _require(doc, "triple", where)
-    try:
-        triple = tuple(
-            tuple(_vector(row, f"{where}.triple") for row in plane) for plane in triple_doc
-        )
-    except TypeError:
-        raise DocumentError(f"{where}.triple: expected a rho^3 nested array") from None
+    if not isinstance(triple_doc, list):
+        raise DocumentError(f"{where}.triple: expected a rho^3 nested array")
+    triple = tuple(_matrix(plane, f"{where}.triple[{i}]") for i, plane in enumerate(triple_doc))
     if len(triple) != rho or any(len(p) != rho for p in triple) or any(
         len(r) != rho for p in triple for r in p
     ):
@@ -208,12 +212,7 @@ def gluing_from_document(doc: dict, where: str = "gluing") -> GluingDescriptor:
     flag_minus = manifold_from_document(_require(doc, "flag_minus", where), f"{where}.flag_minus")
     if not isinstance(flag_plus, FlagDescriptor) or not isinstance(flag_minus, FlagDescriptor):
         raise DocumentError(f"{where}: both sides of a gluing must be fano3 flag documents")
-    matrix = None
-    if "matrix" in doc:
-        rows = doc["matrix"]
-        if not isinstance(rows, list):
-            raise DocumentError(f"{where}.matrix: expected an array of arrays")
-        matrix = tuple(_vector(row, f"{where}.matrix") for row in rows)
+    matrix = _matrix(doc["matrix"], f"{where}.matrix") if "matrix" in doc else None
     section_class = _vector(doc["section_class"], f"{where}.section_class") if "section_class" in doc else None
     return make_gluing(flag_plus, flag_minus, matrix=matrix, section_class=section_class)
 
@@ -315,6 +314,11 @@ def load_bundle(path, manifold) -> ChernData:
 def load_gluing(path) -> GluingDescriptor:
     """Load a gluing document from disk."""
     return gluing_from_document(_read_json(path), where=str(path))
+
+
+def load_matrix(path) -> tuple[tuple[Fraction, ...], ...]:
+    """Load a matrix document: a JSON array of rows of exact rationals."""
+    return _matrix(_read_json(path), where=str(path))
 
 
 # --------------------------------------------------------------------------

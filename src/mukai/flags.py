@@ -48,6 +48,7 @@ __all__ = [
     "smooth_total_space",
     "deformation_dims",
     "twisted_double_smoothable",
+    "require_isometry",
 ]
 
 
@@ -196,9 +197,6 @@ class GluingDescriptor:
     section_class_d: tuple[Fraction, ...]
 
     def __post_init__(self):
-        a = as_matrix(self.matrix)
-        object.__setattr__(self, "matrix", a)
-        object.__setattr__(self, "section_class_d", as_vector(self.section_class_d))
         g_plus = self.flag_plus.k3.gram
         g_minus = self.flag_minus.k3.gram
         if g_plus != g_minus:
@@ -206,15 +204,9 @@ class GluingDescriptor:
                 "gluing requires both flags to restrict to the same gram matrix; "
                 f"got {g_plus} and {g_minus}"
             )
-        n = len(g_plus)
-        if len(a) != n or any(len(row) != n for row in a):
-            raise LatticeValidationError("gluing matrix size must match the lattice rank")
-        if mat_mul(mat_mul(transpose(a), g_plus), a) != g_plus:
-            raise LatticeValidationError(
-                "gluing matrix is not an isometry of the restricted lattice: "
-                f"A^T G A = {mat_mul(mat_mul(transpose(a), g_plus), a)} != {g_plus}"
-            )
-        if len(self.section_class_d) != n:
+        object.__setattr__(self, "matrix", require_isometry(self.matrix, g_plus, "gluing matrix"))
+        object.__setattr__(self, "section_class_d", as_vector(self.section_class_d))
+        if len(self.section_class_d) != len(g_plus):
             raise LatticeValidationError("section class length must match the lattice rank")
 
     @property
@@ -355,13 +347,24 @@ def twisted_double_smoothable(flag: FlagDescriptor, involution) -> bool:
     The twisted double smooths to a Calabi-Yau exactly when A fixes the
     restricted anticanonical class.
     """
-    a = as_matrix(involution)
-    g = flag.k3.gram
-    n = len(g)
-    if len(a) != n or any(len(row) != n for row in a):
-        raise LatticeValidationError("involution matrix size must match the lattice rank")
-    if mat_mul(a, a) != identity_matrix(n):
+    a = require_isometry(involution, flag.k3.gram, "involution matrix")
+    if mat_mul(a, a) != identity_matrix(len(a)):
         raise LatticeValidationError("matrix is not an involution (A^2 != I)")
-    if mat_mul(mat_mul(transpose(a), g), a) != g:
-        raise LatticeValidationError("involution is not an isometry of the restricted lattice")
     return mat_vec(a, flag.s_coords) == tuple(flag.s_coords)
+
+
+def require_isometry(matrix, gram, what: str = "matrix") -> tuple[tuple[Fraction, ...], ...]:
+    """Coerce a square matrix A of the Gram matrix's size and check A^T G A = G.
+
+    `what` names the matrix in the error raised when either check fails.
+    """
+    a = as_matrix(matrix)
+    n = len(gram)
+    if len(a) != n or any(len(row) != n for row in a):
+        raise LatticeValidationError(f"{what} size must match the restricted lattice rank")
+    conjugated = mat_mul(mat_mul(transpose(a), gram), a)
+    if conjugated != gram:
+        raise LatticeValidationError(
+            f"{what} is not an isometry of the restricted lattice: A^T G A = {conjugated} != {gram}"
+        )
+    return a

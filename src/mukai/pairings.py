@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .chern import ChernData, MukaiVector, chern_character, dual_chern, k3_mukai_vector, todd_class
 from .errors import IntegralityWarning, LatticeValidationError
-from .flags import FlagDescriptor
-from .rational import as_fraction, as_matrix, as_vector, format_fraction, mat_mul, mat_vec, transpose
+from .flags import FlagDescriptor, require_isometry
+from .rational import as_fraction, as_vector, format_fraction, mat_vec
 from .rings import GradedClass, K3Restriction, K3Vector, star
 
 __all__ = [
@@ -94,26 +94,28 @@ def euler_chi(e1: ChernData, e2: ChernData) -> Fraction:
     data but the result is fractional, which flags inconsistent
     intersection numbers in the ring.
     """
+    result = euler_chi_result(e1, e2)
+    if result.integrality_note:
+        warnings.warn(result.integrality_note, IntegralityWarning, stacklevel=2)
+    return result.value
+
+
+def euler_chi_result(e1: ChernData, e2: ChernData) -> PairingResult:
+    """Euler form packaged with its integrality note, for reporting.
+
+    The note is set, and `euler_chi` warns with it, when both inputs have
+    integral Chern data but the value is fractional.
+    """
     if e1.ring != e2.ring:
         raise LatticeValidationError("Euler form needs both types on the same ring")
     total = chern_character(e2) * chern_character(dual_chern(e1)) * todd_class(e1.ring)
     value = total.a6
+    note = None
     if value.denominator != 1 and e1.is_integral and e2.is_integral:
-        warnings.warn(
+        note = (
             f"chi({'/'.join(e1.labels) or 'e1'}, {'/'.join(e2.labels) or 'e2'}) = "
-            f"{format_fraction(value)} is fractional on integral Chern data",
-            IntegralityWarning,
-            stacklevel=2,
+            f"{format_fraction(value)} is fractional on integral Chern data"
         )
-    return value
-
-
-def euler_chi_result(e1: ChernData, e2: ChernData) -> PairingResult:
-    """Euler form packaged with its integrality note, for reporting."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegralityWarning)
-        value = euler_chi(e1, e2)
-    note = next((str(w.message) for w in caught if issubclass(w.category, IntegralityWarning)), None)
     return PairingResult(value=value, integrality_note=note)
 
 
@@ -208,15 +210,6 @@ def gluing_match(restriction: K3Restriction, matrix, v_plus: K3Vector, v_minus: 
     v_plus = (v_minus.v0, A v_minus.v2, v_minus.v4), which is the
     lattice-level condition for bundles on the two components to glue.
     """
-    a = as_matrix(matrix)
-    g = restriction.gram
-    n = restriction.rank
-    if len(a) != n or any(len(row) != n for row in a):
-        raise LatticeValidationError("matrix size must match the restricted lattice rank")
-    conjugated = mat_mul(mat_mul(transpose(a), g), a)
-    if conjugated != g:
-        raise LatticeValidationError(
-            f"matrix is not an isometry of the restricted lattice: A^T G A = {conjugated} != {g}"
-        )
+    a = require_isometry(matrix, restriction.gram)
     transported = K3Vector(v_minus.v0, mat_vec(a, v_minus.v2), v_minus.v4)
     return v_plus == transported

@@ -180,10 +180,6 @@ class ThreefoldRing:
             a6=self.cubic(coords, coords, coords) / 6,
         )
 
-    def tangent_chern_like(self, rank: int = 3):
-        """(rank, c1, c2-functional, chi_top) quadruple of the tangent data."""
-        return (rank, self.c1_coords, self.c2_values, Fraction(self.chi_top))
-
 
 @dataclass(frozen=True)
 class GradedClass:

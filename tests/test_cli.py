@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from mukai.cli import main
 from mukai.documents import builtin_path, flag_to_document
 
@@ -346,6 +348,32 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys)[0] == 64
     assert run(capsys, "mukai")[0] == 64  # missing required --bundle
     assert run(capsys, "restrict", "--flag", "quintic.json", "--bundle", "quintic-o.json")[0] == 1
+
+
+def test_usage_errors_print_one_line(capsys):
+    for argv, first in (
+        (["chi", "--manifold", "quintic.json"], "mukai chi: the following arguments are required"),
+        (["schubert", "ctop", "--n", "x", "--k", "1"], "mukai schubert ctop: argument --n"),
+        (["--bogus"], "mukai: unrecognized arguments: --bogus"),
+        ([], "mukai: the following arguments are required: <command>"),
+        (["cd"], "mukai cd: the following arguments are required: <cd-command>"),
+        (["schubert", "--json"], "mukai schubert: the following arguments are required"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, ""), argv
+        assert err.startswith(first) and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+@pytest.mark.parametrize("text", ["[[1,]]", "[[1.5]]", '{"a": 1}', "[1]", '[["1/0"]]', ""])
+def test_bad_matrix_file_is_a_parse_error(capsys, tmp_path, text):
+    path = tmp_path / "matrix.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(
+        capsys, "glue-check", "--gluing", "cp3-double.json", "--bundle", "instanton1.json",
+        f"--matrix={path}",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {path}") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_module_entry_point_subprocess():

@@ -26,6 +26,7 @@ from mukai.documents import (
     load_bundle,
     load_gluing,
     load_manifold,
+    load_matrix,
     load_registry,
     manifold_from_document,
     ring_to_document,
@@ -106,6 +107,12 @@ def test_triple_shape_checked():
         manifold_from_document(doc)
 
 
+def test_bad_triple_entry_is_located_by_all_three_indices():
+    doc = dict(quintic_document(), rho=2, basis=["a", "b"], triple=[[[1, 0], [0, 1]], [[0, 1.5]]])
+    with pytest.raises(DocumentError, match=r"triple\[1\]\[0\]\[1\]: .* got 1.5"):
+        manifold_from_document(doc)
+
+
 def test_floats_rejected_in_documents():
     doc = dict(quintic_document(), c2_values=[50.0])
     with pytest.raises(DocumentError, match="integer or 'p/q'"):
@@ -171,6 +178,24 @@ def test_gluing_document_needs_two_flags():
     }
     with pytest.raises(DocumentError, match="fano3"):
         gluing_from_document(doc)
+
+
+def test_matrix_file_and_gluing_matrix_share_one_parser(tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_text('[["-1/2", 0], [0, 3]]', encoding="utf-8")
+    assert load_matrix(path) == ((Fraction(-1, 2), 0), (0, 3))
+    flag_doc = flag_to_document(cp3_quartic_flag())
+    for rows, message in (
+        ([[1, 2], [3, 4.5]], r"\[1\]\[1\]: .* got 4.5"),
+        ({"a": 1}, "array of arrays"),
+        ([[1], 2], r"\[1\]: expected an array"),
+    ):
+        path.write_text(json.dumps(rows), encoding="utf-8")
+        with pytest.raises(DocumentError, match=message):
+            load_matrix(path)
+        doc = {"kind": "gluing", "flag_plus": flag_doc, "flag_minus": flag_doc, "matrix": rows}
+        with pytest.raises(DocumentError, match=message):
+            gluing_from_document(doc)
 
 
 # --------------------------------------------------------------------------
