@@ -51,7 +51,7 @@ class ChernData:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if isinstance(self.rank, bool) or not isinstance(self.rank, int) or self.rank < 1:
             raise LatticeValidationError(f"rank must be a positive integer, got {self.rank!r}")
         object.__setattr__(self, "c1", as_vector(self.c1))
         object.__setattr__(self, "c2", as_vector(self.c2))
@@ -121,8 +121,24 @@ def chern_sum(e1: ChernData, e2: ChernData) -> ChernData:
     return chern_from_character(e1.ring, total, e1.labels + e2.labels)
 
 
+def _per_ring(ring: ThreefoldRing, key: str, compute) -> GradedClass:
+    """A class computed once per ring and kept there as coefficient tuples.
+
+    Only the tuples are kept, never the class: a class points back at its
+    ring, and that cycle would keep every ring alive until a full GC pass.
+    """
+    coefficients = ring._cache.get(key)
+    if coefficients is None:
+        coefficients = ring._cache[key] = compute(ring).components()
+    return GradedClass._exact(ring, *coefficients)
+
+
 def todd_class(ring: ThreefoldRing) -> GradedClass:
     """Todd class 1 + c1/2 + (c1^2 + c2)/12 + (c1 c2)/24 of the tangent bundle."""
+    return _per_ring(ring, "todd", _todd)
+
+
+def _todd(ring: ThreefoldRing) -> GradedClass:
     c1_sq = ring.square_to_h4(ring.c1_coords, ring.c1_coords)
     td2 = tuple(a / 2 for a in ring.c1_coords)
     td4 = tuple((a + b) / 12 for a, b in zip(c1_sq, ring.c2_values))
@@ -184,7 +200,7 @@ def mukai_vector(e: ChernData) -> MukaiVector:
     that care can consult `is_integral`.
     """
     ring = e.ring
-    graded = chern_character(e) * sqrt_series(todd_class(ring))
+    graded = chern_character(e) * _per_ring(ring, "sqrt_todd", lambda r: sqrt_series(todd_class(r)))
     tag = "cy3-full-todd" if ring.is_calabi_yau else "fano-full-todd"
     return MukaiVector(graded=graded, normalization=tag)
 

@@ -273,7 +273,7 @@ def _reflect(args) -> dict:
         declaration = pairings.HDeclaration(e1=e1, e2=e2, value=args.h)
         mode, value = "h-declared", Fraction(declaration.value)
     else:
-        mode, value = "chi", pairings.euler_chi(e1, e2)
+        mode, value = "chi", pairings.euler_chi_result(e1, e2).value
     reflected = pairings.spherical_reflect(m, mp, value)
     return {"mode": mode, "pairing_value": value, "reflected": reflected}
 

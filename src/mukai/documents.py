@@ -25,7 +25,7 @@ from .errors import DocumentError, LatticeValidationError
 from .flags import FlagDescriptor, GluingDescriptor, KernelResult, make_gluing, validate_flag
 from .chern import ChernData, MukaiVector
 from .moduli import CDEntry, CDRegistry
-from .rational import format_fraction
+from .rational import format_fraction, parse_rational
 from .rings import GradedClass, K3Vector, ThreefoldRing
 
 __all__ = [
@@ -58,7 +58,7 @@ def _scalar(value, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return parse_rational(value)
         except (ValueError, ZeroDivisionError):
             raise DocumentError(f"{where}: cannot read rational from {value!r}") from None
     raise DocumentError(f"{where}: expected an integer or 'p/q' string, got {type(value).__name__}")

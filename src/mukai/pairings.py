@@ -17,7 +17,7 @@ from .chern import ChernData, MukaiVector, chern_character, dual_chern, k3_mukai
 from .errors import IntegralityWarning, LatticeValidationError
 from .flags import FlagDescriptor, require_isometry
 from .rational import as_fraction, as_vector, format_fraction, mat_vec
-from .rings import GradedClass, K3Restriction, K3Vector, star
+from .rings import GradedClass, K3Restriction, K3Vector, star, top_degree
 
 __all__ = [
     "PairingResult",
@@ -57,7 +57,7 @@ class HDeclaration:
     value: int
 
     def __post_init__(self):
-        if not isinstance(self.value, int):
+        if isinstance(self.value, bool) or not isinstance(self.value, int):
             raise LatticeValidationError("a declared h value must be an integer")
 
 
@@ -77,7 +77,7 @@ def mukai_pairing_3fold(u, v) -> Fraction:
     through m(E) = ch(E) sqrt(td).
     """
     u, v = _as_graded(u), _as_graded(v)
-    return -(star(v) * u).a6
+    return -top_degree(star(v), u)
 
 
 def mukai_pairing_k3(restriction: K3Restriction, u: K3Vector, v: K3Vector) -> Fraction:
@@ -108,8 +108,7 @@ def euler_chi_result(e1: ChernData, e2: ChernData) -> PairingResult:
     """
     if e1.ring != e2.ring:
         raise LatticeValidationError("Euler form needs both types on the same ring")
-    total = chern_character(e2) * chern_character(dual_chern(e1)) * todd_class(e1.ring)
-    value = total.a6
+    value = top_degree(chern_character(e2) * chern_character(dual_chern(e1)), todd_class(e1.ring))
     note = None
     if value.denominator != 1 and e1.is_integral and e2.is_integral:
         note = (
@@ -127,8 +126,8 @@ def chi_split(e1: ChernData, e2: ChernData) -> tuple[Fraction, Fraction]:
     chi+ vanishes identically, so the split is interesting only on
     quasi-Fano rings, but any ring is accepted.
     """
-    forward = euler_chi(e1, e2)
-    backward = euler_chi(e2, e1)
+    forward = euler_chi_result(e1, e2).value
+    backward = euler_chi_result(e2, e1).value
     return ((forward + backward) / 2, (forward - backward) / 2)
 
 

@@ -7,13 +7,20 @@ an intersection number.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Rational = int | Fraction | str
 
+# Longest numerator or denominator a string may spell out: a bound on the
+# work one input can ask for, far above any intersection number.
+MAX_DIGITS = 1000
+_RATIONAL = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}(?:/[0-9]{{1,{MAX_DIGITS}}})?")
+
 __all__ = [
     "Rational",
     "as_fraction",
+    "parse_rational",
     "as_vector",
     "as_matrix",
     "format_fraction",
@@ -23,6 +30,18 @@ __all__ = [
     "mat_vec",
     "transpose",
 ]
+
+
+def parse_rational(text: str) -> Fraction:
+    """Read an integer or ``"p/q"`` string exactly, and nothing else.
+
+    Decimals, exponents, spaces and more than `MAX_DIGITS` digits in the
+    numerator or denominator raise ValueError; a zero denominator raises
+    ZeroDivisionError.
+    """
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"expected an integer or 'p/q' string, got {text!r}")
+    return Fraction(text)
 
 
 def as_fraction(value: Rational) -> Fraction:
@@ -37,7 +56,7 @@ def as_fraction(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_rational(value)
     raise TypeError(f"expected int, Fraction or 'p/q' string, got {type(value).__name__}")
 
 

@@ -18,6 +18,15 @@ are scalars (H^6 is identified with Q by the fundamental class).  With
 that encoding every cup product reduces to exact rational arithmetic in
 the d tensor, and no choice of H^4 basis is ever needed.
 
+The ring keeps the tensor twice.  The public `triple` attribute is the
+`Fraction` tensor that documents and users read.  The kernel reads a copy
+made once at construction: the tensor times one common denominator D (the
+lcm of its entries' denominators), as rho integer planes, plane i being
+D d[i][.][.] flattened.  `square_to_h4`, `cubic`, `exp_h2` and
+`ring_multiply` scale their input vectors to integer numerators over one
+denominator, run the rho^3 loop in `int` and make `Fraction`s only for
+their results, so no `Fraction` is made or normalised inside the loop.
+
 Elements are immutable `GradedClass` values supporting +, -, scalar
 multiplication and the cup product; `star` is the degree involution that
 negates H^2 and H^6.  `K3Restriction` carries the rank-rho Gram matrix of
@@ -29,6 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import LatticeValidationError
 from .rational import Rational, as_fraction, as_matrix, as_vector, format_fraction, mat_vec
@@ -39,6 +50,7 @@ __all__ = [
     "K3Restriction",
     "K3Vector",
     "ring_multiply",
+    "top_degree",
     "star",
     "restrict_to_k3",
 ]
@@ -49,6 +61,19 @@ def _coerce_triple(triple, rho: int) -> tuple[tuple[tuple[Fraction, ...], ...], 
     if len(out) != rho or any(len(p) != rho for p in out) or any(len(r) != rho for p in out for r in p):
         raise LatticeValidationError(f"triple intersection tensor must be {rho}x{rho}x{rho}")
     return out
+
+
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of exact values over their least common denominator."""
+    den = lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _check_lengths(ring: "ThreefoldRing", a2, a4) -> None:
+    if len(a2) != ring.rho or len(a4) != ring.rho:
+        raise LatticeValidationError(
+            f"class has {len(a2)}/{len(a4)} coordinates, ring has rho={ring.rho}"
+        )
 
 
 @dataclass(frozen=True)
@@ -81,6 +106,12 @@ class ThreefoldRing:
     c2_values: tuple[Fraction, ...]
     chi_top: int
     h12: int
+    # The kernel's copy of `triple`: integer planes over the denominator _den.
+    _planes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
+    # Values `chern` derives once per ring (the Todd class and its square
+    # root), as coefficient tuples; see `chern._per_ring`.
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(str(s) for s in self.basis_labels)
@@ -99,11 +130,15 @@ class ThreefoldRing:
                             f"triple tensor not symmetric at ({i},{j},{k})"
                         )
         object.__setattr__(self, "triple", triple)
+        flat, den = _over_common_denominator([x for plane in triple for row in plane for x in row])
+        planes = tuple(tuple(flat[i * rho * rho:(i + 1) * rho * rho]) for i in range(rho))
+        object.__setattr__(self, "_planes", planes)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "c1_coords", as_vector(self.c1_coords))
         object.__setattr__(self, "c2_values", as_vector(self.c2_values))
         if len(self.c1_coords) != rho or len(self.c2_values) != rho:
             raise LatticeValidationError("c1/c2 data must have length rho")
-        if not isinstance(self.chi_top, int) or not isinstance(self.h12, int):
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.chi_top, self.h12)):
             raise LatticeValidationError("chi_top and h12 must be integers")
         if self.is_calabi_yau and self.chi_top != 2 * (rho - self.h12):
             raise LatticeValidationError(
@@ -122,14 +157,11 @@ class ThreefoldRing:
     # --- element constructors -------------------------------------------
 
     def graded(self, a0: Rational = 0, a2=None, a4=None, a6: Rational = 0) -> "GradedClass":
-        zero = tuple(Fraction(0) for _ in range(self.rho))
-        return GradedClass(
-            ring=self,
-            a0=as_fraction(a0),
-            a2=as_vector(a2) if a2 is not None else zero,
-            a4=as_vector(a4) if a4 is not None else zero,
-            a6=as_fraction(a6),
-        )
+        zero = (Fraction(0),) * self.rho
+        a2 = as_vector(a2) if a2 is not None else zero
+        a4 = as_vector(a4) if a4 is not None else zero
+        _check_lengths(self, a2, a4)
+        return GradedClass._exact(self, as_fraction(a0), a2, a4, as_fraction(a6))
 
     def zero(self) -> "GradedClass":
         return self.graded()
@@ -145,39 +177,46 @@ class ThreefoldRing:
 
     # --- intersection form ----------------------------------------------
 
+    def _vector(self, coords) -> tuple[Fraction, ...]:
+        """A degree-2 coordinate vector, coerced and checked against rho."""
+        coords = as_vector(coords)
+        if len(coords) != self.rho:
+            raise LatticeValidationError(
+                f"vector has {len(coords)} coordinates, ring has rho={self.rho}"
+            )
+        return coords
+
+    def _square(self, u: list[int], v: list[int]) -> list[int]:
+        """D times sum_{j,k} u[j] v[k] d[j][k][i] for each i, in integers."""
+        outer = [a * b for a in u for b in v]
+        return [sum(map(mul, outer, plane)) for plane in self._planes]
+
     def cubic(self, u, v, w) -> Fraction:
         """Triple intersection number of three degree-2 coordinate vectors."""
-        u, v, w = as_vector(u), as_vector(v), as_vector(w)
-        total = Fraction(0)
-        for i in range(self.rho):
-            for j in range(self.rho):
-                for k in range(self.rho):
-                    total += u[i] * v[j] * w[k] * self.triple[i][j][k]
-        return total
+        (u, du), (v, dv), (w, dw) = (_over_common_denominator(self._vector(x)) for x in (u, v, w))
+        return Fraction(sum(map(mul, w, self._square(u, v))), du * dv * dw * self._den)
 
     def square_to_h4(self, u, v) -> tuple[Fraction, ...]:
         """Product of two H^2 vectors as an H^4 functional vector.
 
         Component i is the integral of u . v . e_i.
         """
-        u, v = as_vector(u), as_vector(v)
-        return tuple(
-            sum(
-                (u[j] * v[k] * self.triple[j][k][i] for j in range(self.rho) for k in range(self.rho)),
-                Fraction(0),
-            )
-            for i in range(self.rho)
-        )
+        (u, du), (v, dv) = (_over_common_denominator(self._vector(x)) for x in (u, v))
+        den = du * dv * self._den
+        return tuple(Fraction(n, den) for n in self._square(u, v))
 
     def exp_h2(self, coords) -> "GradedClass":
         """Truncated exponential 1 + L + L^2/2 + L^3/6 of a degree-2 class."""
-        coords = as_vector(coords)
-        square = self.square_to_h4(coords, coords)
-        return self.graded(
-            a0=1,
-            a2=coords,
-            a4=tuple(x / 2 for x in square),
-            a6=self.cubic(coords, coords, coords) / 6,
+        coords = self._vector(coords)
+        nums, den = _over_common_denominator(coords)
+        square = self._square(nums, nums)
+        den2 = 2 * den * den * self._den
+        return GradedClass._exact(
+            self,
+            Fraction(1),
+            coords,
+            tuple(Fraction(n, den2) for n in square),
+            Fraction(sum(map(mul, nums, square)), 3 * den * den2),
         )
 
 
@@ -200,20 +239,30 @@ class GradedClass:
         object.__setattr__(self, "a2", as_vector(self.a2))
         object.__setattr__(self, "a4", as_vector(self.a4))
         object.__setattr__(self, "a6", as_fraction(self.a6))
-        if len(self.a2) != self.ring.rho or len(self.a4) != self.ring.rho:
-            raise LatticeValidationError(
-                f"class has {len(self.a2)}/{len(self.a4)} coordinates, ring has rho={self.ring.rho}"
-            )
+        _check_lengths(self.ring, self.a2, self.a4)
+
+    @classmethod
+    def _exact(cls, ring, a0: Fraction, a2: tuple, a4: tuple, a6: Fraction) -> "GradedClass":
+        """Build from `Fraction`s and `Fraction` tuples of length rho, unchecked."""
+        x = object.__new__(cls)
+        x.__dict__.update(ring=ring, a0=a0, a2=a2, a4=a4, a6=a6)
+        return x
 
     def _check_same_ring(self, other: "GradedClass"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise LatticeValidationError(
                 f"classes live in different rings ({self.ring.name!r} vs {other.ring.name!r})"
             )
 
+    def _numerators(self) -> tuple[int, list[int], list[int], int, int]:
+        """Integer numerators of a0, a2, a4, a6 over one common denominator, given last."""
+        rho = len(self.a2)
+        nums, den = _over_common_denominator((self.a0, *self.a2, *self.a4, self.a6))
+        return nums[0], nums[1:rho + 1], nums[rho + 1:-1], nums[-1], den
+
     def __add__(self, other: "GradedClass") -> "GradedClass":
         self._check_same_ring(other)
-        return GradedClass(
+        return GradedClass._exact(
             self.ring,
             self.a0 + other.a0,
             tuple(a + b for a, b in zip(self.a2, other.a2)),
@@ -229,7 +278,7 @@ class GradedClass:
 
     def scale(self, factor: Rational) -> "GradedClass":
         factor = as_fraction(factor)
-        return GradedClass(
+        return GradedClass._exact(
             self.ring,
             factor * self.a0,
             tuple(factor * a for a in self.a2),
@@ -266,6 +315,10 @@ class GradedClass:
         return "[" + " | ".join(parts) + "]"
 
 
+def _top_numerator(x0, x2, x4, x6, y0, y2, y4, y6) -> int:
+    return x0 * y6 + y0 * x6 + sum(map(mul, x2, y4)) + sum(map(mul, y2, x4))
+
+
 def ring_multiply(x: GradedClass, y: GradedClass) -> GradedClass:
     """Cup product in the truncated ring.
 
@@ -282,16 +335,33 @@ def ring_multiply(x: GradedClass, y: GradedClass) -> GradedClass:
     """
     x._check_same_ring(y)
     ring = x.ring
-    a0 = x.a0 * y.a0
-    a2 = tuple(x.a0 * y.a2[i] + y.a0 * x.a2[i] for i in range(ring.rho))
-    cross = ring.square_to_h4(x.a2, y.a2)
-    a4 = tuple(x.a0 * y.a4[i] + y.a0 * x.a4[i] + cross[i] for i in range(ring.rho))
-    a6 = (
-        x.a0 * y.a6
-        + y.a0 * x.a6
-        + sum((x.a2[i] * y.a4[i] + y.a2[i] * x.a4[i] for i in range(ring.rho)), Fraction(0))
+    x0, x2, x4, x6, dx = x._numerators()
+    y0, y2, y4, y6, dy = y._numerators()
+    den = dx * dy
+    cross = ring._square(x2, y2)
+    return GradedClass._exact(
+        ring,
+        Fraction(x0 * y0, den),
+        tuple(Fraction(x0 * b + y0 * a, den) for a, b in zip(x2, y2)),
+        tuple(
+            Fraction((x0 * b + y0 * a) * ring._den + c, den * ring._den)
+            for a, b, c in zip(x4, y4, cross)
+        ),
+        Fraction(_top_numerator(x0, x2, x4, x6, y0, y2, y4, y6), den),
     )
-    return GradedClass(ring, a0, a2, a4, a6)
+
+
+def top_degree(x: GradedClass, y: GradedClass) -> Fraction:
+    """Degree-6 part of the cup product x . y, without the triple tensor.
+
+    It is x0 y6 + y0 x6 + x2.y4 + y2.x4, the last two being Poincare
+    pairings of coordinates against functionals; so integrals of a
+    product, such as the Euler form, need no rho^3 loop.
+    """
+    x._check_same_ring(y)
+    *xs, dx = x._numerators()
+    *ys, dy = y._numerators()
+    return Fraction(_top_numerator(*xs, *ys), dx * dy)
 
 
 def star(x: GradedClass) -> GradedClass:
@@ -301,7 +371,7 @@ def star(x: GradedClass) -> GradedClass:
     ring automorphism and an involution, and sends the Chern character of
     a sheaf to the Chern character of its dual.
     """
-    return GradedClass(
+    return GradedClass._exact(
         x.ring,
         x.a0,
         tuple(-a for a in x.a2),
@@ -343,12 +413,14 @@ class K3Restriction:
         s = as_vector(s_coords)
         if len(s) != ring.rho:
             raise LatticeValidationError("section class length must match rho")
+        nums, den = _over_common_denominator(s)
+        den *= ring._den
+        rho = ring.rho
         gram = tuple(
             tuple(
-                sum((ring.triple[i][j][k] * s[k] for k in range(ring.rho)), Fraction(0))
-                for j in range(ring.rho)
+                Fraction(sum(map(mul, plane[j * rho:(j + 1) * rho], nums)), den) for j in range(rho)
             )
-            for i in range(ring.rho)
+            for plane in ring._planes
         )
         return cls(gram=gram, s_coords=s)
 

@@ -1,6 +1,8 @@
 """Chern characters, Todd classes, square roots and Mukai vectors."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,10 +11,12 @@ from mukai import (
     ChernData,
     K3Vector,
     LatticeValidationError,
+    ThreefoldRing,
     chern_character,
     chern_from_character,
     chern_sum,
     dual_chern,
+    euler_chi,
     k3_mukai_vector,
     mukai_vector,
     sqrt_series,
@@ -48,6 +52,11 @@ def test_chern_data_validation():
     e = ChernData(ring=ring, rank=2, c1=(1,), c2=("1/2",), c3=0)
     assert not e.is_integral
     assert instanton_type().is_integral
+
+
+def test_chern_data_rejects_bool_rank():
+    with pytest.raises(LatticeValidationError):
+        ChernData(ring=quintic_ring(), rank=True, c1=(0,), c2=(0,), c3=0)
 
 
 def test_chern_character_of_hyperplane_bundle():
@@ -191,3 +200,55 @@ def test_k3_mukai_vector_rejects_unrelated_objects():
 def test_structure_sheaf_chi():
     assert structure_sheaf_chi(cp3_ring()) == 1
     assert structure_sheaf_chi(quintic_ring()) == 0
+
+
+# --------------------------------------------------------------------------
+# The per-ring Todd cache
+
+
+def rebuilt(ring):
+    """A second ring built from the same data, with an empty cache."""
+    return ThreefoldRing(
+        ring.name, ring.basis_labels, ring.triple, ring.c1_coords, ring.c2_values,
+        ring.chi_top, ring.h12,
+    )
+
+
+def test_cached_todd_and_mukai_values_equal_a_fresh_computation():
+    rng = random.Random(41)
+    for _ in range(50):
+        ring = random_cy_ring(rng) if rng.random() < 0.5 else random_fano_ring(rng)
+        e = random_chern(rng, ring)
+        for _ in range(2):  # the second round reads the cache
+            fresh = rebuilt(ring)
+            assert todd_class(ring) == todd_class(fresh)
+            assert mukai_vector(e) == mukai_vector(ChernData(fresh, e.rank, e.c1, e.c2, e.c3))
+
+
+def test_filled_cache_leaves_ring_equality_hash_and_repr_alone():
+    ring = random_fano_ring(random.Random(42), rho=3)
+    before = (hash(ring), repr(ring))
+    mukai_vector(random_chern(random.Random(43), ring))
+    todd_class(ring)
+    assert (hash(ring), repr(ring)) == before
+    assert ring == rebuilt(ring) and hash(ring) == hash(rebuilt(ring))
+
+
+def test_ring_is_freed_with_its_last_reference():
+    # A cache that kept classes (which point back at their ring) would
+    # form a cycle, and the ring would outlive its last reference until a
+    # full GC pass.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ring = quintic_ring()
+        alive = weakref.ref(ring)
+        o = ChernData(ring=ring, rank=1, c1=(0,), c2=(0,), c3=0)
+        o1 = ChernData(ring=ring, rank=1, c1=(1,), c2=(0,), c3=0)
+        assert mukai_vector(o).graded.components() == (1, (0,), (Fraction(25, 12),), 0)
+        assert euler_chi(o, o1) == 5
+        del ring, o, o1
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -385,3 +385,49 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "2875\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (
+            ["chi", "--split"],
+            "chi               61/12\n"
+            "chi_plus          0\n"
+            "chi_minus         61/12\n"
+            "integrality_note  chi(structure-sheaf, hyperplane) = 61/12 is fractional on integral "
+            "Chern data\n",
+        ),
+        (
+            ["reflect"],
+            "mode           chi\n"
+            "pairing_value  61/12\n"
+            "reflected      [-73/12 | (-1) | (-1481/96) | -71/24]\n",
+        ),
+    ],
+    ids=["chi-split", "reflect"],
+)
+def test_fractional_chi_is_reported_on_stdout_only(tmp_path, argv, stdout):
+    # With c2 = 51 the quintic's chi(O, O(1)) is 61/12: the note goes to
+    # stdout, and no IntegralityWarning may reach stderr of a successful call.
+    doc = json.loads(builtin_path("quintic.json").read_text(encoding="utf-8"))
+    manifold = tmp_path / "quintic-c2-51.json"
+    manifold.write_text(json.dumps(dict(doc, c2_values=[51])), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mukai", argv[0], "--manifold", str(manifold),
+         "--bundle", "quintic-o.json", "--bundle2", "quintic-o1.json", *argv[1:]],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", stdout)
+
+
+@pytest.mark.parametrize("text", ["1e2", "0.5", " 3 "])
+def test_decimal_string_in_a_document_is_a_parse_error(capsys, tmp_path, text):
+    doc = json.loads(builtin_path("quintic-o.json").read_text(encoding="utf-8"))
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(dict(doc, c3=text)), encoding="utf-8")
+    code, out, err = run(capsys, "mukai", "--manifold", "quintic.json", "--bundle", str(bundle))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {bundle}.c3: cannot read rational from {text!r}\n"

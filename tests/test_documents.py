@@ -119,6 +119,13 @@ def test_floats_rejected_in_documents():
         manifold_from_document(doc)
 
 
+@pytest.mark.parametrize("text", ["1e2", "0.5", " 3 "])
+def test_decimal_and_padded_strings_rejected_in_documents(text):
+    doc = dict(quintic_document(), c2_values=[text])
+    with pytest.raises(DocumentError, match=r"c2_values\[0\]: cannot read rational"):
+        manifold_from_document(doc)
+
+
 def test_cy3_document_cannot_carry_flag_data():
     doc = dict(quintic_document(), s_coords=[1])
     with pytest.raises(DocumentError, match="s_coords"):

@@ -286,6 +286,12 @@ def test_h_declaration_validates_integer():
         HDeclaration(e1=e, e2=e, value=Fraction(1, 2))
 
 
+def test_h_declaration_rejects_bool():
+    e = instanton_type()
+    with pytest.raises(LatticeValidationError):
+        HDeclaration(e1=e, e2=e, value=True)
+
+
 # --------------------------------------------------------------------------
 # restriction and gluing
 

@@ -16,6 +16,7 @@ from mukai.rational import (
     is_integral,
     mat_mul,
     mat_vec,
+    parse_rational,
     transpose,
 )
 
@@ -27,6 +28,27 @@ def test_as_fraction_accepts_exact_inputs():
     assert as_fraction(Fraction(2, 4)) == Fraction(1, 2)
     assert as_fraction("-7/3") == Fraction(-7, 3)
     assert as_fraction("5") == Fraction(5)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e2", "0.5", " 3 ", "3/ 2", "1_000", "\u0663", "+", "1/2/3", "1" * 1001, "1/" + "1" * 1001],
+    ids=["exponent", "decimal", "padded", "inner-space", "underscore", "non-ascii-digit",
+         "sign-only", "two-slashes", "long-numerator", "long-denominator"],
+)
+def test_only_integer_and_p_over_q_strings_parse(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+    with pytest.raises(ValueError):
+        as_fraction(text)
+
+
+def test_strict_parser_reads_signed_integers_and_ratios():
+    assert parse_rational("+4") == 4
+    assert parse_rational("-3/6") == Fraction(-1, 2)
+    assert parse_rational("1" * 1000) == int("1" * 1000)
+    with pytest.raises(ZeroDivisionError):
+        parse_rational("1/0")
 
 
 def test_as_fraction_rejects_lossy_inputs():

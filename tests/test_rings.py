@@ -6,13 +6,17 @@ from fractions import Fraction
 import pytest
 
 from mukai import (
+    ChernData,
     GradedClass,
     K3Restriction,
     K3Vector,
     LatticeValidationError,
     ThreefoldRing,
+    euler_chi,
     restrict_to_k3,
+    ring_multiply,
     star,
+    top_degree,
 )
 
 from conftest import quintic_ring, random_cy_ring, random_fano_ring, random_graded, synthetic_ring
@@ -182,3 +186,137 @@ def test_graded_class_wrong_length_rejected():
     ring = synthetic_ring()
     with pytest.raises(LatticeValidationError):
         GradedClass(ring, Fraction(1), (Fraction(1),), (Fraction(0), Fraction(0)), Fraction(0))
+
+
+def test_ring_rejects_bool_chi_top_and_h12():
+    base = dict(
+        name="bool", basis_labels=("H",), triple=(((1,),),), c1_coords=(1,), c2_values=(0,)
+    )
+    with pytest.raises(LatticeValidationError):
+        ThreefoldRing(**base, chi_top=True, h12=0)
+    with pytest.raises(LatticeValidationError):
+        ThreefoldRing(**base, chi_top=0, h12=False)
+
+
+# --------------------------------------------------------------------------
+# The integer kernel against a dense Fraction reference: rings whose tensor
+# has fractional entries, so the common-denominator path is exercised.
+
+ENTRIES = (0, 0, 1, -2, 5, Fraction(3, 2), Fraction(-1, 6), Fraction(7, 4), Fraction(2, 9))
+
+
+def fractional_ring(rng, rho):
+    values = {}
+    triple = [[[None] * rho for _ in range(rho)] for _ in range(rho)]
+    for i in range(rho):
+        for j in range(rho):
+            for k in range(rho):
+                key = tuple(sorted((i, j, k)))
+                triple[i][j][k] = values.setdefault(key, rng.choice(ENTRIES))
+    calabi_yau = rng.random() < 0.5
+    h12 = rng.randint(0, 20)
+    return ThreefoldRing(
+        name=f"fractional-{rho}",
+        basis_labels=tuple(f"e{i}" for i in range(rho)),
+        triple=triple,
+        c1_coords=(0,) * rho if calabi_yau else tuple(rng.choice(ENTRIES[2:]) for _ in range(rho)),
+        c2_values=tuple(rng.choice(ENTRIES) for _ in range(rho)),
+        chi_top=2 * (rho - h12) if calabi_yau else rng.randint(-10, 10),
+        h12=h12,
+    )
+
+
+def fractional_vector(rng, rho):
+    return tuple(rng.choice(ENTRIES) for _ in range(rho))
+
+
+def dense_square(ring, u, v):
+    rho = ring.rho
+    return tuple(
+        sum(
+            (u[j] * v[k] * ring.triple[j][k][i] for j in range(rho) for k in range(rho)),
+            Fraction(0),
+        )
+        for i in range(rho)
+    )
+
+
+def dense_cubic(ring, u, v, w):
+    return sum((a * b for a, b in zip(w, dense_square(ring, u, v))), Fraction(0))
+
+
+def dense_dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def dense_multiply(ring, x, y):
+    """Cup product of (a0, a2, a4, a6) tuples, term by term over Fraction."""
+    x0, x2, x4, x6 = x
+    y0, y2, y4, y6 = y
+    cross = dense_square(ring, x2, y2)
+    return (
+        x0 * y0,
+        tuple(x0 * b + y0 * a for a, b in zip(x2, y2)),
+        tuple(x0 * b + y0 * a + c for a, b, c in zip(x4, y4, cross)),
+        x0 * y6 + y0 * x6 + dense_dot(x2, y4) + dense_dot(y2, x4),
+    )
+
+
+def dense_character(ring, rank, c1, c2, c3):
+    return (
+        Fraction(rank),
+        tuple(c1),
+        tuple((a - 2 * b) / 2 for a, b in zip(dense_square(ring, c1, c1), c2)),
+        (dense_cubic(ring, c1, c1, c1) - 3 * dense_dot(c1, c2) + 3 * c3) / 6,
+    )
+
+
+def dense_euler_chi(e1, e2):
+    ring = e1.ring
+    c1, c2 = ring.c1_coords, ring.c2_values
+    todd = (
+        Fraction(1),
+        tuple(a / 2 for a in c1),
+        tuple((a + b) / 12 for a, b in zip(dense_square(ring, c1, c1), c2)),
+        dense_dot(c1, c2) / 24,
+    )
+    dual = dense_character(ring, e1.rank, tuple(-a for a in e1.c1), e1.c2, -e1.c3)
+    ch2 = dense_character(ring, e2.rank, e2.c1, e2.c2, e2.c3)
+    return dense_multiply(ring, dense_multiply(ring, ch2, dual), todd)[3]
+
+
+@pytest.mark.parametrize("rho", range(1, 9))
+def test_integer_kernel_matches_dense_fraction_reference(rho):
+    rng = random.Random(700 + rho)
+    for _ in range(3):
+        ring = fractional_ring(rng, rho)
+        zero = (Fraction(0),) * rho
+        vectors = [zero] + [fractional_vector(rng, rho) for _ in range(3)]
+        for u in vectors:
+            for v in vectors[1:]:
+                assert ring.square_to_h4(u, v) == dense_square(ring, u, v)
+                assert ring.cubic(u, v, vectors[-1]) == dense_cubic(ring, u, v, vectors[-1])
+        for _ in range(4):
+            x, y = (
+                ring.graded(
+                    a0=rng.choice(ENTRIES),
+                    a2=fractional_vector(rng, rho),
+                    a4=fractional_vector(rng, rho),
+                    a6=rng.choice(ENTRIES),
+                )
+                for _ in range(2)
+            )
+            product = ring_multiply(x, y)
+            assert product.components() == dense_multiply(ring, x.components(), y.components())
+            assert top_degree(x, y) == product.a6
+        e1, e2 = (
+            ChernData(
+                ring=ring,
+                rank=rng.randint(1, 3),
+                c1=fractional_vector(rng, rho),
+                c2=fractional_vector(rng, rho),
+                c3=rng.choice(ENTRIES),
+            )
+            for _ in range(2)
+        )
+        assert euler_chi(e1, e2) == dense_euler_chi(e1, e2)
