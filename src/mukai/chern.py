@@ -10,11 +10,11 @@ twelfth survives as exactly that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LatticeValidationError
 from .rational import as_fraction, as_vector, is_integral
+from .record import Record
 from .rings import GradedClass, K3Restriction, K3Vector, ThreefoldRing, restrict_to_k3
 
 __all__ = [
@@ -33,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(Record):
     """Topological type of a bundle: rank and Chern data against a ring.
 
     `c1` is a coordinate vector in the ring's H^2 basis, `c2` the
@@ -48,15 +47,23 @@ class ChernData:
     c1: tuple[Fraction, ...]
     c2: tuple[Fraction, ...]
     c3: Fraction
-    labels: tuple[str, ...] = ()
+    labels: tuple[str, ...]
+
+    def __init__(self, ring, rank, c1, c2, c3, labels=()):
+        vars(self).update(ring=ring, rank=rank, c1=c1, c2=c2, c3=c3, labels=labels)
+        self.__post_init__()
 
     def __post_init__(self):
+        # Separate from `__init__` because bench/tracing.py counts constructions
+        # through this name.
         if isinstance(self.rank, bool) or not isinstance(self.rank, int) or self.rank < 1:
             raise LatticeValidationError(f"rank must be a positive integer, got {self.rank!r}")
-        object.__setattr__(self, "c1", as_vector(self.c1))
-        object.__setattr__(self, "c2", as_vector(self.c2))
-        object.__setattr__(self, "c3", as_fraction(self.c3))
-        object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+        vars(self).update(
+            c1=as_vector(self.c1),
+            c2=as_vector(self.c2),
+            c3=as_fraction(self.c3),
+            labels=tuple(str(s) for s in self.labels),
+        )
         if len(self.c1) != self.ring.rho or len(self.c2) != self.ring.rho:
             raise LatticeValidationError("c1/c2 data must have length rho")
 
@@ -169,8 +176,7 @@ def sqrt_series(x: GradedClass) -> GradedClass:
     return ring.graded(a0=1, a2=y2, a4=y4, a6=y6)
 
 
-@dataclass(frozen=True)
-class MukaiVector:
+class MukaiVector(Record):
     """A graded class tagged with the normalization that produced it.
 
     The tag records whether the ambient ring was Calabi-Yau or quasi-Fano
@@ -180,6 +186,9 @@ class MukaiVector:
 
     graded: GradedClass
     normalization: str
+
+    def __init__(self, graded, normalization):
+        vars(self).update(graded=graded, normalization=normalization)
 
     @property
     def ring(self) -> ThreefoldRing:

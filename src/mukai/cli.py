@@ -543,32 +543,43 @@ def _missing(parser: _Parser, metavar: str) -> Callable:
     return handler
 
 
-def _add_commands(parser: _Parser, commands, metavar: str, common: _Parser) -> None:
-    """Add `commands` as subcommands of `parser`, recursing into nested ones."""
+def _add_commands(parser: _Parser, commands, metavar: str, common: _Parser, wanted) -> None:
+    """Add `commands` as subcommands of `parser`, recursing into nested ones.
+
+    Only commands whose name is in `wanted` get their arguments and nested
+    commands.  argparse enters a subparser only for an argv token equal to
+    its name, so the others are registered by name and help text alone:
+    all that `--help` and an invalid choice show.
+    """
     parser.set_defaults(handler=_missing(parser, metavar))
     sub = parser.add_subparsers(metavar=metavar)
     for command in commands:
+        if command.name not in wanted:
+            sub.add_parser(command.name, help=command.help, add_help=False)
+            continue
         p = sub.add_parser(command.name, parents=[common], help=command.help)
         for name, options in command.args:
             p.add_argument(name, **options)
         if command.commands:
-            _add_commands(p, command.commands, f"<{command.name}-command>", common)
+            _add_commands(p, command.commands, f"<{command.name}-command>", common, wanted)
         else:
             p.set_defaults(handler=command.handler)
 
 
-def build_parser() -> _Parser:
+def build_parser(argv) -> _Parser:
+    """The command-line parser, with arguments only for what `argv` can reach."""
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a sorted-key JSON object")
     parser = _Parser(prog="mukai", description=__doc__)
-    _add_commands(parser, COMMANDS, "<command>", common)
+    _add_commands(parser, COMMANDS, "<command>", common, set(argv))
     return parser
 
 
 def main(argv=None) -> int:
     """Dispatch a command line; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         result = args.handler(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

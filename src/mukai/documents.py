@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .errors import DocumentError, LatticeValidationError
 from .flags import FlagDescriptor, GluingDescriptor, KernelResult, make_gluing, validate_flag
 from .chern import ChernData, MukaiVector
 from .moduli import CDEntry, CDRegistry
-from .rational import format_fraction, parse_rational
+from .rational import MAX_DIGITS, format_fraction, parse_rational
 from .rings import GradedClass, K3Vector, ThreefoldRing
 
 __all__ = [
@@ -51,11 +50,21 @@ __all__ = [
 # rational-aware JSON scalars
 
 
+# JSON integers get the digit cap of "p/q" strings.
+_INT_BOUND = 10**MAX_DIGITS
+
+
+def _capped(value: int, where: str) -> int:
+    if not -_INT_BOUND < value < _INT_BOUND:
+        raise DocumentError(f"{where}: integer has more than {MAX_DIGITS} digits")
+    return value
+
+
 def _scalar(value, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise DocumentError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return Fraction(_capped(value, where))
     if isinstance(value, str):
         try:
             return parse_rational(value)
@@ -85,7 +94,7 @@ def _require(doc: dict, key: str, where: str):
 def _int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DocumentError(f"{where}: expected an integer, got {value!r}")
-    return value
+    return _capped(value, where)
 
 
 # --------------------------------------------------------------------------
@@ -299,6 +308,12 @@ def _read_json(path) -> dict:
         raise DocumentError(
             f"{path}: invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from None
+    except ValueError:  # an integer past the interpreter's int() digit limit
+        raise DocumentError(
+            f"{path}: invalid JSON: integer too long for the interpreter's int() digit limit"
+        ) from None
+    except RecursionError:
+        raise DocumentError(f"{path}: invalid JSON: arrays or objects nested too deeply") from None
 
 
 def load_manifold(path) -> ThreefoldRing | FlagDescriptor:
@@ -349,8 +364,10 @@ def _entry_from_document(doc: dict, where: str) -> CDEntry:
         if not isinstance(value, str):
             raise DocumentError(f"{where}.{key}: expected a string")
     value = doc.get("value")
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-        raise DocumentError(f"{where}.value: expected an integer or null")
+    if value is not None:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DocumentError(f"{where}.value: expected an integer or null")
+        _capped(value, f"{where}.value")
     parents = doc.get("parents")
     if parents is not None:
         if not isinstance(parents, list) or len(parents) != 2:
@@ -397,15 +414,17 @@ def save_registry(path, registry: CDRegistry) -> None:
 # bundled documents
 
 
+_DATA = Path(__file__).parent / "data"
+
+
 def builtin_names() -> tuple[str, ...]:
     """Names of the JSON documents shipped with the package."""
-    data = resources.files("mukai").joinpath("data")
-    return tuple(sorted(p.name for p in data.iterdir() if p.name.endswith(".json")))
+    return tuple(sorted(p.name for p in _DATA.iterdir() if p.name.endswith(".json")))
 
 
 def builtin_path(name: str) -> Path:
     """Filesystem path of a bundled document (e.g. 'quintic.json')."""
-    candidate = resources.files("mukai").joinpath("data", name)
+    candidate = _DATA / name
     if not candidate.is_file():
         raise DocumentError(f"no bundled document named {name!r}; have {builtin_names()}")
-    return Path(str(candidate))
+    return candidate

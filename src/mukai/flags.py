@@ -15,7 +15,6 @@ linear algebra on the Gram matrices below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -31,6 +30,7 @@ from .rational import (
     mat_vec,
     transpose,
 )
+from .record import Record
 from .rings import K3Restriction, ThreefoldRing
 
 __all__ = [
@@ -52,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FlagDescriptor:
+class FlagDescriptor(Record):
     """A quasi-Fano threefold with a chosen anticanonical K3 member.
 
     The descriptor is deliberately permissive: invalid combinations can
@@ -68,34 +67,50 @@ class FlagDescriptor:
 
     ring: ThreefoldRing
     s_coords: tuple[Fraction, ...]
-    h1_ty: int | None = None
-    h0_normal: int | None = None
-    first_obstruction_vanishes: bool | None = None
-    k3: K3Restriction = field(init=False, compare=False, repr=False)
+    h1_ty: int | None
+    h0_normal: int | None
+    first_obstruction_vanishes: bool | None
+
+    def __init__(
+        self, ring, s_coords, h1_ty=None, h0_normal=None, first_obstruction_vanishes=None
+    ):
+        vars(self).update(
+            ring=ring,
+            s_coords=s_coords,
+            h1_ty=h1_ty,
+            h0_normal=h0_normal,
+            first_obstruction_vanishes=first_obstruction_vanishes,
+        )
+        self.__post_init__()
 
     def __post_init__(self):
+        # Separate from `__init__` because bench/tracing.py counts constructions
+        # through this name.  `k3` is derived: not a field, so not in ==, hash or repr.
         coords = as_vector(self.s_coords)
         if len(coords) != self.ring.rho:
             raise LatticeValidationError("section class length must match rho")
-        object.__setattr__(self, "s_coords", coords)
-        object.__setattr__(self, "k3", K3Restriction.from_ring(self.ring, coords))
+        vars(self).update(s_coords=coords, k3=K3Restriction.from_ring(self.ring, coords))
 
     @property
     def name(self) -> str:
         return self.ring.name
 
 
-@dataclass(frozen=True)
-class FlagCheck:
+class FlagCheck(Record):
     name: str
     passed: bool
     detail: str
 
+    def __init__(self, name, passed, detail):
+        vars(self).update(name=name, passed=passed, detail=detail)
 
-@dataclass(frozen=True)
-class FlagReport:
+
+class FlagReport(Record):
     flag: FlagDescriptor
     checks: tuple[FlagCheck, ...]
+
+    def __init__(self, flag, checks):
+        vars(self).update(flag=flag, checks=checks)
 
     @property
     def valid(self) -> bool:
@@ -159,12 +174,14 @@ def validate_flag(flag: FlagDescriptor) -> FlagReport:
     return FlagReport(flag=flag, checks=tuple(checks))
 
 
-@dataclass(frozen=True)
-class KernelResult:
+class KernelResult(Record):
     """Dimension and primitive basis of an exact rational kernel."""
 
     dimension: int
     basis: tuple[tuple[Fraction, ...], ...]
+
+    def __init__(self, dimension, basis):
+        vars(self).update(dimension=dimension, basis=basis)
 
     def __str__(self):
         rows = ["(" + ", ".join(format_fraction(x) for x in vec) + ")" for vec in self.basis]
@@ -181,8 +198,7 @@ def obstruction_kernel(flag: FlagDescriptor) -> KernelResult:
     return KernelResult(dimension=len(basis), basis=tuple(basis))
 
 
-@dataclass(frozen=True)
-class GluingDescriptor:
+class GluingDescriptor(Record):
     """Two flags glued along their K3 members through a lattice isometry.
 
     `matrix` transports the minus-side restricted lattice to the plus
@@ -196,7 +212,18 @@ class GluingDescriptor:
     matrix: tuple[tuple[Fraction, ...], ...]
     section_class_d: tuple[Fraction, ...]
 
+    def __init__(self, flag_plus, flag_minus, matrix, section_class_d):
+        vars(self).update(
+            flag_plus=flag_plus,
+            flag_minus=flag_minus,
+            matrix=matrix,
+            section_class_d=section_class_d,
+        )
+        self.__post_init__()
+
     def __post_init__(self):
+        # Separate from `__init__` because bench/tracing.py counts constructions
+        # through this name.
         g_plus = self.flag_plus.k3.gram
         g_minus = self.flag_minus.k3.gram
         if g_plus != g_minus:
@@ -204,8 +231,8 @@ class GluingDescriptor:
                 "gluing requires both flags to restrict to the same gram matrix; "
                 f"got {g_plus} and {g_minus}"
             )
-        object.__setattr__(self, "matrix", require_isometry(self.matrix, g_plus, "gluing matrix"))
-        object.__setattr__(self, "section_class_d", as_vector(self.section_class_d))
+        matrix = require_isometry(self.matrix, g_plus, "gluing matrix")
+        vars(self).update(matrix=matrix, section_class_d=as_vector(self.section_class_d))
         if len(self.section_class_d) != len(g_plus):
             raise LatticeValidationError("section class length must match the lattice rank")
 
@@ -278,14 +305,16 @@ def smooth_total_space(gluing: GluingDescriptor) -> bool:
     return all(x == 0 for x in gluing.section_class_d)
 
 
-@dataclass(frozen=True)
-class DeformationDims:
+class DeformationDims(Record):
     """Deformation count of a smoothed gluing, tagged with the rule that produced it."""
 
     value: Fraction
     case: str
     h0_sections: Fraction | None
     note: str
+
+    def __init__(self, value, case, h0_sections, note):
+        vars(self).update(value=value, case=case, h0_sections=h0_sections, note=note)
 
 
 def deformation_dims(

@@ -13,7 +13,6 @@ for reflections of twisted exceptional pairs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -22,6 +21,7 @@ from .errors import LatticeValidationError
 from .flags import FlagDescriptor
 from .pairings import euler_chi, mukai_pairing_k3, mukai_restrict
 from .rational import as_vector, format_fraction, is_integral
+from .record import Record
 from .rings import GradedClass, K3Restriction, K3Vector, ThreefoldRing
 
 __all__ = [
@@ -61,13 +61,15 @@ def vdim_flag(flag: FlagDescriptor, e: ChernData) -> Fraction:
     return mukai_pairing_k3(flag.k3, m, m) / 2 + 1
 
 
-@dataclass(frozen=True)
-class Cy3ModuliReport:
+class Cy3ModuliReport(Record):
     """The zero virtual dimension on a Calabi-Yau, with its evidence."""
 
     value: int
     chi_self: Fraction
     note: str | None
+
+    def __init__(self, value, chi_self, note):
+        vars(self).update(value=value, chi_self=chi_self, note=note)
 
 
 def vdim_cy3(ring: ThreefoldRing, e: ChernData) -> Cy3ModuliReport:
@@ -90,8 +92,7 @@ def vdim_cy3(ring: ThreefoldRing, e: ChernData) -> Cy3ModuliReport:
     return Cy3ModuliReport(value=0, chi_self=chi_self, note=note)
 
 
-@dataclass(frozen=True)
-class Nonemptiness:
+class Nonemptiness(Record):
     """Verdict and diagnostics for K3 moduli nonemptiness.
 
     Truthiness is the verdict; `primitive` is None when the vector has
@@ -104,6 +105,15 @@ class Nonemptiness:
     primitive: bool | None
     component_gcd: int | None
     note: str
+
+    def __init__(self, nonempty, square, primitive, component_gcd, note):
+        vars(self).update(
+            nonempty=nonempty,
+            square=square,
+            primitive=primitive,
+            component_gcd=component_gcd,
+            note=note,
+        )
 
     def __bool__(self) -> bool:
         return self.nonempty
@@ -137,8 +147,7 @@ def mukai_nonempty(restriction: K3Restriction, m: K3Vector) -> Nonemptiness:
     )
 
 
-@dataclass(frozen=True)
-class BogomolovReport:
+class BogomolovReport(Record):
     """Discriminant class, its degree against H, and the stability verdict.
 
     Iterates as (delta, value, positive) for positional unpacking.
@@ -148,6 +157,9 @@ class BogomolovReport:
     value: Fraction
     positive: bool
     note: str | None
+
+    def __init__(self, delta, value, positive, note):
+        vars(self).update(delta=delta, value=value, positive=positive, note=note)
 
     def __iter__(self):
         return iter((self.delta, self.value, self.positive))
@@ -202,8 +214,7 @@ _PROVENANCES = (
 )
 
 
-@dataclass(frozen=True)
-class CDEntry:
+class CDEntry(Record):
     """One Casson-Donaldson number, with provenance.
 
     `value` is the numeric invariant when known; symbolic bookkeeping
@@ -218,27 +229,53 @@ class CDEntry:
     manifold: str
     vector_desc: str
     provenance: str
-    value: int | None = None
-    symbol: str | None = None
-    exceptional: bool = False
-    sign_note: str | None = None
-    constraint: str | None = None
-    parents: tuple[str, str] | None = None
-    citation: str | None = None
+    value: int | None
+    symbol: str | None
+    exceptional: bool
+    sign_note: str | None
+    constraint: str | None
+    parents: tuple[str, str] | None
+    citation: str | None
 
-    def __post_init__(self):
-        if self.provenance not in _PROVENANCES:
+    def __init__(
+        self,
+        key,
+        manifold,
+        vector_desc,
+        provenance,
+        value=None,
+        symbol=None,
+        exceptional=False,
+        sign_note=None,
+        constraint=None,
+        parents=None,
+        citation=None,
+    ):
+        if provenance not in _PROVENANCES:
             raise LatticeValidationError(
-                f"unknown provenance {self.provenance!r}; expected one of {_PROVENANCES}"
+                f"unknown provenance {provenance!r}; expected one of {_PROVENANCES}"
             )
-        if (self.value is None) == (self.symbol is None):
+        if (value is None) == (symbol is None):
             raise LatticeValidationError("exactly one of value/symbol must be set")
-        if self.value is not None and not isinstance(self.value, int):
+        if value is not None and not isinstance(value, int):
             raise LatticeValidationError("CD values are integers")
-        if self.provenance == "degeneration" and self.value is not None and self.value < 0:
+        if provenance == "degeneration" and value is not None and value < 0:
             raise LatticeValidationError(
                 "degeneration entries are absolute Euler characteristics and cannot be negative"
             )
+        vars(self).update(
+            key=key,
+            manifold=manifold,
+            vector_desc=vector_desc,
+            provenance=provenance,
+            value=value,
+            symbol=symbol,
+            exceptional=exceptional,
+            sign_note=sign_note,
+            constraint=constraint,
+            parents=parents,
+            citation=citation,
+        )
 
     @property
     def display_value(self) -> str:
@@ -277,7 +314,7 @@ class CDRegistry:
 
     def mark_exceptional(self, key: str) -> CDEntry:
         """Record the user assertion that a class has exceptional realizations."""
-        entry = replace(self.get(key), exceptional=True)
+        entry = CDEntry(**dict(vars(self.get(key)), exceptional=True))
         self._entries[key] = entry
         return entry
 
@@ -420,14 +457,16 @@ def cd_degeneration(
 # Constants registry
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(Record):
     """A named literature value (or named open problem) with citation."""
 
     name: str
     value: int | None
     citation: str
-    note: str = ""
+    note: str
+
+    def __init__(self, name, value, citation, note=""):
+        vars(self).update(name=name, value=value, citation=citation, note=note)
 
 
 class ConstantsRegistry:

@@ -10,13 +10,13 @@ honest bundles, and is an exact rational either way.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import ChernData, MukaiVector, chern_character, dual_chern, k3_mukai_vector, todd_class
 from .errors import IntegralityWarning, LatticeValidationError
 from .flags import FlagDescriptor, require_isometry
 from .rational import as_fraction, as_vector, format_fraction, mat_vec
+from .record import Record
 from .rings import GradedClass, K3Restriction, K3Vector, star, top_degree
 
 __all__ = [
@@ -35,16 +35,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PairingResult:
+class PairingResult(Record):
     """An exact pairing value plus an optional integrality note."""
 
     value: Fraction
-    integrality_note: str | None = None
+    integrality_note: str | None
+
+    def __init__(self, value, integrality_note=None):
+        vars(self).update(value=value, integrality_note=integrality_note)
 
 
-@dataclass(frozen=True)
-class HDeclaration:
+class HDeclaration(Record):
     """A declared value of the holomorphic form h(E1, E2).
 
     h counts rk H^1 - rk H^0 of Hom(E1, E2) and is not determined by
@@ -56,9 +57,10 @@ class HDeclaration:
     e2: ChernData
     value: int
 
-    def __post_init__(self):
-        if isinstance(self.value, bool) or not isinstance(self.value, int):
+    def __init__(self, e1, e2, value):
+        if isinstance(value, bool) or not isinstance(value, int):
             raise LatticeValidationError("a declared h value must be an integer")
+        vars(self).update(e1=e1, e2=e2, value=value)
 
 
 def _as_graded(u) -> GradedClass:
@@ -154,8 +156,7 @@ def spherical_reflect(m: GradedClass, mp: GradedClass, pairing_value) -> GradedC
     return -mp - as_fraction(pairing_value) * m
 
 
-@dataclass(frozen=True)
-class RestrictionResult:
+class RestrictionResult(Record):
     """Restriction of a Mukai vector to the K3 member, with diagnostics.
 
     `vector` is the honest restriction.  `delta` is the lattice
@@ -173,6 +174,14 @@ class RestrictionResult:
     delta: GradedClass
     degree2_matches: bool
     degree4_matches: bool
+
+    def __init__(self, vector, delta, degree2_matches, degree4_matches):
+        vars(self).update(
+            vector=vector,
+            delta=delta,
+            degree2_matches=degree2_matches,
+            degree4_matches=degree4_matches,
+        )
 
     @property
     def note(self) -> str:

@@ -24,10 +24,10 @@ That pipeline reproduces the classical counts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import LatticeValidationError
+from .record import Record
 
 __all__ = [
     "SchubertElement",
@@ -119,6 +119,9 @@ class SchubertElement:
     def __pow__(self, exponent: int) -> "SchubertElement":
         if not isinstance(exponent, int) or exponent < 0:
             raise LatticeValidationError("powers must be non-negative integers")
+        if exponent > 2 * (self.n - 2) and (0, 0) not in self.terms:
+            # Every term has degree >= 1, so the power lies above dim G(2,n).
+            return SchubertElement(self.n, {})
         result = sigma(self.n, 0)
         for _ in range(exponent):
             result = result * self
@@ -273,13 +276,15 @@ def top_chern_sym_dual_tautological(n: int, k: int) -> int:
     e1 = sigma_1 and e2 = sigma_(1,1).  The top Chern class of the
     symmetric power is the product of the weights i x1 + (k-i) x2,
     reduced exactly to the e-basis and evaluated in the Schubert ring.
-    When the rank k+1 does not match dim G(2,n) = 2(n-2) the integral
-    simply comes out 0; nothing is enforced.
+    When the rank k+1 does not match dim G(2,n) = 2(n-2) the top Chern
+    class has the wrong degree and the integral is 0, returned at once.
     """
     if not isinstance(n, int) or n < 2:
         raise LatticeValidationError(f"G(2,n) needs an integer n >= 2, got {n!r}")
     if not isinstance(k, int) or k < 0:
         raise LatticeValidationError(f"symmetric power needs k >= 0, got {k!r}")
+    if k + 1 != 2 * (n - 2):
+        return 0
     reduced = _symmetric_reduce(_weight_polynomial(k))
     total = 0
     for (p, q), coeff in sorted(reduced.items()):
@@ -292,14 +297,21 @@ def top_chern_sym_dual_tautological(n: int, k: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class FourLinesCount:
+class FourLinesCount(Record):
     """The two-part degeneration count of lines meeting four general lines."""
 
     parts: tuple[int, int]
     part_descriptions: tuple[str, str]
     total: int
     schubert_total: int
+
+    def __init__(self, parts, part_descriptions, total, schubert_total):
+        vars(self).update(
+            parts=parts,
+            part_descriptions=part_descriptions,
+            total=total,
+            schubert_total=schubert_total,
+        )
 
     @property
     def consistent(self) -> bool:

@@ -431,3 +431,35 @@ def test_decimal_string_in_a_document_is_a_parse_error(capsys, tmp_path, text):
     code, out, err = run(capsys, "mukai", "--manifold", "quintic.json", "--bundle", str(bundle))
     assert (code, out) == (2, "")
     assert err == f"parse error: {bundle}.c3: cannot read rational from {text!r}\n"
+
+
+@pytest.mark.parametrize(
+    "c3, reason",
+    [
+        ("7" * 4400, "invalid JSON: integer too long for the interpreter's int() digit limit"),
+        ("7" * 1001, ".c3: integer has more than 1000 digits"),
+    ],
+    ids=["past-int-digit-limit", "past-digit-cap"],
+)
+def test_long_json_integer_in_a_document_is_a_parse_error(capsys, tmp_path, c3, reason):
+    doc = json.loads(builtin_path("quintic-o.json").read_text(encoding="utf-8"))
+    doc.pop("c3")
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(doc)[:-1] + f', "c3": {c3}}}', encoding="utf-8")
+    code, out, err = run(capsys, "mukai", "--manifold", "quintic.json", "--bundle", str(bundle))
+    assert (code, out) == (2, "")
+    sep = "" if reason.startswith(".") else ": "
+    assert err == f"parse error: {bundle}{sep}{reason}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schubert", "ctop", "--n", "2", "--k", "2"],
+        ["schubert", "ctop", "--n", "5", "--k", "600"],
+        ["schubert", "integrate", "sigma1^1000000000", "--n", "5"],
+    ],
+    ids=["point-grassmannian", "rank-mismatch", "huge-power"],
+)
+def test_degree_mismatches_print_zero(capsys, argv):
+    assert run(capsys, *argv) == (0, "0\n", "")

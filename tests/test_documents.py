@@ -1,6 +1,7 @@
 """JSON parsing, emission and the bundled document set."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,19 @@ def test_decimal_and_padded_strings_rejected_in_documents(text):
         manifold_from_document(doc)
 
 
+def test_json_integers_share_the_digit_cap_of_rational_strings():
+    longest = 10**1000 - 1  # 1000 digits, the cap of a "p/q" side
+    ring = manifold_from_document(dict(quintic_document(), c2_values=[-longest]))
+    assert ring.c2_values == (Fraction(-longest),)
+    for where, doc in [
+        ("c2_values[0]", dict(quintic_document(), c2_values=[10**1000])),
+        ("h12", dict(quintic_document(), h12=-(10**1000))),
+    ]:
+        message = f"{where}: integer has more than 1000 digits"
+        with pytest.raises(DocumentError, match=re.escape(message)):
+            manifold_from_document(doc)
+
+
 def test_cy3_document_cannot_carry_flag_data():
     doc = dict(quintic_document(), s_coords=[1])
     with pytest.raises(DocumentError, match="s_coords"):
@@ -214,6 +228,22 @@ def test_parse_error_carries_line_and_column(tmp_path):
     bad.write_text('{"name": \n "x", ', encoding="utf-8")
     with pytest.raises(DocumentError, match=r"line \d+, column \d+"):
         load_manifold(bad)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"c3": ' + "7" * 4400 + "}", "integer too long for the interpreter's int() digit limit"),
+        ("[" * 100_000 + "]" * 100_000, "arrays or objects nested too deeply"),
+    ],
+    ids=["integer-past-int-digit-limit", "deep-nesting"],
+)
+def test_json_the_decoder_cannot_read_is_a_document_error(tmp_path, text, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    with pytest.raises(DocumentError) as info:
+        load_manifold(bad)
+    assert str(info.value) == f"{bad}: invalid JSON: {reason}"
 
 
 def test_missing_file_is_a_document_error(tmp_path):

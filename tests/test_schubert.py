@@ -66,6 +66,20 @@ def test_element_validation():
         sigma(4, 1) ** -1
 
 
+def test_powers_above_the_dimension_vanish_without_looping():
+    zero = SchubertElement(5, {})
+    x = sigma(5, 1) + 3 * sigma(5, 2, 1)
+    looped = sigma(5, 0)
+    for _ in range(7):  # dim G(2,5) = 6
+        looped = looped * x
+    assert looped == zero and x ** 7 == zero
+    assert sigma(5, 1) ** 10**9 == zero  # a billion Pieri steps if it looped
+    assert zero ** 10**9 == zero
+    assert integrate(sigma(5, 1) ** 6) == 5
+    unit_part = sigma(5, 0) + sigma(5, 1)
+    assert integrate(unit_part ** 7) == 7 * integrate(sigma(5, 1) ** 6)
+
+
 def test_zero_coefficients_are_pruned():
     x = sigma(4, 1) - sigma(4, 1)
     assert x.terms == {}
@@ -148,6 +162,18 @@ def test_top_chern_degree_mismatch_is_zero():
     assert top_chern_sym_dual_tautological(4, 0) == 0
     assert top_chern_sym_dual_tautological(4, 2) == 0
     assert top_chern_sym_dual_tautological(5, 3) == 0
+
+
+def test_top_chern_on_the_point_grassmannian_is_zero():
+    # G(2,2) is a point: no rank k+1 >= 1 matches its dimension 0.
+    for k in range(6):
+        assert top_chern_sym_dual_tautological(2, k) == 0
+
+
+def test_top_chern_rank_mismatch_returns_without_expanding():
+    # The weight polynomial of Sym^k has k+1 factors; a million of them
+    # would take hours to expand, so this only passes on the early return.
+    assert top_chern_sym_dual_tautological(5, 10**6) == 0
 
 
 def test_top_chern_input_validation():
