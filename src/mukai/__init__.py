@@ -8,159 +8,18 @@ doubling and gluing checks, a Casson-Donaldson value registry, and a small
 Schubert calculus engine on Grassmannians of lines.
 """
 
-from .chern import (
-    ChernData,
-    MukaiVector,
-    chern_character,
-    chern_from_character,
-    chern_sum,
-    dual_chern,
-    k3_mukai_vector,
-    mukai_vector,
-    sqrt_series,
-    structure_sheaf_chi,
-    todd_class,
-    twist_chern,
-)
-from .errors import DocumentError, IntegralityWarning, LatticeValidationError, MukaiError
-from .flags import (
-    DeformationDims,
-    FlagDescriptor,
-    FlagReport,
-    GluingDescriptor,
-    KernelResult,
-    build_double,
-    deformation_dims,
-    joint_obstruction_kernel,
-    make_gluing,
-    obstruction_kernel,
-    smooth_total_space,
-    twisted_double_smoothable,
-    validate_flag,
-)
-from .moduli import (
-    BUILTIN_CONSTANTS,
-    CDEntry,
-    CDRegistry,
-    Constant,
-    ConstantsRegistry,
-    bogomolov_check,
-    cd_closure,
-    cd_degeneration,
-    cd_seed,
-    chi_top_cy3,
-    mukai_nonempty,
-    vdim_cy3,
-    vdim_flag,
-    vdim_k3,
-)
-from .pairings import (
-    HDeclaration,
-    RestrictionResult,
-    chi_split,
-    euler_chi,
-    euler_chi_result,
-    gluing_match,
-    mukai_pairing_3fold,
-    mukai_pairing_k3,
-    mukai_restrict,
-    spherical_reflect,
-    twist_class,
-)
-from .rings import (
-    GradedClass,
-    K3Restriction,
-    K3Vector,
-    ThreefoldRing,
-    restrict_to_k3,
-    ring_multiply,
-    star,
-    top_degree,
-)
-from .schubert import (
-    SchubertElement,
-    euler_char_g2n,
-    four_lines_count,
-    integrate,
-    lines_on_octic_double,
-    multiply,
-    pieri_mult,
-    sigma,
-    top_chern_sym_dual_tautological,
-)
+from . import chern, errors, flags, moduli, pairings, rings, schubert
+from .chern import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .flags import *  # noqa: F401,F403
+from .moduli import *  # noqa: F401,F403
+from .pairings import *  # noqa: F401,F403
+from .rings import *  # noqa: F401,F403
+from .schubert import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_CONSTANTS",
-    "CDEntry",
-    "CDRegistry",
-    "ChernData",
-    "Constant",
-    "ConstantsRegistry",
-    "DeformationDims",
-    "DocumentError",
-    "FlagDescriptor",
-    "FlagReport",
-    "GluingDescriptor",
-    "GradedClass",
-    "HDeclaration",
-    "IntegralityWarning",
-    "K3Restriction",
-    "K3Vector",
-    "KernelResult",
-    "LatticeValidationError",
-    "MukaiError",
-    "MukaiVector",
-    "RestrictionResult",
-    "SchubertElement",
-    "ThreefoldRing",
-    "bogomolov_check",
-    "build_double",
-    "cd_closure",
-    "cd_degeneration",
-    "cd_seed",
-    "chern_character",
-    "chern_from_character",
-    "chern_sum",
-    "chi_split",
-    "chi_top_cy3",
-    "deformation_dims",
-    "dual_chern",
-    "euler_char_g2n",
-    "euler_chi",
-    "euler_chi_result",
-    "four_lines_count",
-    "gluing_match",
-    "integrate",
-    "joint_obstruction_kernel",
-    "k3_mukai_vector",
-    "lines_on_octic_double",
-    "make_gluing",
-    "mukai_nonempty",
-    "mukai_pairing_3fold",
-    "mukai_pairing_k3",
-    "mukai_restrict",
-    "mukai_vector",
-    "multiply",
-    "obstruction_kernel",
-    "pieri_mult",
-    "restrict_to_k3",
-    "ring_multiply",
-    "sigma",
-    "smooth_total_space",
-    "spherical_reflect",
-    "sqrt_series",
-    "star",
-    "structure_sheaf_chi",
-    "todd_class",
-    "top_chern_sym_dual_tautological",
-    "top_degree",
-    "twist_chern",
-    "twist_class",
-    "twisted_double_smoothable",
-    "validate_flag",
-    "vdim_cy3",
-    "vdim_flag",
-    "vdim_k3",
-]
+__all__ = sorted(
+    name for layer in (chern, errors, flags, moduli, pairings, rings, schubert)
+    for name in layer.__all__
+)

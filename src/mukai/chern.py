@@ -5,7 +5,9 @@ attached to a `ThreefoldRing`; c2 is stored as the functional vector
 integral(c2 . e_i), c3 as the scalar integral(c3).  All series identities
 (Chern character, Todd class, its formal square root, tensor twists) are
 truncated at degree 6 and evaluated over Fraction, so a half or a
-twelfth survives as exactly that.
+twelfth survives as exactly that.  The Chern character and its inverse
+are read off the ring's truncated exponential e^{c1}, which differs from
+ch only by the terms in c2 and c3.
 """
 
 from __future__ import annotations
@@ -79,13 +81,18 @@ class ChernData(Record):
 def chern_character(e: ChernData) -> GradedClass:
     """Truncated Chern character of a topological type.
 
-    ch = rank + c1 + (c1^2 - 2 c2)/2 + (c1^3 - 3 c1 c2 + 3 c3)/6.
+    ch = rank + c1 + (c1^2 - 2 c2)/2 + (c1^3 - 3 c1 c2 + 3 c3)/6, that is
+    e^{c1} with rank in degree 0, c2 taken off degree 4 and
+    (c3 - c1 c2)/2 added to degree 6.
     """
-    ring = e.ring
-    c1_sq = ring.square_to_h4(e.c1, e.c1)
-    ch2 = tuple((a - 2 * b) / 2 for a, b in zip(c1_sq, e.c2))
-    ch3 = (ring.cubic(e.c1, e.c1, e.c1) - 3 * e.c1_dot_c2() + 3 * e.c3) / 6
-    return ring.graded(a0=e.rank, a2=e.c1, a4=ch2, a6=ch3)
+    x = e.ring.exp_h2(e.c1)
+    return GradedClass._exact(
+        e.ring,
+        Fraction(e.rank),
+        x.a2,
+        tuple(a - b for a, b in zip(x.a4, e.c2)),
+        x.a6 + (e.c3 - e.c1_dot_c2()) / 2,
+    )
 
 
 def chern_from_character(ring: ThreefoldRing, ch: GradedClass, labels=()) -> ChernData:
@@ -95,12 +102,10 @@ def chern_from_character(ring: ThreefoldRing, ch: GradedClass, labels=()) -> Che
     """
     if ch.a0.denominator != 1 or ch.a0 < 1:
         raise LatticeValidationError(f"character degree-0 part {ch.a0} is not a positive rank")
-    c1 = ch.a2
-    c1_sq = ring.square_to_h4(c1, c1)
-    c2 = tuple(a / 2 - b for a, b in zip(c1_sq, ch.a4))
-    c1c2 = sum((a * b for a, b in zip(c1, c2)), Fraction(0))
-    c3 = 2 * ch.a6 - ring.cubic(c1, c1, c1) / 3 + c1c2
-    return ChernData(ring, int(ch.a0), c1, c2, c3, labels)
+    x = ring.exp_h2(ch.a2)
+    c2 = tuple(a - b for a, b in zip(x.a4, ch.a4))
+    c1c2 = sum((a * b for a, b in zip(ch.a2, c2)), Fraction(0))
+    return ChernData(ring, int(ch.a0), ch.a2, c2, 2 * (ch.a6 - x.a6) + c1c2, labels)
 
 
 def dual_chern(e: ChernData) -> ChernData:
@@ -149,8 +154,7 @@ def _todd(ring: ThreefoldRing) -> GradedClass:
     c1_sq = ring.square_to_h4(ring.c1_coords, ring.c1_coords)
     td2 = tuple(a / 2 for a in ring.c1_coords)
     td4 = tuple((a + b) / 12 for a, b in zip(c1_sq, ring.c2_values))
-    td6 = sum((a * b for a, b in zip(ring.c1_coords, ring.c2_values)), Fraction(0)) / 24
-    return ring.graded(a0=1, a2=td2, a4=td4, a6=td6)
+    return ring.graded(a0=1, a2=td2, a4=td4, a6=structure_sheaf_chi(ring))
 
 
 def sqrt_series(x: GradedClass) -> GradedClass:
@@ -214,13 +218,15 @@ def mukai_vector(e: ChernData) -> MukaiVector:
     return MukaiVector(graded=graded, normalization=tag)
 
 
-def _restriction_of(flag_or_restriction) -> K3Restriction:
+def _restriction_of(flag_or_restriction, e: ChernData) -> K3Restriction:
     if isinstance(flag_or_restriction, K3Restriction):
         return flag_or_restriction
     k3 = getattr(flag_or_restriction, "k3", None)
-    if isinstance(k3, K3Restriction):
-        return k3
-    raise TypeError("expected a K3Restriction or an object carrying one as .k3")
+    if not isinstance(k3, K3Restriction):
+        raise TypeError("expected a K3Restriction or an object carrying one as .k3")
+    if e.ring != flag_or_restriction.ring:
+        raise LatticeValidationError("Chern data must live on the flag's ring")
+    return k3
 
 
 def k3_mukai_vector(flag_or_restriction, e: ChernData) -> K3Vector:
@@ -231,15 +237,15 @@ def k3_mukai_vector(flag_or_restriction, e: ChernData) -> K3Vector:
         (rank, c1 . S-basis, integral_S ch2 + rank),
 
     computed by restricting the ambient Chern character and adding the
-    rank to the point component.
+    rank to the point component.  A flag must carry the ring of `e`.
     """
-    k3 = _restriction_of(flag_or_restriction)
+    k3 = _restriction_of(flag_or_restriction, e)
     restricted = restrict_to_k3(chern_character(e), k3)
     return K3Vector(restricted.v0, restricted.v2, restricted.v4 + e.rank)
 
 
 def structure_sheaf_chi(ring: ThreefoldRing) -> Fraction:
-    """Euler characteristic chi(O) = integral of c1 c2 / 24."""
+    """Euler characteristic chi(O) = integral of td = integral of c1 c2 / 24."""
     return sum(
         (a * b for a, b in zip(ring.c1_coords, ring.c2_values)), Fraction(0)
     ) / 24

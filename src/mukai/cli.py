@@ -18,10 +18,10 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import documents, flags, moduli, pairings, schubert
-from .chern import MukaiVector, mukai_vector, twist_chern
+from .chern import MukaiVector, k3_mukai_vector, mukai_vector, twist_chern
 from .errors import DocumentError, LatticeValidationError, MukaiError
 from .flags import FlagDescriptor
-from .rational import as_vector, format_fraction, identity_matrix
+from .rational import MAX_DIGITS, as_vector, format_fraction, identity_matrix
 from .rings import GradedClass, K3Vector
 
 __all__ = ["main"]
@@ -153,7 +153,8 @@ def _matrix(text: str, rank: int):
     return documents.load_matrix(text)
 
 
-_SIGMA_RE = re.compile(r"^sigma(\d+)(?:,(\d+))?(?:\^(\d+))?$")
+_DIGITS = rf"(\d{{1,{MAX_DIGITS}}})"
+_SIGMA_RE = re.compile(rf"^sigma{_DIGITS}(?:,{_DIGITS})?(?:\^{_DIGITS})?$")
 
 
 def _schubert_expr(args) -> schubert.SchubertElement:
@@ -203,7 +204,7 @@ def _chi(args) -> dict:
 def _pair(args) -> dict:
     if args.flag:
         flag = _flag(args)
-        u, v = (pairings.mukai_restrict(flag, e).vector for e in _bundles(args, flag))
+        u, v = (k3_mukai_vector(flag, e) for e in _bundles(args, flag))
         pairing = pairings.mukai_pairing_k3(flag.k3, u, v)
         return {"lattice": "k3", "u": u, "v": v, "pairing": pairing}
     u, v = (mukai_vector(e) for e in _bundles(args, _manifold(args)))
@@ -232,7 +233,7 @@ def _vdim(args) -> dict:
     if args.flag:
         flag = _flag(args)
         e = _bundle(args, flag)
-        vector = pairings.mukai_restrict(flag, e).vector
+        vector = k3_mukai_vector(flag, e)
         flag_dim = moduli.vdim_flag(flag, e)
         k3_dim = moduli.vdim_k3(flag.k3, vector)
         return {
@@ -304,8 +305,8 @@ def _glue_check(args) -> dict:
     gluing = _gluing(args)
     e_plus = _bundle(args, gluing.flag_plus)
     e_minus = _bundle(args, gluing.flag_minus, "bundle2" if args.bundle2 else "bundle")
-    v_plus = pairings.mukai_restrict(gluing.flag_plus, e_plus).vector
-    v_minus = pairings.mukai_restrict(gluing.flag_minus, e_minus).vector
+    v_plus = k3_mukai_vector(gluing.flag_plus, e_plus)
+    v_minus = k3_mukai_vector(gluing.flag_minus, e_minus)
     matrix = gluing.matrix
     if args.matrix is not None:
         matrix = _matrix(args.matrix, gluing.flag_plus.ring.rho)

@@ -302,6 +302,8 @@ def _read_json(path) -> dict:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package."""
 
+__all__ = ["MukaiError", "LatticeValidationError", "DocumentError", "IntegralityWarning"]
+
 
 class MukaiError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -16,10 +16,10 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .chern import ChernData
+from .chern import ChernData, k3_mukai_vector
 from .errors import LatticeValidationError
 from .flags import FlagDescriptor
-from .pairings import euler_chi, mukai_pairing_k3, mukai_restrict
+from .pairings import euler_chi, mukai_pairing_k3
 from .rational import as_vector, format_fraction, is_integral
 from .record import Record
 from .rings import GradedClass, K3Restriction, K3Vector, ThreefoldRing
@@ -57,7 +57,7 @@ def vdim_flag(flag: FlagDescriptor, e: ChernData) -> Fraction:
     reflects that the flag moduli sits as a middle-dimensional piece of
     the surface moduli, so vdim_k3 is always exactly twice this value.
     """
-    m = mukai_restrict(flag, e).vector
+    m = k3_mukai_vector(flag, e)
     return mukai_pairing_k3(flag.k3, m, m) / 2 + 1
 
 
@@ -425,7 +425,7 @@ def cd_degeneration(
     as a string); the invariant equals it up to an unresolved global
     sign, so the absolute value is stored with a sign note.
     """
-    vector = mukai_restrict(flag, e).vector
+    vector = k3_mukai_vector(flag, e)
     key = f"{flag.name}:degeneration:{vector}"
     if isinstance(euler_char_of_moduli, int):
         value, symbol = abs(euler_char_of_moduli), None

@@ -12,7 +12,9 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 
-from .chern import ChernData, MukaiVector, chern_character, dual_chern, k3_mukai_vector, todd_class
+from .chern import (
+    ChernData, MukaiVector, chern_character, k3_mukai_vector, mukai_vector, todd_class,
+)
 from .errors import IntegralityWarning, LatticeValidationError
 from .flags import FlagDescriptor, require_isometry
 from .rational import as_fraction, as_vector, format_fraction, mat_vec
@@ -110,7 +112,7 @@ def euler_chi_result(e1: ChernData, e2: ChernData) -> PairingResult:
     """
     if e1.ring != e2.ring:
         raise LatticeValidationError("Euler form needs both types on the same ring")
-    value = top_degree(chern_character(e2) * chern_character(dual_chern(e1)), todd_class(e1.ring))
+    value = top_degree(chern_character(e2) * star(chern_character(e1)), todd_class(e1.ring))
     note = None
     if value.denominator != 1 and e1.is_integral and e2.is_integral:
         note = (
@@ -192,11 +194,10 @@ class RestrictionResult(Record):
 
 
 def mukai_restrict(flag: FlagDescriptor, e: ChernData) -> RestrictionResult:
-    """Restrict the Mukai vector of a topological type to the K3 member."""
-    from .chern import mukai_vector  # local to keep module import order simple
+    """Restrict the Mukai vector of a topological type to the K3 member.
 
-    if e.ring != flag.ring:
-        raise LatticeValidationError("Chern data must live on the flag's ring")
+    Callers that want only `vector` should call `k3_mukai_vector`.
+    """
     vector = k3_mukai_vector(flag, e)
     m = mukai_vector(e).graded
     minus_s = tuple(-a for a in flag.s_coords)

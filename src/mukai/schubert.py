@@ -39,6 +39,7 @@ __all__ = [
     "top_chern_sym_dual_tautological",
     "four_lines_count",
     "FourLinesCount",
+    "multiply",
 ]
 
 
@@ -119,12 +120,21 @@ class SchubertElement:
     def __pow__(self, exponent: int) -> "SchubertElement":
         if not isinstance(exponent, int) or exponent < 0:
             raise LatticeValidationError("powers must be non-negative integers")
-        if exponent > 2 * (self.n - 2) and (0, 0) not in self.terms:
-            # Every term has degree >= 1, so the power lies above dim G(2,n).
+        # Write self = c sigma_(0,0) + N.  N^k vanishes above dim G(2,n) =
+        # 2(n-2), so the binomial sum stops there whatever the exponent.
+        c = self.terms.get((0, 0), 0)
+        top = min(exponent, 2 * (self.n - 2))
+        if c == 0 and exponent > top:
             return SchubertElement(self.n, {})
-        result = sigma(self.n, 0)
-        for _ in range(exponent):
-            result = result * self
+        nilpotent = SchubertElement(self.n, {k: v for k, v in self.terms.items() if k != (0, 0)})
+        result = SchubertElement(self.n, {})
+        power = sigma(self.n, 0)
+        for k in range(top + 1):
+            if k:
+                power = power * nilpotent
+            coeff = comb(exponent, k) * c ** (exponent - k)
+            if coeff:
+                result = result + power.scale(coeff)
         return result
 
     def __repr__(self):

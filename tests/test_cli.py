@@ -335,6 +335,14 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_document_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, "mukai", "--manifold", str(bad), "--bundle", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {bad}: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_validation_errors_exit_1(capsys):
     code, _, err = run(
         capsys, "mukai", "--manifold", "quintic.json", "--bundle", "instanton1.json"
@@ -358,6 +366,9 @@ def test_usage_errors_print_one_line(capsys):
         ([], "mukai: the following arguments are required: <command>"),
         (["cd"], "mukai cd: the following arguments are required: <cd-command>"),
         (["schubert", "--json"], "mukai schubert: the following arguments are required"),
+        # Past 1000 digits a token is refused before int() sees it.
+        (["schubert", "integrate", "sigma1^" + "9" * 5000, "--n", "5"], "cannot parse 'sigma1^9"),
+        (["schubert", "integrate", "sigma" + "1" * 1001, "--n", "5"], "cannot parse 'sigma11"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (64, ""), argv
@@ -458,8 +469,9 @@ def test_long_json_integer_in_a_document_is_a_parse_error(capsys, tmp_path, c3, 
         ["schubert", "ctop", "--n", "2", "--k", "2"],
         ["schubert", "ctop", "--n", "5", "--k", "600"],
         ["schubert", "integrate", "sigma1^1000000000", "--n", "5"],
+        ["schubert", "integrate", "sigma0^1000000000", "--n", "5"],
     ],
-    ids=["point-grassmannian", "rank-mismatch", "huge-power"],
+    ids=["point-grassmannian", "rank-mismatch", "huge-power", "huge-power-of-the-unit"],
 )
 def test_degree_mismatches_print_zero(capsys, argv):
     assert run(capsys, *argv) == (0, "0\n", "")

@@ -19,6 +19,7 @@ from mukai import (
     cd_degeneration,
     cd_seed,
     chi_top_cy3,
+    k3_mukai_vector,
     mukai_nonempty,
     mukai_restrict,
     twist_chern,
@@ -277,6 +278,19 @@ def test_cd_degeneration_symbolic_and_invalid():
     assert entry.symbol == "chi(MI_3) + chi(M_3)"
     with pytest.raises(LatticeValidationError):
         cd_degeneration(registry, flag, e, "6;6")
+
+
+def test_vector_only_callers_reject_data_on_another_ring():
+    # Same rho as the flag's ring, so nothing but the check can notice.
+    flag = cp3_quartic_flag()
+    e = ChernData(ring=quintic_ring(), rank=1, c1=(1,), c2=(0,), c3=Fraction(0))
+    for call in (
+        lambda: k3_mukai_vector(flag, e),
+        lambda: vdim_flag(flag, e),
+        lambda: cd_degeneration(CDRegistry(), flag, e, 6),
+    ):
+        with pytest.raises(LatticeValidationError, match="Chern data must live on the flag's ring"):
+            call()
 
 
 def test_registry_conflicts_and_lookup():

@@ -12,6 +12,8 @@ from mukai import (
     K3Vector,
     LatticeValidationError,
     ThreefoldRing,
+    chern_character,
+    chern_from_character,
     euler_chi,
     restrict_to_k3,
     ring_multiply,
@@ -320,3 +322,7 @@ def test_integer_kernel_matches_dense_fraction_reference(rho):
             for _ in range(2)
         )
         assert euler_chi(e1, e2) == dense_euler_chi(e1, e2)
+        for e in (e1, e2):
+            character = chern_character(e)
+            assert character.components() == dense_character(ring, e.rank, e.c1, e.c2, e.c3)
+            assert chern_from_character(ring, character) == e

@@ -78,6 +78,22 @@ def test_powers_above_the_dimension_vanish_without_looping():
     assert integrate(sigma(5, 1) ** 6) == 5
     unit_part = sigma(5, 0) + sigma(5, 1)
     assert integrate(unit_part ** 7) == 7 * integrate(sigma(5, 1) ** 6)
+    # A unit term keeps these powers nonzero; the exponent must not set the number of products.
+    assert sigma(5, 0) ** 10**9 == sigma(5, 0)
+    assert integrate(unit_part ** 10**9) == comb(10**9, 6) * integrate(sigma(5, 1) ** 6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_powers_with_a_unit_term_match_repeated_products(n):
+    for x in (
+        sigma(n, 0) + sigma(n, n - 2),
+        3 * sigma(n, 0) + sigma(n, n - 2, n - 2),
+        -2 * sigma(n, 0) + 5 * sigma(n, n - 2) - sigma(n, n - 2, n - 2),
+    ):
+        looped = sigma(n, 0)
+        for exponent in range(2 * (n - 2) + 4):
+            assert x ** exponent == looped, (x, exponent)
+            looped = looped * x
 
 
 def test_zero_coefficients_are_pruned():
