@@ -155,6 +155,8 @@ def _matrix(text: str, rank: int):
 
 _DIGITS = rf"(\d{{1,{MAX_DIGITS}}})"
 _SIGMA_RE = re.compile(rf"^sigma{_DIGITS}(?:,{_DIGITS})?(?:\^{_DIGITS})?$")
+# Longest part of a refused token that its usage error quotes.
+_QUOTED = 40
 
 
 def _schubert_expr(args) -> schubert.SchubertElement:
@@ -163,8 +165,11 @@ def _schubert_expr(args) -> schubert.SchubertElement:
     for token in args.expr.split("*"):
         match = _SIGMA_RE.match(token.strip())
         if not match:
+            quoted = repr(token)
+            if len(token) > _QUOTED:
+                quoted = f"{token[:_QUOTED]!r}... ({len(token)} characters)"
             raise UsageError(
-                f"cannot parse {token!r}: expected sigmaA, sigmaA,B or sigmaA^P (e.g. sigma1^4)"
+                f"cannot parse {quoted}: expected sigmaA, sigmaA,B or sigmaA^P (e.g. sigma1^4)"
             )
         a = int(match.group(1))
         b = int(match.group(2) or 0)
@@ -445,7 +450,22 @@ _EITHER = (_arg("--manifold"), _arg("--flag"))
 _BUNDLE = _req("--bundle")
 _BUNDLES = (_BUNDLE, _req("--bundle2"))
 _REGISTRY = _req("--registry")
-_N = _req("--n", type=int)
+# Largest n the schubert commands accept: ctop(64, 123), their slowest
+# request at the cap, takes about 0.2 s; the work grows about as n^4.
+MAX_N = 64
+
+
+class _AtMostMaxN(argparse.Action):
+    """Store --n, refusing an n above MAX_N as a usage error (exit 64)."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value > MAX_N:
+            message = f"G(2,n) is supported up to n = {MAX_N}, got {value}"
+            raise argparse.ArgumentError(self, message)
+        setattr(namespace, self.dest, value)
+
+
+_N = _req("--n", type=int, action=_AtMostMaxN)
 
 COMMANDS = (
     Command("mukai", "Mukai vector of a bundle document", (*_EITHER, _BUNDLE), _mukai),

@@ -135,14 +135,8 @@ def _ring_from_document(doc: dict, where: str) -> ThreefoldRing:
     )
 
 
-def flag_from_document(doc: dict, where: str = "manifold") -> FlagDescriptor:
-    """Read a manifold document as a flag without validating it.
-
-    The section class defaults to the anticanonical class; the result
-    may fail `validate_flag`, which is the point: broken flags need to
-    be constructible so their reports can be shown.
-    """
-    ring = _ring_from_document(doc, where)
+def _flag_on_ring(ring: ThreefoldRing, doc: dict, where: str) -> FlagDescriptor:
+    """The flag data of a manifold document, on its already parsed ring."""
     s_coords = _vector(doc["s_coords"], f"{where}.s_coords") if "s_coords" in doc else ring.c1_coords
     h1_ty = None if doc.get("h1_TY") is None else _int(doc["h1_TY"], f"{where}.h1_TY")
     h0_normal = None if doc.get("h0_N") is None else _int(doc["h0_N"], f"{where}.h0_N")
@@ -158,6 +152,16 @@ def flag_from_document(doc: dict, where: str = "manifold") -> FlagDescriptor:
     )
 
 
+def flag_from_document(doc: dict, where: str = "manifold") -> FlagDescriptor:
+    """Read a manifold document as a flag without validating it.
+
+    The section class defaults to the anticanonical class; the result
+    may fail `validate_flag`, which is the point: broken flags need to
+    be constructible so their reports can be shown.
+    """
+    return _flag_on_ring(_ring_from_document(doc, where), doc, where)
+
+
 def manifold_from_document(doc: dict, where: str = "manifold") -> ThreefoldRing | FlagDescriptor:
     """Parse and fully validate a manifold document.
 
@@ -170,7 +174,7 @@ def manifold_from_document(doc: dict, where: str = "manifold") -> ThreefoldRing 
         if "s_coords" in doc:
             raise DocumentError(f"{where}: a cy3 document cannot carry flag data (s_coords)")
         return ring
-    flag = flag_from_document(doc, where)
+    flag = _flag_on_ring(ring, doc, where)
     report = validate_flag(flag)
     if not report.valid:
         details = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
@@ -211,14 +215,34 @@ def bundle_from_document(doc: dict, manifold, where: str = "bundle") -> ChernDat
 # gluing documents
 
 
+def _identical(a, b) -> bool:
+    """Equal JSON values with the same type at every node (1, 1.0 and true differ)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_identical(v, b[k]) for k, v in a.items())
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_identical, a, b))
+    return a == b
+
+
 def gluing_from_document(doc: dict, where: str = "gluing") -> GluingDescriptor:
-    """Parse a gluing document: two inlined flags, optional matrix and D."""
+    """Parse a gluing document: two inlined flags, optional matrix and D.
+
+    A `flag_minus` identical to `flag_plus` (the doubling case) is parsed
+    and validated once, and the one flag serves both sides.
+    """
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected a JSON object")
     if doc.get("kind") != "gluing":
         raise DocumentError(f"{where}.kind: expected 'gluing'")
-    flag_plus = manifold_from_document(_require(doc, "flag_plus", where), f"{where}.flag_plus")
-    flag_minus = manifold_from_document(_require(doc, "flag_minus", where), f"{where}.flag_minus")
+    plus_doc = _require(doc, "flag_plus", where)
+    flag_plus = manifold_from_document(plus_doc, f"{where}.flag_plus")
+    minus_doc = _require(doc, "flag_minus", where)
+    if _identical(minus_doc, plus_doc):
+        flag_minus = flag_plus
+    else:
+        flag_minus = manifold_from_document(minus_doc, f"{where}.flag_minus")
     if not isinstance(flag_plus, FlagDescriptor) or not isinstance(flag_minus, FlagDescriptor):
         raise DocumentError(f"{where}: both sides of a gluing must be fano3 flag documents")
     matrix = _matrix(doc["matrix"], f"{where}.matrix") if "matrix" in doc else None

@@ -3,12 +3,21 @@
 Everything in the package computes over ``fractions.Fraction``; floats are
 never accepted, so a binary-float rounding artifact can never masquerade as
 an intersection number.
+
+The matrix products `mat_vec` and `mat_mul` do their sums in `int`: each
+row of the left factor and each column of the right one is written as
+integer numerators over its least common denominator, every dot product
+is an integer sum, and one `Fraction` (numerator over the product of the
+two denominators) is made per output entry.  `Fraction(n, d)` reduces
+that to lowest terms, so the results equal the `Fraction` sums exactly.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 Rational = int | Fraction | str
 
@@ -100,17 +109,27 @@ def transpose(matrix):
     return tuple(zip(*matrix)) if matrix else ()
 
 
+def over_common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of exact values over their least common denominator."""
+    den = lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 def mat_vec(matrix, vector) -> tuple[Fraction, ...]:
     if matrix and len(matrix[0]) != len(vector):
         raise ValueError("matrix/vector size mismatch")
-    return tuple(sum((row[j] * vector[j] for j in range(len(vector))), Fraction(0)) for row in matrix)
+    nums, den = over_common_denominator(vector)
+    return tuple(
+        Fraction(sum(map(mul, row_nums, nums)), row_den * den)
+        for row_nums, row_den in map(over_common_denominator, matrix)
+    )
 
 
 def mat_mul(a, b):
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix size mismatch")
-    bt = transpose(b)
+    cols = [over_common_denominator(col) for col in transpose(b)]
     return tuple(
-        tuple(sum((row[k] * col[k] for k in range(len(row))), Fraction(0)) for col in bt)
-        for row in a
+        tuple(Fraction(sum(map(mul, row_nums, nums)), row_den * den) for nums, den in cols)
+        for row_nums, row_den in map(over_common_denominator, a)
     )

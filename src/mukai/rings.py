@@ -26,6 +26,7 @@ D d[i][.][.] flattened.  `square_to_h4`, `cubic`, `exp_h2` and
 `ring_multiply` scale their input vectors to integer numerators over one
 denominator, run the rho^3 loop in `int` and make `Fraction`s only for
 their results, so no `Fraction` is made or normalised inside the loop.
+The symmetry check at construction reads the same integer copy.
 
 Elements are immutable `GradedClass` values supporting +, -, scalar
 multiplication and the cup product; `star` is the degree involution that
@@ -37,11 +38,18 @@ to the associated Mukai lattice H^0 + H^2 + H^4 of that surface.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .errors import LatticeValidationError
-from .rational import Rational, as_fraction, as_matrix, as_vector, format_fraction, mat_vec
+from .rational import (
+    Rational,
+    as_fraction,
+    as_matrix,
+    as_vector,
+    format_fraction,
+    mat_vec,
+    over_common_denominator,
+)
 from .record import Record
 
 __all__ = [
@@ -63,10 +71,14 @@ def _coerce_triple(triple, rho: int) -> tuple[tuple[tuple[Fraction, ...], ...], 
     return out
 
 
-def _over_common_denominator(values) -> tuple[list[int], int]:
-    """Integer numerators of exact values over their least common denominator."""
-    den = lcm(*[x.denominator for x in values])
-    return [x.numerator * (den // x.denominator) for x in values], den
+def _check_symmetric(flat: list[int], rho: int) -> None:
+    """Raise at the first (i,j,k) where the flattened rho^3 tensor is not symmetric."""
+    for i in range(rho):
+        for j in range(rho):
+            for k in range(rho):
+                x = flat[(i * rho + j) * rho + k]
+                if x != flat[(j * rho + i) * rho + k] or x != flat[(i * rho + k) * rho + j]:
+                    raise LatticeValidationError(f"triple tensor not symmetric at ({i},{j},{k})")
 
 
 def _check_lengths(ring: "ThreefoldRing", a2, a4) -> None:
@@ -114,14 +126,8 @@ class ThreefoldRing(Record):
             raise LatticeValidationError("basis labels must be distinct")
         rho = len(labels)
         triple = _coerce_triple(triple, rho)
-        for i in range(rho):
-            for j in range(rho):
-                for k in range(rho):
-                    if triple[i][j][k] != triple[j][i][k] or triple[i][j][k] != triple[i][k][j]:
-                        raise LatticeValidationError(
-                            f"triple tensor not symmetric at ({i},{j},{k})"
-                        )
-        flat, den = _over_common_denominator([x for plane in triple for row in plane for x in row])
+        flat, den = over_common_denominator([x for plane in triple for row in plane for x in row])
+        _check_symmetric(flat, rho)
         c1_coords, c2_values = as_vector(c1_coords), as_vector(c2_values)
         if len(c1_coords) != rho or len(c2_values) != rho:
             raise LatticeValidationError("c1/c2 data must have length rho")
@@ -195,7 +201,7 @@ class ThreefoldRing(Record):
 
     def cubic(self, u, v, w) -> Fraction:
         """Triple intersection number of three degree-2 coordinate vectors."""
-        (u, du), (v, dv), (w, dw) = (_over_common_denominator(self._vector(x)) for x in (u, v, w))
+        (u, du), (v, dv), (w, dw) = (over_common_denominator(self._vector(x)) for x in (u, v, w))
         return Fraction(sum(map(mul, w, self._square(u, v))), du * dv * dw * self._den)
 
     def square_to_h4(self, u, v) -> tuple[Fraction, ...]:
@@ -203,14 +209,14 @@ class ThreefoldRing(Record):
 
         Component i is the integral of u . v . e_i.
         """
-        (u, du), (v, dv) = (_over_common_denominator(self._vector(x)) for x in (u, v))
+        (u, du), (v, dv) = (over_common_denominator(self._vector(x)) for x in (u, v))
         den = du * dv * self._den
         return tuple(Fraction(n, den) for n in self._square(u, v))
 
     def exp_h2(self, coords) -> "GradedClass":
         """Truncated exponential 1 + L + L^2/2 + L^3/6 of a degree-2 class."""
         coords = self._vector(coords)
-        nums, den = _over_common_denominator(coords)
+        nums, den = over_common_denominator(coords)
         square = self._square(nums, nums)
         den2 = 2 * den * den * self._den
         return GradedClass._exact(
@@ -266,7 +272,7 @@ class GradedClass(Record):
     def _numerators(self) -> tuple[int, list[int], list[int], int, int]:
         """Integer numerators of a0, a2, a4, a6 over one common denominator, given last."""
         rho = len(self.a2)
-        nums, den = _over_common_denominator((self.a0, *self.a2, *self.a4, self.a6))
+        nums, den = over_common_denominator((self.a0, *self.a2, *self.a4, self.a6))
         return nums[0], nums[1:rho + 1], nums[rho + 1:-1], nums[-1], den
 
     def __add__(self, other: "GradedClass") -> "GradedClass":
@@ -421,7 +427,7 @@ class K3Restriction(Record):
         s = as_vector(s_coords)
         if len(s) != ring.rho:
             raise LatticeValidationError("section class length must match rho")
-        nums, den = _over_common_denominator(s)
+        nums, den = over_common_denominator(s)
         den *= ring._den
         rho = ring.rho
         gram = tuple(

@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
-from mukai.cli import main
+from mukai.cli import MAX_N, main
 from mukai.documents import builtin_path, flag_to_document
 
 from conftest import cp3_quartic_flag
@@ -66,6 +67,54 @@ def test_bad_expression_is_usage_error(capsys):
     code, _, err = run(capsys, "schubert", "integrate", "sigma_bad", "--n", "4")
     assert code == 64
     assert "cannot parse" in err
+
+
+def _catalan(m: int) -> int:
+    return comb(2 * m, m) // (m + 1)
+
+
+def _ctop_closed_form(n: int) -> int:
+    """ctop(n, 2n-5) from the paired weights, an oracle independent of the Pieri path.
+
+    The weights i x1 + (k-i) x2 of Sym^k S* pair up to i(k-i) e1^2 + (k-2i)^2 e2
+    (k = 2n-5 is odd), and the integral of e1^(2(n-2-q)) e2^q is Catalan(n-2-q).
+    """
+    k = 2 * n - 5
+    poly = [1]  # poly[q]: coefficient of (e1^2)^(pairs - q) e2^q
+    for i in range((k + 1) // 2):
+        a, b = i * (k - i), (k - 2 * i) ** 2
+        poly = [a * x + b * y for x, y in zip(poly + [0], [0] + poly)]
+    return sum(c * _catalan(n - 2 - q) for q, c in enumerate(poly))
+
+
+@pytest.mark.parametrize(
+    "argv, at_cap",
+    [
+        (["ctop", "--k", "123"], _ctop_closed_form(64)),
+        (["integrate", "sigma1^124"], _catalan(62)),
+        (["pieri", "sigma1", "--k", "62"], None),
+        (["euler"], comb(64, 2)),
+    ],
+    ids=["ctop", "integrate", "pieri", "euler"],
+)
+def test_schubert_n_is_capped(capsys, argv, at_cap):
+    assert MAX_N == 64 and _ctop_closed_form(5) == 2875
+    code, out, err = run(capsys, "schubert", *argv, "--n", str(MAX_N))
+    assert (code, err) == (0, "")
+    if at_cap is not None:
+        assert out == f"{at_cap}\n"
+    code, out, err = run(capsys, "schubert", *argv, "--n", str(MAX_N + 1))
+    assert (code, out) == (64, "")
+    assert err == (
+        f"mukai schubert {argv[0]}: argument --n: G(2,n) is supported up to n = 64, got 65\n"
+    )
+
+
+def test_a_refused_token_is_quoted_up_to_40_characters(capsys):
+    _, _, err = run(capsys, "schubert", "integrate", "x" * 40, "--n", "5")
+    assert err.startswith(f"cannot parse {'x' * 40!r}: expected")
+    _, _, err = run(capsys, "schubert", "integrate", "x" * 41, "--n", "5")
+    assert err.startswith(f"cannot parse {'x' * 40!r}... (41 characters): expected")
 
 
 # --------------------------------------------------------------------------
@@ -373,6 +422,7 @@ def test_usage_errors_print_one_line(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (64, ""), argv
         assert err.startswith(first) and err.count("\n") == 1 and err.endswith("\n"), err
+        assert len(err.encode("utf-8")) < 200, argv
 
 
 @pytest.mark.parametrize("text", ["[[1,]]", "[[1.5]]", '{"a": 1}', "[1]", '[["1/0"]]', ""])

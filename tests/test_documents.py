@@ -1,5 +1,6 @@
 """JSON parsing, emission and the bundled document set."""
 
+import copy
 import json
 import re
 from fractions import Fraction
@@ -199,6 +200,62 @@ def test_gluing_document_needs_two_flags():
     }
     with pytest.raises(DocumentError, match="fano3"):
         gluing_from_document(doc)
+
+
+@pytest.fixture
+def rings_built(monkeypatch):
+    """A list that records each ThreefoldRing construction by name from now on."""
+    built = []
+    init = ThreefoldRing.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("name"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ThreefoldRing, "__init__", counting)
+    return built
+
+
+CP3_FLAG_DOCUMENT = flag_to_document(cp3_quartic_flag())
+
+
+def test_a_manifold_document_builds_one_ring(rings_built):
+    manifold_from_document(CP3_FLAG_DOCUMENT)
+    assert rings_built == ["cp3-quartic"]
+    manifold_from_document(quintic_document())
+    assert rings_built == ["cp3-quartic", "quintic"]
+
+
+def test_a_repeated_gluing_flag_is_parsed_once(rings_built):
+    doc = {
+        "kind": "gluing",
+        "flag_plus": CP3_FLAG_DOCUMENT,
+        "flag_minus": copy.deepcopy(CP3_FLAG_DOCUMENT),
+    }
+    gluing = gluing_from_document(doc)
+    assert rings_built == ["cp3-quartic"]
+    assert gluing.flag_plus is gluing.flag_minus
+    assert gluing.flag_plus == manifold_from_document(CP3_FLAG_DOCUMENT)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"h1_TY": True}, "gluing.flag_minus.h1_TY: expected an integer, got True"),
+        ({"rho": 1.0}, "gluing.flag_minus.rho: expected an integer, got 1.0"),
+        ({"c1": [4.0]}, "gluing.flag_minus.c1[0]: expected an integer or 'p/q' string, got 4.0"),
+        ({"chi_top": None}, "gluing.flag_minus.chi_top: expected an integer, got None"),
+    ],
+    ids=["bool-for-int", "float-rho", "float-c1", "null-chi-top"],
+)
+def test_a_different_invalid_minus_flag_is_still_parsed(change, message):
+    flag_doc = dict(CP3_FLAG_DOCUMENT, h1_TY=1)
+    # The first three changes leave the document equal under ==, where True == 1 == 1.0.
+    assert dict(flag_doc, h1_TY=True, rho=1.0, c1=[4.0]) == flag_doc
+    doc = {"kind": "gluing", "flag_plus": flag_doc, "flag_minus": dict(flag_doc, **change)}
+    with pytest.raises(DocumentError) as info:
+        gluing_from_document(doc)
+    assert str(info.value) == message
 
 
 def test_matrix_file_and_gluing_matrix_share_one_parser(tmp_path):

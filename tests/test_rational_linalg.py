@@ -125,3 +125,112 @@ def test_nullspace_vectors_are_in_the_kernel():
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         for vec in nullspace(m):
             assert all(x == 0 for x in mat_vec(m, vec))
+
+
+# --------------------------------------------------------------------------
+# the integer kernels against plain Fraction loops
+
+
+def reference_rref(matrix):
+    """Textbook Gauss-Jordan over Fraction: the reference for the integer `rref`."""
+    rows = [list(row) for row in as_matrix(matrix)]
+    if not rows:
+        return (), ()
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def _entry(rng):
+    """Zero a third of the time, else a small integer or a fraction with denominator <= 6."""
+    if rng.random() < 1 / 3:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6)))
+
+
+def _random_shapes(rng):
+    """Rectangular, low-rank, zero-row, zero-column and [G | GA] matrices."""
+    while True:
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        m = [[_entry(rng) for _ in range(cols)] for _ in range(rows)]
+        yield m
+        inner = rng.randint(1, min(rows, cols))
+        left = [[_entry(rng) for _ in range(inner)] for _ in range(rows)]
+        right = [[_entry(rng) for _ in range(cols)] for _ in range(inner)]
+        yield [[sum(map(lambda a, b: a * b, row, col), Fraction(0)) for col in zip(*right)]
+               for row in left]
+        zeroed = [list(row) for row in m]
+        zeroed[rng.randrange(rows)] = [Fraction(0)] * cols
+        c = rng.randrange(cols)
+        for row in zeroed:
+            row[c] = Fraction(0)
+        yield zeroed
+        g = [[Fraction(0)] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                g[i][j] = g[j][i] = _entry(rng)
+        a = [[_entry(rng) for _ in range(3)] for _ in range(3)]
+        yield [row_g + list(row_ga) for row_g, row_ga in zip(g, mat_mul(g, a))]
+
+
+def test_rref_matches_the_fraction_reference():
+    rng = random.Random(20261018)
+    shapes = _random_shapes(rng)
+    for _ in range(3000):
+        m = next(shapes)
+        reduced, pivots = rref(m)
+        assert (reduced, pivots) == reference_rref(m), m
+        assert all(type(x) is Fraction for row in reduced for x in row)
+    assert rref([]) == ((), ())
+    assert rref([[0, 0], [0, 0]]) == (((0, 0), (0, 0)), ())
+    assert rref([["1/2", "-3/4"]]) == (((1, Fraction(-3, 2)),), (0,))
+
+
+def _fraction_mat_vec(matrix, vector):
+    return tuple(sum((a * x for a, x in zip(row, vector)), Fraction(0)) for row in matrix)
+
+
+def _fraction_mat_mul(a, b):
+    return tuple(
+        tuple(sum((row[k] * col[k] for k in range(len(row))), Fraction(0)) for col in transpose(b))
+        for row in a
+    )
+
+
+def test_integer_products_match_fraction_loops():
+    rng = random.Random(11)
+    for _ in range(500):
+        rows, inner, cols = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = tuple(tuple(_entry(rng) for _ in range(inner)) for _ in range(rows))
+        b = tuple(tuple(_entry(rng) for _ in range(cols)) for _ in range(inner))
+        v = tuple(_entry(rng) for _ in range(inner))
+        product, matrix = mat_vec(a, v), mat_mul(a, b)
+        assert product == _fraction_mat_vec(a, v) and matrix == _fraction_mat_mul(a, b)
+        assert all(type(x) is Fraction for x in product)
+        assert all(type(x) is Fraction for row in matrix for x in row)
+    # Empty and 1 x n shapes, and integer (not Fraction) entries.
+    assert mat_vec((), ()) == () and mat_mul((), ()) == ()
+    assert mat_vec(((),), ()) == (Fraction(0),)
+    assert mat_mul(((1, 2, 3),), ((1,), (Fraction(1, 2),), (Fraction(-1, 3),))) == ((1,),)
+    column = ((Fraction(1, 2),), (3,))
+    assert mat_mul(column, ((2, Fraction(4, 3)),)) == ((1, Fraction(2, 3)), (6, 4))
+    assert mat_vec(((1, 2, 3),), (Fraction(1, 2), 0, 1)) == (Fraction(7, 2),)
+    with pytest.raises(ValueError):
+        mat_vec(((1, 2),), (1,))
+    with pytest.raises(ValueError):
+        mat_mul(((1, 2),), ((1, 2),))

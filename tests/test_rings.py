@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -21,7 +22,14 @@ from mukai import (
     top_degree,
 )
 
-from conftest import quintic_ring, random_cy_ring, random_fano_ring, random_graded, synthetic_ring
+from conftest import (
+    LETTERS,
+    quintic_ring,
+    random_cy_ring,
+    random_fano_ring,
+    random_graded,
+    synthetic_ring,
+)
 
 
 def test_ring_rejects_asymmetric_triple():
@@ -35,6 +43,43 @@ def test_ring_rejects_asymmetric_triple():
             chi_top=4,
             h12=0,
         )
+
+
+def _first_asymmetry(triple):
+    """The first (i,j,k) a Fraction loop finds where d[i][j][k] != d[j][i][k] or d[i][k][j]."""
+    rho = len(triple)
+    for i in range(rho):
+        for j in range(rho):
+            for k in range(rho):
+                if triple[i][j][k] != triple[j][i][k] or triple[i][j][k] != triple[i][k][j]:
+                    return i, j, k
+    return None
+
+
+def test_asymmetric_fractional_tensor_is_reported_at_the_first_index():
+    rng = random.Random(5)
+    values = (0, 1, -2, Fraction(3, 2), Fraction(-1, 6), Fraction(2, 9), Fraction(4, 6))
+    for _ in range(400):
+        rho = rng.randint(2, 4)
+        triple = [[[None] * rho for _ in range(rho)] for _ in range(rho)]
+        for i in range(rho):
+            for j in range(i, rho):
+                for k in range(j, rho):
+                    x = rng.choice(values)
+                    for a, b, c in set(permutations((i, j, k))):
+                        triple[a][b][c] = x
+        for _ in range(rng.randint(1, 2)):
+            i, j, k = (rng.randrange(rho) for _ in range(3))
+            triple[i][j][k] += rng.choice((1, Fraction(1, 3), Fraction(-5, 2)))
+        expected = _first_asymmetry(triple)
+        kwargs = dict(name="t", basis_labels=LETTERS[:rho], triple=triple, c1_coords=(1,) * rho,
+                      c2_values=(0,) * rho, chi_top=0, h12=0)
+        if expected is None:
+            ThreefoldRing(**kwargs)
+            continue
+        with pytest.raises(LatticeValidationError) as info:
+            ThreefoldRing(**kwargs)
+        assert str(info.value) == "triple tensor not symmetric at ({},{},{})".format(*expected)
 
 
 def test_ring_rejects_duplicate_labels():
