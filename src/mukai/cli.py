@@ -450,8 +450,8 @@ _EITHER = (_arg("--manifold"), _arg("--flag"))
 _BUNDLE = _req("--bundle")
 _BUNDLES = (_BUNDLE, _req("--bundle2"))
 _REGISTRY = _req("--registry")
-# Largest n the schubert commands accept: ctop(64, 123), their slowest
-# request at the cap, takes about 0.2 s; the work grows about as n^4.
+# Largest n the schubert commands accept: at the cap the slowest requests, ctop(64, 123) and
+# `integrate sigma1^124`, take about 20 ms each (Python 3.11, one core), growing about as n^2.2.
 MAX_N = 64
 
 

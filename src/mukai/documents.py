@@ -82,7 +82,11 @@ def _vector(value, where: str) -> tuple[Fraction, ...]:
 def _matrix(value, where: str) -> tuple[tuple[Fraction, ...], ...]:
     if not isinstance(value, list):
         raise DocumentError(f"{where}: expected an array of arrays")
-    return tuple(_vector(row, f"{where}[{i}]") for i, row in enumerate(value))
+    rows = tuple(_vector(row, f"{where}[{i}]") for i, row in enumerate(value))
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise DocumentError(f"{where}[{i}]: row length {len(row)} differs from row 0's {len(rows[0])}")
+    return rows
 
 
 def _require(doc: dict, key: str, where: str):
@@ -394,11 +398,19 @@ def _entry_from_document(doc: dict, where: str) -> CDEntry:
         if isinstance(value, bool) or not isinstance(value, int):
             raise DocumentError(f"{where}.value: expected an integer or null")
         _capped(value, f"{where}.value")
+    for key in ("symbol", "sign_note", "constraint", "citation"):
+        if not isinstance(doc.get(key), (str, type(None))):
+            raise DocumentError(f"{where}.{key}: expected a string or null")
+    exceptional = doc.get("exceptional", False)
+    if not isinstance(exceptional, bool):
+        raise DocumentError(f"{where}.exceptional: expected true or false")
     parents = doc.get("parents")
     if parents is not None:
-        if not isinstance(parents, list) or len(parents) != 2:
-            raise DocumentError(f"{where}.parents: expected a two-element array")
-        parents = (str(parents[0]), str(parents[1]))
+        if not isinstance(parents, list) or len(parents) != 2 or not all(
+            isinstance(p, str) for p in parents
+        ):
+            raise DocumentError(f"{where}.parents: expected an array of two strings")
+        parents = tuple(parents)
     return CDEntry(
         key=doc["key"],
         manifold=doc["manifold"],
@@ -406,7 +418,7 @@ def _entry_from_document(doc: dict, where: str) -> CDEntry:
         provenance=doc["provenance"],
         value=value,
         symbol=doc.get("symbol"),
-        exceptional=bool(doc.get("exceptional", False)),
+        exceptional=exceptional,
         sign_note=doc.get("sign_note"),
         constraint=doc.get("constraint"),
         parents=parents,

@@ -232,7 +232,11 @@ class GluingDescriptor(Record):
                 f"got {g_plus} and {g_minus}"
             )
         matrix = require_isometry(self.matrix, g_plus, "gluing matrix")
-        vars(self).update(matrix=matrix, section_class_d=as_vector(self.section_class_d))
+        d = self.section_class_d
+        if d is None:
+            transported = mat_vec(matrix, self.flag_minus.s_coords)
+            d = tuple(a + b for a, b in zip(self.flag_plus.s_coords, transported))
+        vars(self).update(matrix=matrix, section_class_d=as_vector(d))
         if len(self.section_class_d) != len(g_plus):
             raise LatticeValidationError("section class length must match the lattice rank")
 
@@ -251,7 +255,7 @@ def make_gluing(
     matrix=None,
     section_class=None,
 ) -> GluingDescriptor:
-    """Assemble a gluing, filling in the identity matrix and default D.
+    """Assemble a gluing; the matrix defaults to the identity and D to s+ + A s-.
 
     Passing an explicit `section_class` models extra birational surgery
     (blow-ups along curves in S) that changes D without touching the
@@ -259,10 +263,6 @@ def make_gluing(
     """
     if matrix is None:
         matrix = identity_matrix(flag_plus.ring.rho)
-    matrix = as_matrix(matrix)
-    if section_class is None:
-        transported = mat_vec(matrix, flag_minus.s_coords)
-        section_class = tuple(a + b for a, b in zip(flag_plus.s_coords, transported))
     return GluingDescriptor(
         flag_plus=flag_plus,
         flag_minus=flag_minus,

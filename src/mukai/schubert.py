@@ -8,11 +8,11 @@ classes sigma_k (Pieri's horizontal-strip rule) together with the
 column rule sigma_(1,1) . sigma_(a,b) = sigma_(a+1,b+1) generates the
 whole ring, since sigma_(a,b) = sigma_(1,1)^b . sigma_(a-b).
 
-Chern-class integrals are fed in as symmetric polynomials in the two
-Chern roots of the dual tautological bundle; exact polynomial division
-rewrites them in the elementary symmetric classes e1 = sigma_1 and
-e2 = sigma_(1,1), and integration reads off the full-box coefficient.
-That pipeline reproduces the classical counts:
+Chern classes of bundles built from the dual tautological bundle S*
+are products in this ring: its Chern roots x1, x2 have elementary
+symmetric classes e1 = sigma_1 and e2 = sigma_(1,1), and the weights of
+Sym^k S* pair off into quadrics in e1 and e2.  Integration reads off
+the full-box coefficient.  That reproduces the classical counts:
 
 >>> top_chern_sym_dual_tautological(5, 5)   # lines on a quintic threefold
 2875
@@ -210,7 +210,7 @@ def euler_char_g2n(n: int) -> int:
     return comb(n, 2)
 
 
-def lines_on_octic_double(n: int = 4) -> int:
+def lines_on_octic_double() -> int:
     """Line count on the octic double solid: twice the Euler number of G(2,4).
 
     The double solid branched in a degree-8 surface carries two copies of
@@ -218,76 +218,19 @@ def lines_on_octic_double(n: int = 4) -> int:
     dim G(2,4) = 4 is even, the signed top-Chern integral of T*G agrees
     with +chi.
     """
-    if n != 4:
-        raise LatticeValidationError("the octic double solid count lives on G(2,4) only")
     return 2 * euler_char_g2n(4)
-
-
-# --------------------------------------------------------------------------
-# Symmetric polynomials in the two Chern roots
-
-_Poly = dict[tuple[int, int], int]
-
-
-def _poly_mul(p: _Poly, q: _Poly) -> _Poly:
-    out: _Poly = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _weight_polynomial(k: int) -> _Poly:
-    """Chern roots of Sym^k of a rank-2 bundle: product of i x1 + (k-i) x2."""
-    poly: _Poly = {(0, 0): 1}
-    for i in range(k + 1):
-        factor: _Poly = {}
-        if i:
-            factor[(1, 0)] = i
-        if k - i:
-            factor[(0, 1)] = k - i
-        poly = _poly_mul(poly, factor)
-    return poly
-
-
-def _expand_e_monomial(p: int, q: int) -> _Poly:
-    """Expansion of e1^p e2^q in the root variables: binomials shifted by q."""
-    return {(t + q, p - t + q): comb(p, t) for t in range(p + 1)}
-
-
-def _symmetric_reduce(poly: _Poly) -> dict[tuple[int, int], int]:
-    """Rewrite a symmetric integer polynomial in e1, e2 by exact division.
-
-    Repeatedly strips the lex-leading monomial x1^i x2^j (which has
-    i >= j for a symmetric polynomial) against e1^(i-j) e2^j.  A leading
-    term with i < j means the input was not symmetric.
-    """
-    work = {k: v for k, v in poly.items() if v != 0}
-    reduced: dict[tuple[int, int], int] = {}
-    while work:
-        (i, j) = max(work)
-        if i < j:
-            raise LatticeValidationError("polynomial is not symmetric in the two roots")
-        coeff = work[(i, j)]
-        key = (i - j, j)
-        reduced[key] = reduced.get(key, 0) + coeff
-        for mono, c in _expand_e_monomial(i - j, j).items():
-            work[mono] = work.get(mono, 0) - coeff * c
-            if work[mono] == 0:
-                del work[mono]
-    return {k: v for k, v in reduced.items() if v != 0}
 
 
 def top_chern_sym_dual_tautological(n: int, k: int) -> int:
     """Integrate the top Chern class of Sym^k S* over G(2,n).
 
     S* is the dual tautological bundle, whose Chern roots x1, x2 have
-    e1 = sigma_1 and e2 = sigma_(1,1).  The top Chern class of the
-    symmetric power is the product of the weights i x1 + (k-i) x2,
-    reduced exactly to the e-basis and evaluated in the Schubert ring.
-    When the rank k+1 does not match dim G(2,n) = 2(n-2) the top Chern
-    class has the wrong degree and the integral is 0, returned at once.
+    e1 = sigma_1 and e2 = sigma_(1,1).  When the rank k+1 does not match
+    dim G(2,n) = 2(n-2) the top Chern class has the wrong degree and the
+    integral is 0, returned at once.  Otherwise k = 2n-5 is odd, and the
+    k+1 weights i x1 + (k-i) x2 pair off, i with k-i, into the classes
+    i(k-i) e1^2 + (k-2i)^2 e2 (Eisenbud-Harris, 3264 and All That, on
+    lines on hypersurfaces), whose product is taken in the ring.
     """
     if not isinstance(n, int) or n < 2:
         raise LatticeValidationError(f"G(2,n) needs an integer n >= 2, got {n!r}")
@@ -295,16 +238,12 @@ def top_chern_sym_dual_tautological(n: int, k: int) -> int:
         raise LatticeValidationError(f"symmetric power needs k >= 0, got {k!r}")
     if k + 1 != 2 * (n - 2):
         return 0
-    reduced = _symmetric_reduce(_weight_polynomial(k))
-    total = 0
-    for (p, q), coeff in sorted(reduced.items()):
-        element = sigma(n, 0)
-        for _ in range(q):
-            element = _column_mult(element)
-        for _ in range(p):
-            element = pieri_mult(element, 1)
-        total += coeff * integrate(element)
-    return total
+    e1_squared = sigma(n, 1) * sigma(n, 1)
+    e2 = sigma(n, 1, 1)
+    top = sigma(n, 0)
+    for i in range((k + 1) // 2):
+        top = top * (e1_squared.scale(i * (k - i)) + e2.scale((k - 2 * i) ** 2))
+    return integrate(top)
 
 
 class FourLinesCount(Record):
@@ -328,7 +267,7 @@ class FourLinesCount(Record):
         return sum(self.parts) == self.total == self.schubert_total
 
 
-def four_lines_count(n: int = 4) -> FourLinesCount:
+def four_lines_count() -> FourLinesCount:
     """Count lines in P^3 meeting four general lines, two ways.
 
     Specializing the four lines into two intersecting pairs makes the
@@ -336,8 +275,6 @@ def four_lines_count(n: int = 4) -> FourLinesCount:
     points, the other is cut out by the two planes the pairs span.
     The Schubert side is integrate(sigma_1^4) on G(2,4); both give 2.
     """
-    if n != 4:
-        raise LatticeValidationError("the four-lines count is a statement about G(2,4)")
     schubert_total = integrate(sigma(4, 1) ** 4)
     parts = (1, 1)
     descriptions = (

@@ -11,6 +11,7 @@ from mukai.cli import MAX_N, main
 from mukai.documents import builtin_path, flag_to_document
 
 from conftest import cp3_quartic_flag
+from test_schubert import _catalan, _ctop_closed_form
 
 
 def run(capsys, *argv):
@@ -67,24 +68,6 @@ def test_bad_expression_is_usage_error(capsys):
     code, _, err = run(capsys, "schubert", "integrate", "sigma_bad", "--n", "4")
     assert code == 64
     assert "cannot parse" in err
-
-
-def _catalan(m: int) -> int:
-    return comb(2 * m, m) // (m + 1)
-
-
-def _ctop_closed_form(n: int) -> int:
-    """ctop(n, 2n-5) from the paired weights, an oracle independent of the Pieri path.
-
-    The weights i x1 + (k-i) x2 of Sym^k S* pair up to i(k-i) e1^2 + (k-2i)^2 e2
-    (k = 2n-5 is odd), and the integral of e1^(2(n-2-q)) e2^q is Catalan(n-2-q).
-    """
-    k = 2 * n - 5
-    poly = [1]  # poly[q]: coefficient of (e1^2)^(pairs - q) e2^q
-    for i in range((k + 1) // 2):
-        a, b = i * (k - i), (k - 2 * i) ** 2
-        poly = [a * x + b * y for x, y in zip(poly + [0], [0] + poly)]
-    return sum(c * _catalan(n - 2 - q) for q, c in enumerate(poly))
 
 
 @pytest.mark.parametrize(
@@ -355,6 +338,20 @@ def test_cd_workflow(capsys, tmp_path):
     assert "exceptional" in err
 
 
+def test_a_string_exceptional_flag_cannot_license_a_closure(capsys, tmp_path):
+    registry = tmp_path / "registry.json"
+    entries = [
+        {"key": key, "manifold": "quintic", "vector": "m(L)", "provenance": "line-bundle-rule",
+         "value": 1, "exceptional": "false"}
+        for key in ("a", "b")
+    ]
+    registry.write_text(json.dumps({"entries": entries}), encoding="utf-8")
+    code, out, err = run(capsys, "cd", "closure", "--registry", str(registry),
+                         "--parent", "a", "--parent2", "b", "--L", "1", "--k", "k")
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {registry}.entries[0].exceptional: expected true or false\n"
+
+
 # --------------------------------------------------------------------------
 # determinism and error channels
 
@@ -425,7 +422,9 @@ def test_usage_errors_print_one_line(capsys):
         assert len(err.encode("utf-8")) < 200, argv
 
 
-@pytest.mark.parametrize("text", ["[[1,]]", "[[1.5]]", '{"a": 1}', "[1]", '[["1/0"]]', ""])
+@pytest.mark.parametrize(
+    "text", ["[[1,]]", "[[1.5]]", '{"a": 1}', "[1]", '[["1/0"]]', "", "[[1, 0], [0]]"]
+)
 def test_bad_matrix_file_is_a_parse_error(capsys, tmp_path, text):
     path = tmp_path / "matrix.json"
     path.write_text(text, encoding="utf-8")
@@ -435,6 +434,25 @@ def test_bad_matrix_file_is_a_parse_error(capsys, tmp_path, text):
     )
     assert (code, out) == (2, "")
     assert err.startswith(f"parse error: {path}") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "change, code, first",
+    [
+        ({"matrix": [[1], []]}, 2, "parse error: "),
+        ({"section_class": None, "matrix": [[1, 0]]}, 1, "validation error: gluing matrix size"),
+    ],
+    ids=["ragged", "wide-without-section-class"],
+)
+def test_a_bad_gluing_matrix_is_one_error_line(capsys, tmp_path, change, code, first):
+    doc = json.loads(builtin_path("cp3-double.json").read_text(encoding="utf-8"))
+    doc.update(change)
+    doc = {key: value for key, value in doc.items() if value is not None}
+    path = tmp_path / "gluing.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    got, out, err = run(capsys, "glue-check", "--gluing", str(path), "--bundle", "instanton1.json")
+    assert (got, out) == (code, "")
+    assert err.startswith(first) and err.count("\n") == 1 and err.endswith("\n"), err
 
 
 def test_module_entry_point_subprocess():

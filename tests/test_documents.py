@@ -192,6 +192,13 @@ def test_gluing_document_defaults():
     assert gluing.section_class_d == (8,)
 
 
+def test_a_default_section_class_needs_a_matrix_of_the_lattice_rank():
+    flag_doc = flag_to_document(cp3_quartic_flag())
+    doc = {"kind": "gluing", "flag_plus": flag_doc, "flag_minus": flag_doc, "matrix": [[1, 0]]}
+    with pytest.raises(LatticeValidationError, match="size must match the restricted lattice rank"):
+        gluing_from_document(doc)
+
+
 def test_gluing_document_needs_two_flags():
     doc = {
         "kind": "gluing",
@@ -267,6 +274,7 @@ def test_matrix_file_and_gluing_matrix_share_one_parser(tmp_path):
         ([[1, 2], [3, 4.5]], r"\[1\]\[1\]: .* got 4.5"),
         ({"a": 1}, "array of arrays"),
         ([[1], 2], r"\[1\]: expected an array"),
+        ([[1], []], r"\[1\]: row length 0 differs from row 0's 1"),
     ):
         path.write_text(json.dumps(rows), encoding="utf-8")
         with pytest.raises(DocumentError, match=message):
@@ -374,6 +382,18 @@ def sample_registry():
     )
     registry.add(
         CDEntry(
+            key="quintic:closure",
+            manifold="quintic",
+            vector_desc="a product",
+            provenance="closure",
+            value=1,
+            constraint="k > k0",
+            parents=("quintic:line-bundle", "quintic:line-bundle"),
+            citation="a citation",
+        )
+    )
+    registry.add(
+        CDEntry(
             key="model:open",
             manifold="model",
             vector_desc="named open value",
@@ -390,8 +410,7 @@ def test_registry_save_load_round_trip(tmp_path):
     registry = sample_registry()
     save_registry(path, registry)
     loaded = load_registry(path)
-    assert len(loaded) == 2
-    assert loaded.get("quintic:line-bundle") == registry.get("quintic:line-bundle")
+    assert loaded.entries() == registry.entries()
     assert loaded.get("model:open").symbol == "chi(M_3)"
 
 
@@ -418,3 +437,42 @@ def test_registry_document_validation(tmp_path):
     path.write_text(json.dumps({"rows": []}), encoding="utf-8")
     with pytest.raises(DocumentError, match="entries"):
         load_registry(path)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"exceptional": "false"}, "exceptional: expected true or false"),
+        ({"exceptional": 1}, "exceptional: expected true or false"),
+        ({"exceptional": None}, "exceptional: expected true or false"),
+        ({"value": None, "symbol": ["chi"]}, "symbol: expected a string or null"),
+        ({"sign_note": 1}, "sign_note: expected a string or null"),
+        ({"constraint": {}}, "constraint: expected a string or null"),
+        ({"citation": False}, "citation: expected a string or null"),
+        ({"parents": ["a", 1]}, "parents: expected an array of two strings"),
+        ({"parents": ["a"]}, "parents: expected an array of two strings"),
+        ({"parents": "ab"}, "parents: expected an array of two strings"),
+    ],
+    ids=[
+        "exceptional-string", "exceptional-int", "exceptional-null", "symbol", "sign_note",
+        "constraint", "citation", "parent-int", "one-parent", "parents-string",
+    ],
+)
+def test_registry_entry_fields_are_typed(tmp_path, change, message):
+    path = tmp_path / "registry.json"
+    save_registry(path, sample_registry())
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["entries"][1].update(change)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DocumentError) as info:
+        load_registry(path)
+    assert str(info.value) == f"{path}.entries[1].{message}"
+
+
+def test_an_absent_exceptional_flag_loads_as_false(tmp_path):
+    path = tmp_path / "registry.json"
+    save_registry(path, sample_registry())
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["entries"][1]["exceptional"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_registry(path).entries() == sample_registry().entries()

@@ -130,6 +130,8 @@ def test_explicit_zero_section_class_is_smooth():
 def test_gluing_requires_matching_grams():
     with pytest.raises(LatticeValidationError, match="same gram"):
         make_gluing(cp3_quartic_flag(), swap_symmetric_flag(), matrix=((1, 0), (0, 1)))
+    with pytest.raises(LatticeValidationError, match="same gram"):
+        make_gluing(cp3_quartic_flag(), swap_symmetric_flag())
 
 
 def test_gluing_requires_isometry():
