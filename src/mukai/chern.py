@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import LatticeValidationError
-from .rational import as_fraction, as_vector, is_integral
+from .rational import as_fraction, as_vector, dot, is_integral
 from .record import Record
 from .rings import GradedClass, K3Restriction, K3Vector, ThreefoldRing, restrict_to_k3
 
@@ -75,7 +75,7 @@ class ChernData(Record):
 
     def c1_dot_c2(self) -> Fraction:
         """Integral of c1 . c2 over the threefold."""
-        return sum((a * b for a, b in zip(self.c1, self.c2)), Fraction(0))
+        return dot(self.c1, self.c2)
 
 
 def chern_character(e: ChernData) -> GradedClass:
@@ -104,8 +104,7 @@ def chern_from_character(ring: ThreefoldRing, ch: GradedClass, labels=()) -> Che
         raise LatticeValidationError(f"character degree-0 part {ch.a0} is not a positive rank")
     x = ring.exp_h2(ch.a2)
     c2 = tuple(a - b for a, b in zip(x.a4, ch.a4))
-    c1c2 = sum((a * b for a, b in zip(ch.a2, c2)), Fraction(0))
-    return ChernData(ring, int(ch.a0), ch.a2, c2, 2 * (ch.a6 - x.a6) + c1c2, labels)
+    return ChernData(ring, int(ch.a0), ch.a2, c2, 2 * (ch.a6 - x.a6) + dot(ch.a2, c2), labels)
 
 
 def dual_chern(e: ChernData) -> ChernData:
@@ -175,9 +174,7 @@ def sqrt_series(x: GradedClass) -> GradedClass:
     y2 = tuple(a / 2 for a in x.a2)
     y2_sq = ring.square_to_h4(y2, y2)
     y4 = tuple((a - b) / 2 for a, b in zip(x.a4, y2_sq))
-    pairing = sum((a * b for a, b in zip(y2, y4)), Fraction(0))
-    y6 = (x.a6 - 2 * pairing) / 2
-    return ring.graded(a0=1, a2=y2, a4=y4, a6=y6)
+    return ring.graded(a0=1, a2=y2, a4=y4, a6=(x.a6 - 2 * dot(y2, y4)) / 2)
 
 
 class MukaiVector(Record):
@@ -246,6 +243,4 @@ def k3_mukai_vector(flag_or_restriction, e: ChernData) -> K3Vector:
 
 def structure_sheaf_chi(ring: ThreefoldRing) -> Fraction:
     """Euler characteristic chi(O) = integral of td = integral of c1 c2 / 24."""
-    return sum(
-        (a * b for a, b in zip(ring.c1_coords, ring.c2_values)), Fraction(0)
-    ) / 24
+    return dot(ring.c1_coords, ring.c2_values) / 24

@@ -66,23 +66,20 @@ def _flatten(payload: dict, prefix: str = ""):
             yield name, _fmt(value)
 
 
-def emit_report(payload, as_json: bool, stream=None) -> None:
-    """Print a result deterministically: aligned text or sorted JSON.
+def _report(payload, as_json: bool) -> str:
+    """A result as deterministic text: aligned rows or sorted JSON.
 
     A bare value (such as a count) prints bare in text mode, for script
     use, and as {"value": ...} in JSON.
     """
-    stream = stream or sys.stdout
     if as_json:
         document = payload if isinstance(payload, dict) else {"value": payload}
-        print(json.dumps(documents.jsonable(document), sort_keys=True), file=stream)
-    elif not isinstance(payload, dict):
-        print(_fmt(payload), file=stream)
-    else:
-        rows = list(_flatten(payload))
-        width = max((len(k) for k, _ in rows), default=0)
-        for key, value in rows:
-            print(f"{key.ljust(width)}  {value}", file=stream)
+        return json.dumps(documents.jsonable(document), sort_keys=True) + "\n"
+    if not isinstance(payload, dict):
+        return _fmt(payload) + "\n"
+    rows = list(_flatten(payload))
+    width = max((len(k) for k, _ in rows), default=0)
+    return "".join(f"{key.ljust(width)}  {value}\n" for key, value in rows)
 
 
 # --------------------------------------------------------------------------
@@ -602,6 +599,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser(argv).parse_args(argv)
         result = args.handler(args)
+        payload, code = result if isinstance(result, tuple) else (result, 0)
+        report = _report(payload, args.json)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except UsageError as exc:
@@ -613,8 +612,14 @@ def main(argv=None) -> int:
     except MukaiError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    payload, code = result if isinstance(result, tuple) else (result, 0)
-    emit_report(payload, args.json)
+    except ValueError as exc:  # str() of an int past Python's int-to-str limit
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"validation error: a result has an integer of more than {limit} digits",
+              file=sys.stderr)
+        return 1
+    sys.stdout.write(report)
     return code
 
 

@@ -24,7 +24,7 @@ from .errors import DocumentError, LatticeValidationError
 from .flags import FlagDescriptor, GluingDescriptor, KernelResult, make_gluing, validate_flag
 from .chern import ChernData, MukaiVector
 from .moduli import CDEntry, CDRegistry
-from .rational import MAX_DIGITS, format_fraction, parse_rational
+from .rational import INT_BOUND, MAX_DIGITS, format_fraction, parse_rational
 from .rings import GradedClass, K3Vector, ThreefoldRing
 
 __all__ = [
@@ -50,12 +50,8 @@ __all__ = [
 # rational-aware JSON scalars
 
 
-# JSON integers get the digit cap of "p/q" strings.
-_INT_BOUND = 10**MAX_DIGITS
-
-
 def _capped(value: int, where: str) -> int:
-    if not -_INT_BOUND < value < _INT_BOUND:
+    if not -INT_BOUND < value < INT_BOUND:
         raise DocumentError(f"{where}: integer has more than {MAX_DIGITS} digits")
     return value
 

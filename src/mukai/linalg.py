@@ -65,20 +65,13 @@ def rank(matrix) -> int:
 def primitive(vector) -> tuple[Fraction, ...]:
     """Scale a rational vector to a primitive integer vector, leading entry > 0."""
     vec = [Fraction(v) for v in vector]
-    if all(v == 0 for v in vec):
+    if not any(vec):
         return tuple(vec)
-    scale = 1
-    for v in vec:
-        scale = scale * v.denominator // gcd(scale, v.denominator)
-    ints = [int(v * scale) for v in vec]
-    common = 0
-    for v in ints:
-        common = gcd(common, v)
-    ints = [v // common for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
+    ints = over_common_denominator(vec)[0]
+    common = gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        common = -common
+    return tuple(Fraction(v // common) for v in ints)
 
 
 def nullspace(matrix) -> list[tuple[Fraction, ...]]:

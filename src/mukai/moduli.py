@@ -20,7 +20,7 @@ from .chern import ChernData, k3_mukai_vector
 from .errors import LatticeValidationError
 from .flags import FlagDescriptor
 from .pairings import euler_chi, mukai_pairing_k3
-from .rational import as_vector, format_fraction, is_integral
+from .rational import INT_BOUND, MAX_DIGITS, as_vector, dot, format_fraction, over_common_denominator
 from .record import Record
 from .rings import GradedClass, K3Restriction, K3Vector, ThreefoldRing
 
@@ -127,16 +127,13 @@ def mukai_nonempty(restriction: K3Restriction, m: K3Vector) -> Nonemptiness:
     """
     square = mukai_pairing_k3(restriction, m, m)
     verdict = m.v0 > 0 and square >= -2
-    primitive = None
-    component_gcd = None
-    if is_integral(m.v0, m.v2, m.v4):
-        entries = [int(m.v0)] + [int(x) for x in m.v2] + [int(m.v4)]
-        component_gcd = 0
-        for x in entries:
-            component_gcd = gcd(component_gcd, abs(x))
+    entries, den = over_common_denominator((m.v0, *m.v2, m.v4))
+    if den == 1:
+        component_gcd = gcd(*entries)
         primitive = component_gcd == 1
         note = f"gcd of components = {component_gcd} ({'primitive' if primitive else 'imprimitive'})"
     else:
+        component_gcd = primitive = None
         note = "vector has non-integral components; primitivity not defined"
     return Nonemptiness(
         nonempty=verdict,
@@ -178,7 +175,7 @@ def bogomolov_check(e: ChernData, H) -> BogomolovReport:
     factor = Fraction(e.rank - 1, 2 * e.rank)
     delta_functional = tuple(c2 - factor * sq for c2, sq in zip(e.c2, c1_sq))
     delta = ring.graded(a4=delta_functional)
-    value = sum((h * d for h, d in zip(h_coords, delta_functional)), Fraction(0))
+    value = dot(h_coords, delta_functional)
     note = "rank-1 input: discriminant vanishes identically, not applicable" if e.rank == 1 else None
     return BogomolovReport(delta=delta, value=value, positive=value > 0, note=note)
 
@@ -257,8 +254,10 @@ class CDEntry(Record):
             )
         if (value is None) == (symbol is None):
             raise LatticeValidationError("exactly one of value/symbol must be set")
-        if value is not None and not isinstance(value, int):
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
             raise LatticeValidationError("CD values are integers")
+        if value is not None and not -INT_BOUND < value < INT_BOUND:
+            raise LatticeValidationError(f"CD value has more than {MAX_DIGITS} digits")
         if provenance == "degeneration" and value is not None and value < 0:
             raise LatticeValidationError(
                 "degeneration entries are absolute Euler characteristics and cannot be negative"

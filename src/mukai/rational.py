@@ -4,12 +4,13 @@ Everything in the package computes over ``fractions.Fraction``; floats are
 never accepted, so a binary-float rounding artifact can never masquerade as
 an intersection number.
 
-The matrix products `mat_vec` and `mat_mul` do their sums in `int`: each
-row of the left factor and each column of the right one is written as
-integer numerators over its least common denominator, every dot product
-is an integer sum, and one `Fraction` (numerator over the product of the
-two denominators) is made per output entry.  `Fraction(n, d)` reduces
-that to lowest terms, so the results equal the `Fraction` sums exactly.
+`dot` is the one exact sum of products: every Poincare pairing of H^2
+coordinates against H^4 functionals goes through it.  It writes each
+vector as integer numerators over its least common denominator, sums in
+`int` and makes one `Fraction`, numerator over the product of the two
+denominators; `mat_vec` and `mat_mul` do the same for each output entry.
+`Fraction(n, d)` reduces that to lowest terms, so the results equal the
+`Fraction` sums exactly.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from operator import mul
 
 Rational = int | Fraction | str
 
-# Longest numerator or denominator a string may spell out: a bound on the
-# work one input can ask for, far above any intersection number.
+# Longest numerator or denominator a string may spell out, and longest
+# integer a document may hold: a bound on the work one input can ask for,
+# far above any intersection number.
 MAX_DIGITS = 1000
+INT_BOUND = 10**MAX_DIGITS
 _RATIONAL = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}(?:/[0-9]{{1,{MAX_DIGITS}}})?")
 
 __all__ = [
@@ -113,6 +116,12 @@ def over_common_denominator(values) -> tuple[list[int], int]:
     """Integer numerators of exact values over their least common denominator."""
     den = lcm(*[x.denominator for x in values])
     return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def dot(u, v) -> Fraction:
+    """Exact sum of u[i] * v[i], summed in integers over common denominators."""
+    (u_nums, u_den), (v_nums, v_den) = over_common_denominator(u), over_common_denominator(v)
+    return Fraction(sum(map(mul, u_nums, v_nums)), u_den * v_den)
 
 
 def mat_vec(matrix, vector) -> tuple[Fraction, ...]:

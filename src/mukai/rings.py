@@ -46,6 +46,7 @@ from .rational import (
     as_fraction,
     as_matrix,
     as_vector,
+    dot,
     format_fraction,
     mat_vec,
     over_common_denominator,
@@ -444,8 +445,7 @@ class K3Restriction(Record):
 
     def dot(self, u, v) -> Fraction:
         """Intersection number u . v on the surface, u and v in the e-basis."""
-        u, v = as_vector(u), as_vector(v)
-        return sum((x * y for x, y in zip(u, mat_vec(self.gram, v))), Fraction(0))
+        return dot(as_vector(u), mat_vec(self.gram, as_vector(v)))
 
 
 class K3Vector(Record):
@@ -500,5 +500,4 @@ def restrict_to_k3(x: GradedClass, restriction: K3Restriction) -> K3Vector:
     """
     if len(restriction.s_coords) != x.ring.rho:
         raise LatticeValidationError("restriction rank does not match the ring")
-    v4 = sum((s * a for s, a in zip(restriction.s_coords, x.a4)), Fraction(0))
-    return K3Vector(x.a0, x.a2, v4)
+    return K3Vector(x.a0, x.a2, dot(restriction.s_coords, x.a4))

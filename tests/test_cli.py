@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from mukai import cli
 from mukai.cli import MAX_N, main
 from mukai.documents import builtin_path, flag_to_document
 
@@ -395,6 +396,60 @@ def test_validation_errors_exit_1(capsys):
     )
     assert code == 1
     assert "validation error" in err
+
+
+def _huge_bundle(tmp_path):
+    """A rank-1 bundle whose Mukai vector has denominators of about 4000 digits."""
+    p, q = 10**999 + 7, 10**999 + 9
+    path = tmp_path / "huge.json"
+    document = {"manifold": "synthetic-rho2", "rank": 1, "c1": [f"1/{p}", f"1/{q}"],
+                "c2": [0, 0], "c3": 0}
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("as_json", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["mukai", "twist"])
+def test_a_result_too_long_to_print_is_one_error_line(capsys, tmp_path, command, as_json):
+    argv = {
+        "mukai": ["mukai", "--manifold", "synthetic-rho2.json", "--bundle", _huge_bundle(tmp_path)],
+        "twist": ["twist", "--manifold", "quintic.json", "--bundle", "quintic-o.json",
+                  "--L", "1", "--k", "7" * 4000],
+    }[command]
+    code, out, err = run(capsys, *argv, *as_json)
+    assert (code, out) == (1, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"validation error: a result has an integer of more than {limit} digits\n"
+
+
+def test_any_other_value_error_still_raises(monkeypatch):
+    def fail(payload, as_json):
+        raise ValueError("not about integer digits")
+
+    monkeypatch.setattr(cli, "_report", fail)
+    with pytest.raises(ValueError, match="not about integer digits"):
+        main(["schubert", "lines-quintic"])
+
+
+@pytest.mark.parametrize("command", ["closure", "degeneration"])
+def test_a_cd_value_past_1000_digits_is_refused_and_not_saved(capsys, tmp_path, command):
+    registry = tmp_path / "registry.json"
+    if command == "closure":
+        entry = {"key": "a", "manifold": "quintic", "vector": "m(L)",
+                 "provenance": "line-bundle-rule", "value": int("9" * 1000), "exceptional": True}
+        registry.write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+        before = registry.read_bytes()
+        argv = ["--parent", "a", "--parent2", "a", "--k", "1"]
+    else:
+        argv = ["--flag", "cp3-quartic.json", "--bundle", "instanton1.json", "--chi", "8" * 1001]
+    code, out, err = run(capsys, "cd", command, "--registry", str(registry), *argv)
+    assert (code, out) == (1, "")
+    assert err == "validation error: CD value has more than 1000 digits\n"
+    if command == "closure":
+        assert registry.read_bytes() == before
+        assert run(capsys, "cd", "list", "--registry", str(registry))[0] == 0
+    else:
+        assert not registry.exists()
 
 
 def test_usage_errors_exit_64(capsys):

@@ -8,10 +8,16 @@ Stderr must match too, except that a usage error (exit 64) prints only
 its first line, and a missing subcommand names the parser that lacks it.
 
 Calls run in order in one temporary directory, written as ``<tmp>`` in
-the fixture.  To rewrite the fixture from the current code (only where
-the outputs are known right):
+the fixture.  Computed reports are the same bytes on every Python.  The
+--help layout belongs to argparse, which changed it in Python 3.13, so a
+help record whose bytes differ there carries the 3.13 bytes under the
+key "py3.13", and each Python compares against its own.  To rewrite the
+fixture from the current code (only where the outputs are known right),
+run on Python 3.12 or older, then on 3.13 if any help text changed:
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
+
+A rewrite keeps the other layout's bytes of every help record.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ from mukai.documents import builtin_path, flag_to_document
 from conftest import cp3_quartic_flag
 
 FIXTURE = Path(__file__).with_name("cli_golden.json")
+
+PY313 = "py3.13"
+NEW_HELP_LAYOUT = sys.version_info >= (3, 13)
 
 MISSING_COMMAND = {
     (): "mukai: the following arguments are required: <command>\n",
@@ -184,6 +193,26 @@ def _replay(tmp: Path, argv: list[str]) -> dict:
     return {"argv": argv, "code": code, "stdout": stdout, "stderr": stderr}
 
 
+def _is_help(argv: list[str]) -> bool:
+    return "--help" in argv or "-h" in argv
+
+
+def _on_this_python(record: dict) -> dict:
+    """The record with the bytes this Python's argparse prints."""
+    return {**record, **record.get(PY313, {})} if NEW_HELP_LAYOUT else record
+
+
+def _keep_other_layout(record: dict, previous: dict | None) -> dict:
+    """A freshly run record, keeping the help bytes of the other argparse layout."""
+    if previous is None or not _is_help(record["argv"]):
+        return record
+    if not NEW_HELP_LAYOUT:
+        return {**record, PY313: previous[PY313]} if PY313 in previous else record
+    changed = {k: v for k, v in record.items() if v != previous[k]}
+    base = {k: previous[k] for k in record}
+    return {**base, PY313: changed} if changed else base
+
+
 def _expected_stderr(record: dict) -> str:
     if record["code"] != 64:
         return record["stderr"]
@@ -199,7 +228,7 @@ def test_cli_matches_golden(tmp_path, monkeypatch):
     records = json.loads(FIXTURE.read_text(encoding="utf-8"))
     assert [r["argv"] for r in records] == _calls()
     mismatches = []
-    for record in records:
+    for record in map(_on_this_python, records):
         got = _replay(tmp_path, record["argv"])
         for key, want in (("code", record["code"]), ("stdout", record["stdout"]),
                           ("stderr", _expected_stderr(record))):
@@ -215,5 +244,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         _write_inputs(Path(tmp))
         records = [_replay(Path(tmp), argv) for argv in _calls()]
+    previous = {}
+    if FIXTURE.exists():
+        previous = {tuple(r["argv"]): r for r in json.loads(FIXTURE.read_text(encoding="utf-8"))}
+    records = [_keep_other_layout(r, previous.get(tuple(r["argv"]))) for r in records]
     FIXTURE.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} records to {FIXTURE}", file=sys.stderr)

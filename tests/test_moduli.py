@@ -325,6 +325,14 @@ def test_cd_entry_validation():
         CDEntry(key="x", manifold="x", vector_desc="x", provenance="degeneration", value=-3)
     with pytest.raises(LatticeValidationError, match="integers"):
         CDEntry(key="x", manifold="x", vector_desc="x", provenance="closure", value=Fraction(1))
+    with pytest.raises(LatticeValidationError, match="integers"):
+        CDEntry(key="x", manifold="x", vector_desc="x", provenance="closure", value=True)
+    for value in (10**1000, -(10**1000)):
+        with pytest.raises(LatticeValidationError, match="more than 1000 digits"):
+            CDEntry(key="x", manifold="x", vector_desc="x", provenance="closure", value=value)
+    for value in (10**1000 - 1, -(10**1000) + 1):
+        assert CDEntry(key="x", manifold="x", vector_desc="x", provenance="closure",
+                       value=value).value == value
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -11,6 +12,7 @@ from mukai.rational import (
     as_fraction,
     as_matrix,
     as_vector,
+    dot,
     format_fraction,
     identity_matrix,
     is_integral,
@@ -234,3 +236,67 @@ def test_integer_products_match_fraction_loops():
         mat_vec(((1, 2),), (1,))
     with pytest.raises(ValueError):
         mat_mul(((1, 2),), ((1, 2),))
+
+
+def _dot_entry(rng):
+    """An int, a small fraction, or a fraction with up to 40-digit parts; either sign."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-50, 50)
+    if kind == 1:
+        return Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
+    return _entry(rng)
+
+
+def test_dot_matches_the_fraction_sum():
+    rng = random.Random(20261020)
+    lengths = set()
+    for _ in range(1000):
+        n = rng.randint(0, 8)
+        lengths.add(n)
+        u = tuple(_dot_entry(rng) for _ in range(n))
+        v = tuple(_dot_entry(rng) for _ in range(n))
+        got = dot(u, v)
+        assert type(got) is Fraction
+        assert got == sum((a * b for a, b in zip(u, v)), Fraction(0)), (u, v)
+    assert lengths == set(range(9))
+    assert dot((), ()) == 0 and type(dot((), ())) is Fraction
+    assert dot((1, 2), (3, -4)) == -5
+    assert dot((Fraction(1, 2), Fraction(1, 3)), (Fraction(2, 3), 3)) == Fraction(4, 3)
+
+
+def reference_primitive(vector):
+    """Scaling by hand-written lcm and gcd loops: the reference for `primitive`."""
+    vec = [Fraction(v) for v in vector]
+    if all(v == 0 for v in vec):
+        return tuple(vec)
+    scale = 1
+    for v in vec:
+        scale = scale * v.denominator // gcd(scale, v.denominator)
+    ints = [int(v * scale) for v in vec]
+    common = 0
+    for v in ints:
+        common = gcd(common, v)
+    ints = [v // common for v in ints]
+    lead = next(v for v in ints if v != 0)
+    if lead < 0:
+        ints = [-v for v in ints]
+    return tuple(Fraction(v) for v in ints)
+
+
+def test_primitive_matches_the_reference():
+    rng = random.Random(20261021)
+    seen = set()
+    vectors = [(), (0,), (0, 0, 0), (Fraction(-3, 4), Fraction(5, 6)), (0, -6, 4, Fraction(2, 3))]
+    for _ in range(1000):
+        vec = tuple(_entry(rng) for _ in range(rng.randint(1, 6)))
+        lead = next((x for x in vec if x), 0)
+        seen.add("zero" if not lead else "negative" if lead < 0 else "positive")
+        if len({x.denominator for x in vec}) > 1:
+            seen.add("mixed denominators")
+        vectors.append(vec)
+    assert seen == {"zero", "negative", "positive", "mixed denominators"}
+    for vec in vectors:
+        got = primitive(vec)
+        assert got == reference_primitive(vec), vec
+        assert all(type(x) is Fraction for x in got)
