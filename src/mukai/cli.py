@@ -447,8 +447,9 @@ _EITHER = (_arg("--manifold"), _arg("--flag"))
 _BUNDLE = _req("--bundle")
 _BUNDLES = (_BUNDLE, _req("--bundle2"))
 _REGISTRY = _req("--registry")
-# Largest n the schubert commands accept: at the cap the slowest requests, ctop(64, 123) and
-# `integrate sigma1^124`, take about 20 ms each (Python 3.11, one core), growing about as n^2.2.
+# Largest n the schubert commands accept.  At the cap the slowest request, `integrate
+# sigma1^124`, takes about 24 ms (Python 3.11, one core), growing about as n^2.2; ctop(64, 123)
+# is a Catalan sum and takes under 1 ms.
 MAX_N = 64
 
 

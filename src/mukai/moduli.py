@@ -170,7 +170,7 @@ def bogomolov_check(e: ChernData, H) -> BogomolovReport:
     reported as not applicable rather than stable or unstable.
     """
     ring = e.ring
-    h_coords = as_vector(H)
+    h_coords = ring._vector(H)
     c1_sq = ring.square_to_h4(e.c1, e.c1)
     factor = Fraction(e.rank - 1, 2 * e.rank)
     delta_functional = tuple(c2 - factor * sq for c2, sq in zip(e.c2, c1_sq))

@@ -445,7 +445,13 @@ class K3Restriction(Record):
 
     def dot(self, u, v) -> Fraction:
         """Intersection number u . v on the surface, u and v in the e-basis."""
-        return dot(as_vector(u), mat_vec(self.gram, as_vector(v)))
+        u, v = as_vector(u), as_vector(v)
+        for x in (u, v):
+            if len(x) != self.rank:
+                raise LatticeValidationError(
+                    f"vector has {len(x)} coordinates, lattice has rank {self.rank}"
+                )
+        return dot(u, mat_vec(self.gram, v))
 
 
 class K3Vector(Record):

@@ -8,11 +8,14 @@ classes sigma_k (Pieri's horizontal-strip rule) together with the
 column rule sigma_(1,1) . sigma_(a,b) = sigma_(a+1,b+1) generates the
 whole ring, since sigma_(a,b) = sigma_(1,1)^b . sigma_(a-b).
 
-Chern classes of bundles built from the dual tautological bundle S*
-are products in this ring: its Chern roots x1, x2 have elementary
-symmetric classes e1 = sigma_1 and e2 = sigma_(1,1), and the weights of
-Sym^k S* pair off into quadrics in e1 and e2.  Integration reads off
-the full-box coefficient.  That reproduces the classical counts:
+Integration reads off the full-box coefficient.  Chern classes of
+bundles built from the dual tautological bundle S* are polynomials in
+the elementary symmetric classes e1 = sigma_1 and e2 = sigma_(1,1) of
+its Chern roots x1, x2, and the weights of Sym^k S* pair off into
+quadrics in e1^2 and e2.  Their product needs no Pieri step: e2^q cuts
+G(2,n) down to G(2,n-q), so e1^(2(n-2-q)) e2^q integrates to the
+Catalan number C(n-2-q) (Eisenbud-Harris, 3264 and All That, lines on
+hypersurfaces).  That reproduces the classical counts:
 
 >>> top_chern_sym_dual_tautological(5, 5)   # lines on a quintic threefold
 2875
@@ -228,9 +231,15 @@ def top_chern_sym_dual_tautological(n: int, k: int) -> int:
     e1 = sigma_1 and e2 = sigma_(1,1).  When the rank k+1 does not match
     dim G(2,n) = 2(n-2) the top Chern class has the wrong degree and the
     integral is 0, returned at once.  Otherwise k = 2n-5 is odd, and the
-    k+1 weights i x1 + (k-i) x2 pair off, i with k-i, into the classes
-    i(k-i) e1^2 + (k-2i)^2 e2 (Eisenbud-Harris, 3264 and All That, on
-    lines on hypersurfaces), whose product is taken in the ring.
+    k+1 weights i x1 + (k-i) x2 pair off, i with k-i, into the n-2 classes
+    i(k-i) e1^2 + (k-2i)^2 e2.  Their product is a polynomial in e1^2 and
+    e2, and e2^q = sigma_(1,1)^q cuts G(2,n) down to G(2,n-q), so
+    e1^(2(n-2-q)) e2^q integrates to the degree of G(2,n-q), the Catalan
+    number C(n-2-q) (Eisenbud-Harris, 3264 and All That, on lines on
+    hypersurfaces).  No Schubert class is built:
+
+    >>> top_chern_sym_dual_tautological(6, 7)   # lines on a septic fourfold
+    698005
     """
     if not isinstance(n, int) or n < 2:
         raise LatticeValidationError(f"G(2,n) needs an integer n >= 2, got {n!r}")
@@ -238,12 +247,11 @@ def top_chern_sym_dual_tautological(n: int, k: int) -> int:
         raise LatticeValidationError(f"symmetric power needs k >= 0, got {k!r}")
     if k + 1 != 2 * (n - 2):
         return 0
-    e1_squared = sigma(n, 1) * sigma(n, 1)
-    e2 = sigma(n, 1, 1)
-    top = sigma(n, 0)
-    for i in range((k + 1) // 2):
-        top = top * (e1_squared.scale(i * (k - i)) + e2.scale((k - 2 * i) ** 2))
-    return integrate(top)
+    poly = [1]  # poly[q]: coefficient of (e1^2)^(i-q) e2^q after i pairs
+    for i in range(n - 2):
+        a, b = i * (k - i), (k - 2 * i) ** 2
+        poly = [a * x + b * y for x, y in zip(poly + [0], [0] + poly)]
+    return sum(c * (comb(2 * m, m) // (m + 1)) for c, m in zip(poly, range(n - 2, -1, -1)))
 
 
 class FourLinesCount(Record):

@@ -12,7 +12,7 @@ from mukai.cli import MAX_N, main
 from mukai.documents import builtin_path, flag_to_document
 
 from conftest import cp3_quartic_flag
-from test_schubert import _catalan, _ctop_closed_form
+from test_schubert import _catalan, reference_ctop
 
 
 def run(capsys, *argv):
@@ -74,7 +74,7 @@ def test_bad_expression_is_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv, at_cap",
     [
-        (["ctop", "--k", "123"], _ctop_closed_form(64)),
+        (["ctop", "--k", "123"], reference_ctop(64)),
         (["integrate", "sigma1^124"], _catalan(62)),
         (["pieri", "sigma1", "--k", "62"], None),
         (["euler"], comb(64, 2)),
@@ -82,7 +82,7 @@ def test_bad_expression_is_usage_error(capsys):
     ids=["ctop", "integrate", "pieri", "euler"],
 )
 def test_schubert_n_is_capped(capsys, argv, at_cap):
-    assert MAX_N == 64 and _ctop_closed_form(5) == 2875
+    assert MAX_N == 64 and reference_ctop(5) == 2875
     code, out, err = run(capsys, "schubert", *argv, "--n", str(MAX_N))
     assert (code, err) == (0, "")
     if at_cap is not None:

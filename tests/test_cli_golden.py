@@ -3,9 +3,8 @@
 `cli_golden.json` holds one record per call of `mukai.cli.main`: every
 README command, every subcommand in text and --json, every --help, the
 error paths of exit codes 1, 2 and 64, and the registry workflow on a
-temporary registry.  Stdout and exit codes must match byte for byte.
-Stderr must match too, except that a usage error (exit 64) prints only
-its first line, and a missing subcommand names the parser that lacks it.
+temporary registry.  Exit codes, stdout and stderr must match byte for
+byte, so rewriting the fixture on unchanged code changes nothing.
 
 Calls run in order in one temporary directory, written as ``<tmp>`` in
 the fixture.  Computed reports are the same bytes on every Python.  The
@@ -38,13 +37,6 @@ FIXTURE = Path(__file__).with_name("cli_golden.json")
 
 PY313 = "py3.13"
 NEW_HELP_LAYOUT = sys.version_info >= (3, 13)
-
-MISSING_COMMAND = {
-    (): "mukai: the following arguments are required: <command>\n",
-    ("cd",): "mukai cd: the following arguments are required: <cd-command>\n",
-    ("schubert",): "mukai schubert: the following arguments are required: <schubert-command>\n",
-}
-
 
 def _calls() -> list[list[str]]:
     cy = ["--manifold", "quintic.json"]
@@ -213,15 +205,6 @@ def _keep_other_layout(record: dict, previous: dict | None) -> dict:
     return {**base, PY313: changed} if changed else base
 
 
-def _expected_stderr(record: dict) -> str:
-    if record["code"] != 64:
-        return record["stderr"]
-    missing = tuple(a for a in record["argv"] if a != "--json")
-    if missing in MISSING_COMMAND:
-        return MISSING_COMMAND[missing]
-    return record["stderr"].splitlines()[0] + "\n"
-
-
 def test_cli_matches_golden(tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     _write_inputs(tmp_path)
@@ -230,10 +213,9 @@ def test_cli_matches_golden(tmp_path, monkeypatch):
     mismatches = []
     for record in map(_on_this_python, records):
         got = _replay(tmp_path, record["argv"])
-        for key, want in (("code", record["code"]), ("stdout", record["stdout"]),
-                          ("stderr", _expected_stderr(record))):
-            if got[key] != want:
-                mismatches.append(f"{record['argv']}: {key} {got[key]!r} != {want!r}")
+        for key in ("code", "stdout", "stderr"):
+            if got[key] != record[key]:
+                mismatches.append(f"{record['argv']}: {key} {got[key]!r} != {record[key]!r}")
     assert not mismatches, "\n".join(mismatches[:10])
 
 

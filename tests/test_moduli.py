@@ -129,6 +129,15 @@ def test_bogomolov_rank_one_not_applicable():
     assert "not applicable" in report.note
 
 
+def test_bogomolov_refuses_a_polarisation_of_the_wrong_length():
+    e = ChernData(ring=synthetic_flag().ring, rank=2, c1=(0, 0), c2=(2, 5), c3=0)
+    assert bogomolov_check(e, (1, 0)).value == 2
+    for h, size in (((1,), 1), ((1, 0, 5, 6), 4)):
+        with pytest.raises(LatticeValidationError) as error:
+            bogomolov_check(e, h)
+        assert str(error.value) == f"vector has {size} coordinates, ring has rho=2"
+
+
 def test_bogomolov_twist_invariance():
     rng = random.Random(78)
     for _ in range(500):

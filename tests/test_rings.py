@@ -202,6 +202,15 @@ def test_restriction_gram_from_ring():
     assert k3.dot((1, 0), (0, 1)) == 2
 
 
+def test_restriction_dot_refuses_vectors_of_the_wrong_length():
+    k3 = K3Restriction.from_ring(synthetic_ring(), (1, 1))
+    assert k3.dot((1, 0), (1, 1)) == 9
+    for u, v, size in (((1,), (1, 1), 1), ((1, 0, 9), (1, 1), 3), ((1, 0), (1,), 1)):
+        with pytest.raises(LatticeValidationError) as error:
+            k3.dot(u, v)
+        assert str(error.value) == f"vector has {size} coordinates, lattice has rank 2"
+
+
 def test_restriction_rejects_asymmetric_gram():
     with pytest.raises(LatticeValidationError):
         K3Restriction(gram=((0, 1), (0, 0)), s_coords=(1, 0))

@@ -179,26 +179,28 @@ def _catalan(m: int) -> int:
     return comb(2 * m, m) // (m + 1)
 
 
-def _ctop_closed_form(n: int) -> int:
-    """ctop(n, 2n-5) from the paired weights, integrated without the Pieri rule.
+def reference_ctop(n: int) -> int:
+    """ctop(n, 2n-5) as a product in the Schubert ring: the reference for the Catalan sum.
 
     The weights i x1 + (k-i) x2 of Sym^k S* pair up to i(k-i) e1^2 + (k-2i)^2 e2
-    (k = 2n-5 is odd), and the integral of e1^(2(n-2-q)) e2^q is Catalan(n-2-q).
+    (k = 2n-5 is odd); their product is taken with Pieri products and integrated.
     """
     k = 2 * n - 5
-    poly = [1]  # poly[q]: coefficient of (e1^2)^(pairs - q) e2^q
+    e1_squared = sigma(n, 1) * sigma(n, 1)
+    e2 = sigma(n, 1, 1)
+    top = sigma(n, 0)
     for i in range((k + 1) // 2):
-        a, b = i * (k - i), (k - 2 * i) ** 2
-        poly = [a * x + b * y for x, y in zip(poly + [0], [0] + poly)]
-    return sum(c * _catalan(n - 2 - q) for q, c in enumerate(poly))
+        top = top * (e1_squared.scale(i * (k - i)) + e2.scale((k - 2 * i) ** 2))
+    return integrate(top)
 
 
-def test_top_chern_matches_the_closed_form_at_every_supported_n():
+def test_top_chern_matches_the_ring_product_at_every_supported_n():
     # Lines on a general hypersurface of degree 2n-5 in P^(n-1), n = 3..8.
     classical = [1, 27, 2875, 698005, 305093061, 210480374951]
-    assert [_ctop_closed_form(n) for n in range(3, 9)] == classical
+    assert [top_chern_sym_dual_tautological(n, 2 * n - 5) for n in range(3, 9)] == classical
+    assert [reference_ctop(n) for n in range(3, 9)] == classical
     for n in range(3, MAX_N + 1):
-        assert top_chern_sym_dual_tautological(n, 2 * n - 5) == _ctop_closed_form(n), n
+        assert top_chern_sym_dual_tautological(n, 2 * n - 5) == reference_ctop(n), n
 
 
 def test_top_chern_degree_mismatch_is_zero():
