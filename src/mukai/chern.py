@@ -7,7 +7,8 @@ integral(c2 . e_i), c3 as the scalar integral(c3).  All series identities
 truncated at degree 6 and evaluated over Fraction, so a half or a
 twelfth survives as exactly that.  The Chern character and its inverse
 are read off the ring's truncated exponential e^{c1}, which differs from
-ch only by the terms in c2 and c3.
+ch only by the terms in c2 and c3.  Each `ChernData` computes its
+character once, on first use, and keeps it out of `==`, `hash` and `repr`.
 """
 
 from __future__ import annotations
@@ -83,16 +84,21 @@ def chern_character(e: ChernData) -> GradedClass:
 
     ch = rank + c1 + (c1^2 - 2 c2)/2 + (c1^3 - 3 c1 c2 + 3 c3)/6, that is
     e^{c1} with rank in degree 0, c2 taken off degree 4 and
-    (c3 - c1 c2)/2 added to degree 6.
+    (c3 - c1 c2)/2 added to degree 6.  Computed once per record and kept
+    on it as an unannotated attribute, outside `==`, `hash` and `repr`; the
+    class points at the ring, never back at the record, so no cycle forms.
     """
-    x = e.ring.exp_h2(e.c1)
-    return GradedClass._exact(
-        e.ring,
-        Fraction(e.rank),
-        x.a2,
-        tuple(a - b for a, b in zip(x.a4, e.c2)),
-        x.a6 + (e.c3 - e.c1_dot_c2()) / 2,
-    )
+    ch = vars(e).get("_ch")
+    if ch is None:
+        x = e.ring.exp_h2(e.c1)
+        ch = vars(e)["_ch"] = GradedClass._exact(
+            e.ring,
+            Fraction(e.rank),
+            x.a2,
+            tuple(a - b for a, b in zip(x.a4, e.c2)),
+            x.a6 + (e.c3 - e.c1_dot_c2()) / 2,
+        )
+    return ch
 
 
 def chern_from_character(ring: ThreefoldRing, ch: GradedClass, labels=()) -> ChernData:

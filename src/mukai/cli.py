@@ -35,6 +35,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
+    def _check_value(self, action, value):
+        """Refuse a value outside `choices` in one wording on every Python.
+
+        argparse 3.10-3.13.0 quotes the choices and newer releases (3.13.13)
+        print them bare; this always quotes: `invalid choice: 'x' (choose from 'a', 'b')`.
+        """
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {value!r} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
+
 
 # --------------------------------------------------------------------------
 # output

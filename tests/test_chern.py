@@ -252,3 +252,61 @@ def test_ring_is_freed_with_its_last_reference():
     finally:
         if enabled:
             gc.enable()
+
+
+# --------------------------------------------------------------------------
+# The per-record character memo
+
+
+# On random rings chi may be fractional, which warns.
+@pytest.mark.filterwarnings("ignore::mukai.IntegralityWarning")
+def test_memoized_character_values_equal_a_fresh_computation():
+    rng = random.Random(61)
+    for _ in range(50):
+        ring = random_cy_ring(rng) if rng.random() < 0.5 else random_fano_ring(rng)
+        e, other = random_chern(rng, ring), random_chern(rng, ring)
+        L = tuple(rng.randint(-2, 2) for _ in range(ring.rho))
+        for _ in range(2):  # the second round reads the memo
+            fresh = ChernData(ring, e.rank, e.c1, e.c2, e.c3)
+            assert chern_character(e) == chern_character(fresh)
+            assert mukai_vector(e) == mukai_vector(fresh)
+            assert euler_chi(e, other) == euler_chi(fresh, other)
+            assert euler_chi(other, e) == euler_chi(other, fresh)
+            assert twist_chern(e, L, 2) == twist_chern(fresh, L, 2)
+            assert dual_chern(e) == dual_chern(fresh)
+            assert chern_sum(e, other) == chern_sum(fresh, other)
+
+
+def test_character_is_computed_once_per_record():
+    e = instanton_type(cp3_ring())
+    assert chern_character(e) is chern_character(e)
+    assert chern_character(ChernData(e.ring, e.rank, e.c1, e.c2, e.c3)) is not chern_character(e)
+
+
+def test_filled_memo_leaves_chern_data_equality_hash_and_repr_alone():
+    ring = random_fano_ring(random.Random(62), rho=3)
+    e = random_chern(random.Random(63), ring)
+    before = (hash(e), repr(e))
+    mukai_vector(e)
+    assert "_ch" in vars(e)
+    assert (hash(e), repr(e)) == before
+    fresh = ChernData(ring, e.rank, e.c1, e.c2, e.c3)
+    assert e == fresh and fresh == e and hash(e) == hash(fresh)
+
+
+def test_ring_and_bundle_are_freed_with_their_last_reference():
+    # The memo points at a class, which points at the ring; neither points
+    # back, so plain reference counting frees both.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ring = quintic_ring()
+        o1 = ChernData(ring=ring, rank=1, c1=(1,), c2=(0,), c3=0)
+        alive = (weakref.ref(ring), weakref.ref(o1), weakref.ref(chern_character(o1)))
+        assert euler_chi(o1, o1) == 0 and mukai_vector(o1) == mukai_vector(o1)
+        assert twist_chern(o1, (1,), -1).c1 == (0,)
+        del ring, o1
+        assert [ref() for ref in alive] == [None, None, None]
+    finally:
+        if enabled:
+            gc.enable()

@@ -477,6 +477,41 @@ def test_usage_errors_print_one_line(capsys):
         assert len(err.encode("utf-8")) < 200, argv
 
 
+COMMAND_CHOICES = (
+    "'mukai', 'chi', 'pair', 'restrict', 'vdim', 'twist', 'reflect', 'validate-flag', 'double', "
+    "'glue-check', 'deform-dims', 'cd', 'constants', 'schubert'"
+)
+SCHUBERT_CHOICES = (
+    "'lines-quintic', 'lines-octic-double', 'integrate', 'pieri', 'ctop', 'euler', 'four-lines'"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["nope"],
+            f"mukai: argument <command>: invalid choice: 'nope' (choose from {COMMAND_CHOICES})\n",
+        ),
+        (
+            ["schubert", "nope"],
+            "mukai schubert: argument <schubert-command>: invalid choice: 'nope' "
+            f"(choose from {SCHUBERT_CHOICES})\n",
+        ),
+        (
+            ["cd", "seed", "--registry", "reg.json", "--manifold", "quintic.json", "--kind", "bad"],
+            "mukai cd seed: argument --kind: invalid choice: 'bad' "
+            "(choose from 'line-bundle', 'skyscraper')\n",
+        ),
+    ],
+    ids=["command", "schubert-command", "cd-seed-kind"],
+)
+def test_an_invalid_choice_quotes_every_choice_on_every_python(capsys, argv, err):
+    # Newer argparse releases (3.13.13) print the choices bare; the CLI keeps one wording.
+    code, out, got = run(capsys, *argv)
+    assert (code, out, got.encode("utf-8")) == (64, "", err.encode("utf-8"))
+
+
 @pytest.mark.parametrize(
     "text", ["[[1,]]", "[[1.5]]", '{"a": 1}', "[1]", '[["1/0"]]', "", "[[1, 0], [0]]"]
 )
