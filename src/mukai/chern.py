@@ -4,8 +4,8 @@ Topological types of bundles are `ChernData` records (rank, c1, c2, c3)
 attached to a `ThreefoldRing`; c2 is stored as the functional vector
 integral(c2 . e_i), c3 as the scalar integral(c3).  All series identities
 (Chern character, Todd class, its formal square root, tensor twists) are
-truncated at degree 6 and evaluated over Fraction, so a half or a
-twelfth survives as exactly that.  The Chern character and its inverse
+truncated at degree 6 and evaluated exactly, so a half or a twelfth
+survives as exactly that.  The Chern character and its inverse
 are read off the ring's truncated exponential e^{c1}, which differs from
 ch only by the terms in c2 and c3.  Each `ChernData` computes its
 character once, on first use, and keeps it out of `==`, `hash` and `repr`.
@@ -72,7 +72,10 @@ class ChernData(Record):
 
     @property
     def is_integral(self) -> bool:
-        return is_integral(self.c1, self.c2, self.c3)
+        """Whether c1, c2 and c3 are all integers; decided once per record."""
+        if "_integral" not in vars(self):
+            vars(self)["_integral"] = is_integral(self.c1, self.c2, self.c3)
+        return vars(self)["_integral"]
 
     def c1_dot_c2(self) -> Fraction:
         """Integral of c1 . c2 over the threefold."""
@@ -90,14 +93,8 @@ def chern_character(e: ChernData) -> GradedClass:
     """
     ch = vars(e).get("_ch")
     if ch is None:
-        x = e.ring.exp_h2(e.c1)
-        ch = vars(e)["_ch"] = GradedClass._exact(
-            e.ring,
-            Fraction(e.rank),
-            x.a2,
-            tuple(a - b for a, b in zip(x.a4, e.c2)),
-            x.a6 + (e.c3 - e.c1_dot_c2()) / 2,
-        )
+        rest = e.ring.graded(e.rank - 1, None, tuple(-a for a in e.c2), (e.c3 - e.c1_dot_c2()) / 2)
+        ch = vars(e)["_ch"] = e.ring.exp_h2(e.c1) + rest
     return ch
 
 
@@ -106,11 +103,14 @@ def chern_from_character(ring: ThreefoldRing, ch: GradedClass, labels=()) -> Che
 
     The degree-0 part must be a positive integer rank.
     """
-    if ch.a0.denominator != 1 or ch.a0 < 1:
+    den, n0, n2, _, _ = ch._ints
+    if n0 % den or n0 < den:
         raise LatticeValidationError(f"character degree-0 part {ch.a0} is not a positive rank")
-    x = ring.exp_h2(ch.a2)
-    c2 = tuple(a - b for a, b in zip(x.a4, ch.a4))
-    return ChernData(ring, int(ch.a0), ch.a2, c2, 2 * (ch.a6 - x.a6) + dot(ch.a2, c2), labels)
+    # c2 = (e^{c1} - ch)_4 and c3 = c1.c2 - 2 (e^{c1} - ch)_6.
+    diff = ring._exp(n2, den) - ch
+    d, _, _, m4, m6 = diff._ints
+    c3 = Fraction(sum(a * b for a, b in zip(n2, m4)) - 2 * den * m6, den * d)
+    return ChernData(ring, n0 // den, ch.a2, diff.a4, c3, labels)
 
 
 def dual_chern(e: ChernData) -> ChernData:
@@ -139,15 +139,16 @@ def chern_sum(e1: ChernData, e2: ChernData) -> ChernData:
 
 
 def _per_ring(ring: ThreefoldRing, key: str, compute) -> GradedClass:
-    """A class computed once per ring and kept there as coefficient tuples.
+    """A class computed once per ring and kept there as its integer form.
 
-    Only the tuples are kept, never the class: a class points back at its
-    ring, and that cycle would keep every ring alive until a full GC pass.
+    Only the `_ints` tuple is kept, never the class: a class points back
+    at its ring, and that cycle would keep every ring alive until a full
+    GC pass.  A read wraps the tuple, with no `Fraction` made.
     """
-    coefficients = ring._cache.get(key)
-    if coefficients is None:
-        coefficients = ring._cache[key] = compute(ring).components()
-    return GradedClass._exact(ring, *coefficients)
+    ints = ring._cache.get(key)
+    if ints is None:
+        ints = ring._cache[key] = compute(ring)._ints
+    return GradedClass._exact(ring, ints)
 
 
 def todd_class(ring: ThreefoldRing) -> GradedClass:
@@ -203,7 +204,8 @@ class MukaiVector(Record):
 
     @property
     def is_integral(self) -> bool:
-        return is_integral(self.graded.a0, self.graded.a2, self.graded.a4, self.graded.a6)
+        # In lowest terms the denominator is 1 exactly when every coefficient is integral.
+        return self.graded._ints[0] == 1
 
     def __str__(self):
         return f"{self.graded} [{self.normalization}]"

@@ -202,13 +202,15 @@ def mukai_restrict(flag: FlagDescriptor, e: ChernData) -> RestrictionResult:
     m = mukai_vector(e).graded
     minus_s = tuple(-a for a in flag.s_coords)
     delta = m - m * flag.ring.exp_h2(minus_s)
-    expected_d2 = tuple(vector.v0 * s for s in flag.s_coords)
-    expected_d4 = mat_vec(flag.k3.gram, vector.v2)
+    # Compared in integers, across denominators: delta_2 = rank s and delta_4 = G.v2.
+    den, _, d2, d4, _ = delta._ints
+    s, ds = flag.k3._s
+    gv, dg = flag.k3._times(vector.v2)
     return RestrictionResult(
         vector=vector,
         delta=delta,
-        degree2_matches=delta.a2 == expected_d2,
-        degree4_matches=delta.a4 == tuple(expected_d4),
+        degree2_matches=all(a * ds == e.rank * b * den for a, b in zip(d2, s)),
+        degree4_matches=all(a * dg == b * den for a, b in zip(d4, gv)),
     )
 
 

@@ -22,11 +22,15 @@ The ring keeps the tensor twice.  The public `triple` attribute is the
 `Fraction` tensor that documents and users read.  The kernel reads a copy
 made once at construction: the tensor times one common denominator D (the
 lcm of its entries' denominators), as rho integer planes, plane i being
-D d[i][.][.] flattened.  `square_to_h4`, `cubic`, `exp_h2` and
-`ring_multiply` scale their input vectors to integer numerators over one
-denominator, run the rho^3 loop in `int` and make `Fraction`s only for
-their results, so no `Fraction` is made or normalised inside the loop.
-The symmetry check at construction reads the same integer copy.
+D d[i][.][.] flattened.  The symmetry check at construction reads the same
+integer copy.
+
+A `GradedClass` is kept the same way, as integer numerators over one
+positive denominator in lowest terms.  The cup product, `top_degree`, +,
+-, `scale`, `star` and `exp_h2` go from those integers to integers, with
+the rho^3 loop in `int` and one gcd to reduce; the `Fraction` coefficients
+are made only when they are read.  `K3Restriction` keeps integers over one
+denominator too, so restriction and its dot products are integer sums.
 
 Elements are immutable `GradedClass` values supporting +, -, scalar
 multiplication and the cup product; `star` is the degree involution that
@@ -38,6 +42,7 @@ to the associated Mukai lattice H^0 + H^2 + H^4 of that surface.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
 from .errors import LatticeValidationError
@@ -46,9 +51,7 @@ from .rational import (
     as_fraction,
     as_matrix,
     as_vector,
-    dot,
     format_fraction,
-    mat_vec,
     over_common_denominator,
 )
 from .record import Record
@@ -170,7 +173,7 @@ class ThreefoldRing(Record):
         a2 = as_vector(a2) if a2 is not None else zero
         a4 = as_vector(a4) if a4 is not None else zero
         _check_lengths(self, a2, a4)
-        return GradedClass._exact(self, as_fraction(a0), a2, a4, as_fraction(a6))
+        return GradedClass._exact(self, _integers(as_fraction(a0), a2, a4, as_fraction(a6)))
 
     def zero(self) -> "GradedClass":
         return self.graded()
@@ -216,52 +219,48 @@ class ThreefoldRing(Record):
 
     def exp_h2(self, coords) -> "GradedClass":
         """Truncated exponential 1 + L + L^2/2 + L^3/6 of a degree-2 class."""
-        coords = self._vector(coords)
-        nums, den = over_common_denominator(coords)
+        return self._exp(*over_common_denominator(self._vector(coords)))
+
+    def _exp(self, nums, den: int) -> "GradedClass":
+        """`exp_h2` of the class with integer coordinates `nums` over `den`."""
         square = self._square(nums, nums)
-        den2 = 2 * den * den * self._den
-        return GradedClass._exact(
-            self,
-            Fraction(1),
-            coords,
-            tuple(Fraction(n, den2) for n in square),
-            Fraction(sum(map(mul, nums, square)), 3 * den * den2),
-        )
+        d = 6 * den**3 * self._den
+        n2, n4 = [d // den * a for a in nums], [3 * den * a for a in square]
+        return _reduced(self, d, d, n2, n4, sum(map(mul, nums, square)))
 
 
 class GradedClass(Record):
     """An element a0 + a2 + a4 + a6 of a truncated threefold ring.
 
     `a2` holds basis coordinates; `a4` holds the Poincare functionals
-    against the same basis; `a0` and `a6` are rational scalars.
+    against the same basis; `a0` and `a6` are rational scalars.  They are
+    stored as `_ints` = (den, n0, n2, n4, n6), integer numerators (n2, n4
+    tuples of length rho) over one den > 0 coprime to all of them, and made
+    into `Fraction`s on each read; `==`, `hash` and `repr` read the fields.
     """
 
     ring: ThreefoldRing
-    a0: Fraction
-    a2: tuple[Fraction, ...]
-    a4: tuple[Fraction, ...]
-    a6: Fraction
+    a0: Fraction = property(lambda self: Fraction(self._ints[1], self._ints[0]))
+    a2: tuple[Fraction, ...] = property(lambda self: _fractions(self._ints[2], self._ints[0]))
+    a4: tuple[Fraction, ...] = property(lambda self: _fractions(self._ints[3], self._ints[0]))
+    a6: Fraction = property(lambda self: Fraction(self._ints[4], self._ints[0]))
 
     def __init__(self, ring, a0, a2, a4, a6):
-        vars(self).update(ring=ring, a0=a0, a2=a2, a4=a4, a6=a6)
-        self.__post_init__()
+        vars(self)["ring"] = ring
+        self.__post_init__(a0, a2, a4, a6)
 
-    def __post_init__(self):
+    def __post_init__(self, a0, a2, a4, a6):
         # Separate from `__init__` because bench/tracing.py counts checked
         # constructions through this name; `_exact` skips both.
-        vars(self).update(
-            a0=as_fraction(self.a0),
-            a2=as_vector(self.a2),
-            a4=as_vector(self.a4),
-            a6=as_fraction(self.a6),
-        )
-        _check_lengths(self.ring, self.a2, self.a4)
+        a2, a4 = as_vector(a2), as_vector(a4)
+        _check_lengths(self.ring, a2, a4)
+        vars(self)["_ints"] = _integers(as_fraction(a0), a2, a4, as_fraction(a6))
 
     @classmethod
-    def _exact(cls, ring, a0: Fraction, a2: tuple, a4: tuple, a6: Fraction) -> "GradedClass":
-        """Build from `Fraction`s and `Fraction` tuples of length rho, unchecked."""
+    def _exact(cls, ring, ints: tuple) -> "GradedClass":
+        """Build from a `_ints` tuple already in lowest terms, unchecked."""
         x = object.__new__(cls)
-        x.__dict__.update(ring=ring, a0=a0, a2=a2, a4=a4, a6=a6)
+        x.__dict__.update(ring=ring, _ints=ints)
         return x
 
     def _check_same_ring(self, other: "GradedClass"):
@@ -270,37 +269,30 @@ class GradedClass(Record):
                 f"classes live in different rings ({self.ring.name!r} vs {other.ring.name!r})"
             )
 
-    def _numerators(self) -> tuple[int, list[int], list[int], int, int]:
-        """Integer numerators of a0, a2, a4, a6 over one common denominator, given last."""
-        rho = len(self.a2)
-        nums, den = over_common_denominator((self.a0, *self.a2, *self.a4, self.a6))
-        return nums[0], nums[1:rho + 1], nums[rho + 1:-1], nums[-1], den
-
     def __add__(self, other: "GradedClass") -> "GradedClass":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "GradedClass") -> "GradedClass":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "GradedClass", sign: int) -> "GradedClass":
         self._check_same_ring(other)
-        return GradedClass._exact(
-            self.ring,
-            self.a0 + other.a0,
-            tuple(a + b for a, b in zip(self.a2, other.a2)),
-            tuple(a + b for a, b in zip(self.a4, other.a4)),
-            self.a6 + other.a6,
-        )
+        dx, x0, x2, x4, x6 = self._ints
+        dy, y0, y2, y4, y6 = other._ints
+        den = lcm(dx, dy)
+        fx, fy = den // dx, sign * (den // dy)
+        n2, n4 = [a * fx + b * fy for a, b in zip(x2, y2)], [a * fx + b * fy for a, b in zip(x4, y4)]
+        return _reduced(self.ring, den, x0 * fx + y0 * fy, n2, n4, x6 * fx + y6 * fy)
 
     def __neg__(self) -> "GradedClass":
         return self.scale(-1)
 
-    def __sub__(self, other: "GradedClass") -> "GradedClass":
-        return self + (-other)
-
     def scale(self, factor: Rational) -> "GradedClass":
         factor = as_fraction(factor)
-        return GradedClass._exact(
-            self.ring,
-            factor * self.a0,
-            tuple(factor * a for a in self.a2),
-            tuple(factor * a for a in self.a4),
-            factor * self.a6,
-        )
+        p = factor.numerator
+        den, n0, n2, n4, n6 = self._ints
+        n2, n4 = [p * a for a in n2], [p * a for a in n4]
+        return _reduced(self.ring, den * factor.denominator, p * n0, n2, n4, p * n6)
 
     def __rmul__(self, factor):
         if isinstance(factor, (int, Fraction)):
@@ -331,6 +323,27 @@ class GradedClass(Record):
         return "[" + " | ".join(parts) + "]"
 
 
+def _fractions(nums, den: int) -> tuple[Fraction, ...]:
+    return tuple([Fraction(n, den) for n in nums])
+
+
+def _integers(a0: Fraction, a2: tuple, a4: tuple, a6: Fraction) -> tuple:
+    """The `_ints` form of `Fraction` coefficients (over their lcm, so already coprime)."""
+    nums, den = over_common_denominator((a0, *a2, *a4, a6))
+    rho = len(a2)
+    return den, nums[0], tuple(nums[1:rho + 1]), tuple(nums[rho + 1:-1]), nums[-1]
+
+
+def _reduced(ring, den: int, n0: int, n2: list, n4: list, n6: int) -> GradedClass:
+    """The class with numerators n0, n2, n4, n6 over den > 0, in lowest terms."""
+    if den != 1:
+        g = gcd(den, n0, n6, *n2, *n4)
+        if g != 1:
+            den, n0, n6 = den // g, n0 // g, n6 // g
+            n2, n4 = [a // g for a in n2], [a // g for a in n4]
+    return GradedClass._exact(ring, (den, n0, tuple(n2), tuple(n4), n6))
+
+
 def _top_numerator(x0, x2, x4, x6, y0, y2, y4, y6) -> int:
     return x0 * y6 + y0 * x6 + sum(map(mul, x2, y4)) + sum(map(mul, y2, x4))
 
@@ -351,20 +364,13 @@ def ring_multiply(x: GradedClass, y: GradedClass) -> GradedClass:
     """
     x._check_same_ring(y)
     ring = x.ring
-    x0, x2, x4, x6, dx = x._numerators()
-    y0, y2, y4, y6, dy = y._numerators()
-    den = dx * dy
-    cross = ring._square(x2, y2)
-    return GradedClass._exact(
-        ring,
-        Fraction(x0 * y0, den),
-        tuple(Fraction(x0 * b + y0 * a, den) for a, b in zip(x2, y2)),
-        tuple(
-            Fraction((x0 * b + y0 * a) * ring._den + c, den * ring._den)
-            for a, b, c in zip(x4, y4, cross)
-        ),
-        Fraction(_top_numerator(x0, x2, x4, x6, y0, y2, y4, y6), den),
-    )
+    dx, x0, x2, x4, x6 = x._ints
+    dy, y0, y2, y4, y6 = y._ints
+    d = ring._den
+    n2 = [(x0 * b + y0 * a) * d for a, b in zip(x2, y2)]
+    n4 = [(x0 * b + y0 * a) * d + c for a, b, c in zip(x4, y4, ring._square(x2, y2))]
+    top = _top_numerator(x0, x2, x4, x6, y0, y2, y4, y6)
+    return _reduced(ring, dx * dy * d, x0 * y0 * d, n2, n4, top * d)
 
 
 def top_degree(x: GradedClass, y: GradedClass) -> Fraction:
@@ -375,8 +381,8 @@ def top_degree(x: GradedClass, y: GradedClass) -> Fraction:
     product, such as the Euler form, need no rho^3 loop.
     """
     x._check_same_ring(y)
-    *xs, dx = x._numerators()
-    *ys, dy = y._numerators()
+    dx, *xs = x._ints
+    dy, *ys = y._ints
     return Fraction(_top_numerator(*xs, *ys), dx * dy)
 
 
@@ -387,13 +393,8 @@ def star(x: GradedClass) -> GradedClass:
     ring automorphism and an involution, and sends the Chern character of
     a sheaf to the Chern character of its dual.
     """
-    return GradedClass._exact(
-        x.ring,
-        x.a0,
-        tuple(-a for a in x.a2),
-        x.a4,
-        -x.a6,
-    )
+    den, n0, n2, n4, n6 = x._ints
+    return GradedClass._exact(x.ring, (den, n0, tuple([-a for a in n2]), n4, -n6))
 
 
 class K3Restriction(Record):
@@ -404,7 +405,9 @@ class K3Restriction(Record):
 
         G[i][j] = integral over M of e_i . e_j . s,
 
-    which is all the quadratic data the K3 Mukai pairing needs.
+    which is all the quadratic data the K3 Mukai pairing needs.  For integer
+    dot products it also keeps `_rows`, the Gram rows as integers over `_den`,
+    and `_s`, the section's integer numerators and their denominator.
     """
 
     gram: tuple[tuple[Fraction, ...], ...]
@@ -421,27 +424,38 @@ class K3Restriction(Record):
         s_coords = as_vector(s_coords)
         if len(s_coords) != len(gram):
             raise LatticeValidationError("section class length must match gram rank")
-        vars(self).update(gram=gram, s_coords=s_coords)
+        self._store(gram, s_coords, *over_common_denominator([x for row in gram for x in row]))
+
+    def _store(self, gram, s_coords, flat: list[int], den: int) -> None:
+        n, s = len(gram), over_common_denominator(s_coords)
+        rows = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+        vars(self).update(gram=gram, s_coords=s_coords, _rows=rows, _den=den, _s=s)
 
     @classmethod
     def from_ring(cls, ring: ThreefoldRing, s_coords) -> "K3Restriction":
+        """The restriction to a member of `s_coords`; G is symmetric by construction, so unchecked."""
         s = as_vector(s_coords)
         if len(s) != ring.rho:
             raise LatticeValidationError("section class length must match rho")
         nums, den = over_common_denominator(s)
         den *= ring._den
         rho = ring.rho
-        gram = tuple(
-            tuple(
-                Fraction(sum(map(mul, plane[j * rho:(j + 1) * rho], nums)), den) for j in range(rho)
-            )
-            for plane in ring._planes
-        )
-        return cls(gram=gram, s_coords=s)
+        flat = [
+            sum(map(mul, plane[j * rho:(j + 1) * rho], nums)) for plane in ring._planes for j in range(rho)
+        ]
+        gram = tuple(tuple(Fraction(n, den) for n in flat[i * rho:(i + 1) * rho]) for i in range(rho))
+        x = object.__new__(cls)
+        x._store(gram, s, flat, den)
+        return x
 
     @property
     def rank(self) -> int:
         return len(self.gram)
+
+    def _times(self, v) -> tuple[list[int], int]:
+        """G.v as integer numerators over one denominator."""
+        nums, den = over_common_denominator(v)
+        return [sum(map(mul, row, nums)) for row in self._rows], den * self._den
 
     def dot(self, u, v) -> Fraction:
         """Intersection number u . v on the surface, u and v in the e-basis."""
@@ -451,7 +465,8 @@ class K3Restriction(Record):
                 raise LatticeValidationError(
                     f"vector has {len(x)} coordinates, lattice has rank {self.rank}"
                 )
-        return dot(u, mat_vec(self.gram, v))
+        (u, du), (gv, dv) = over_common_denominator(u), self._times(v)
+        return Fraction(sum(map(mul, u, gv)), du * dv)
 
 
 class K3Vector(Record):
@@ -506,4 +521,5 @@ def restrict_to_k3(x: GradedClass, restriction: K3Restriction) -> K3Vector:
     """
     if len(restriction.s_coords) != x.ring.rho:
         raise LatticeValidationError("restriction rank does not match the ring")
-    return K3Vector(x.a0, x.a2, dot(restriction.s_coords, x.a4))
+    s, ds = restriction._s
+    return K3Vector(x.a0, x.a2, Fraction(sum(map(mul, s, x._ints[3])), ds * x._ints[0]))

@@ -24,6 +24,7 @@ from mukai import (
     todd_class,
     twist_chern,
 )
+from mukai.rational import is_integral
 
 from conftest import (
     cp3_quartic_flag,
@@ -84,10 +85,28 @@ def test_character_inversion_round_trip():
 
 def test_character_inversion_needs_positive_rank():
     ring = quintic_ring()
-    with pytest.raises(LatticeValidationError):
-        chern_from_character(ring, ring.graded(a0="1/2"))
-    with pytest.raises(LatticeValidationError):
-        chern_from_character(ring, ring.zero())
+    for bad, a0 in (("1/2", "1/2"), (0, "0"), (-1, "-1"), ("3/2", "3/2"), ("4/3", "4/3")):
+        with pytest.raises(LatticeValidationError) as error:
+            chern_from_character(ring, ring.graded(a0=bad, a4=("1/2",), a6="1/3"))
+        assert str(error.value) == f"character degree-0 part {a0} is not a positive rank"
+    # Over the class's denominator 6 the rank is 12/6: integral all the same.
+    e = chern_from_character(ring, ring.graded(a0=2, a2=("1/2",), a6="1/3"))
+    assert e.rank == 2 and type(e.rank) is int
+
+
+def test_integrality_matches_the_coefficients():
+    rng = random.Random(71)
+    values = (0, 1, -2, Fraction(1, 2), Fraction(-4, 3))
+    for _ in range(200):
+        ring = random_cy_ring(rng) if rng.random() < 0.5 else random_fano_ring(rng)
+        rho = ring.rho
+        e = ChernData(ring, rng.randint(1, 3), [rng.choice(values) for _ in range(rho)],
+                      [rng.choice(values) for _ in range(rho)], rng.choice(values))
+        before = (hash(e), repr(e))
+        assert e.is_integral == is_integral(e.c1, e.c2, e.c3) == e.is_integral
+        assert "_integral" in vars(e) and (hash(e), repr(e)) == before
+        m = mukai_vector(e)
+        assert m.is_integral == is_integral(*m.graded.components())
 
 
 def test_dual_chern_flips_odd_classes():
@@ -242,13 +261,18 @@ def test_ring_is_freed_with_its_last_reference():
     gc.disable()
     try:
         ring = quintic_ring()
-        alive = weakref.ref(ring)
         o = ChernData(ring=ring, rank=1, c1=(0,), c2=(0,), c3=0)
         o1 = ChernData(ring=ring, rank=1, c1=(1,), c2=(0,), c3=0)
-        assert mukai_vector(o).graded.components() == (1, (0,), (Fraction(25, 12),), 0)
+        todd, m = todd_class(ring), mukai_vector(o)
+        alive = [weakref.ref(x) for x in (ring, todd, m, m.graded)]
+        assert m.graded.components() == (1, (0,), (Fraction(25, 12),), 0)
         assert euler_chi(o, o1) == 5
-        del ring, o, o1
-        assert alive() is None
+        # The cache keeps integer tuples only, never a class.
+        assert set(ring._cache) == {"todd", "sqrt_todd"}
+        for den, n0, n2, n4, n6 in ring._cache.values():
+            assert all(type(n) is int for n in (den, n0, *n2, *n4, n6))
+        del ring, o, o1, todd, m
+        assert [ref() for ref in alive] == [None] * 4
     finally:
         if enabled:
             gc.enable()

@@ -3,11 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
 
 import pytest
 
 from mukai import (
     ChernData,
+    FlagDescriptor,
     GradedClass,
     K3Restriction,
     K3Vector,
@@ -16,6 +18,7 @@ from mukai import (
     chern_character,
     chern_from_character,
     euler_chi,
+    mukai_restrict,
     restrict_to_k3,
     ring_multiply,
     star,
@@ -286,6 +289,16 @@ def fractional_vector(rng, rho):
     return tuple(rng.choice(ENTRIES) for _ in range(rho))
 
 
+def random_fractional_class(rng, ring):
+    rho = ring.rho
+    return ring.graded(
+        a0=rng.choice(ENTRIES),
+        a2=fractional_vector(rng, rho),
+        a4=fractional_vector(rng, rho),
+        a6=rng.choice(ENTRIES),
+    )
+
+
 def dense_square(ring, u, v):
     rho = ring.rho
     return tuple(
@@ -327,18 +340,21 @@ def dense_character(ring, rank, c1, c2, c3):
     )
 
 
-def dense_euler_chi(e1, e2):
-    ring = e1.ring
+def dense_todd(ring):
     c1, c2 = ring.c1_coords, ring.c2_values
-    todd = (
+    return (
         Fraction(1),
         tuple(a / 2 for a in c1),
         tuple((a + b) / 12 for a, b in zip(dense_square(ring, c1, c1), c2)),
         dense_dot(c1, c2) / 24,
     )
+
+
+def dense_euler_chi(e1, e2):
+    ring = e1.ring
     dual = dense_character(ring, e1.rank, tuple(-a for a in e1.c1), e1.c2, -e1.c3)
     ch2 = dense_character(ring, e2.rank, e2.c1, e2.c2, e2.c3)
-    return dense_multiply(ring, dense_multiply(ring, ch2, dual), todd)[3]
+    return dense_multiply(ring, dense_multiply(ring, ch2, dual), dense_todd(ring))[3]
 
 
 @pytest.mark.parametrize("rho", range(1, 9))
@@ -353,15 +369,7 @@ def test_integer_kernel_matches_dense_fraction_reference(rho):
                 assert ring.square_to_h4(u, v) == dense_square(ring, u, v)
                 assert ring.cubic(u, v, vectors[-1]) == dense_cubic(ring, u, v, vectors[-1])
         for _ in range(4):
-            x, y = (
-                ring.graded(
-                    a0=rng.choice(ENTRIES),
-                    a2=fractional_vector(rng, rho),
-                    a4=fractional_vector(rng, rho),
-                    a6=rng.choice(ENTRIES),
-                )
-                for _ in range(2)
-            )
+            x, y = random_fractional_class(rng, ring), random_fractional_class(rng, ring)
             product = ring_multiply(x, y)
             assert product.components() == dense_multiply(ring, x.components(), y.components())
             assert top_degree(x, y) == product.a6
@@ -380,3 +388,154 @@ def test_integer_kernel_matches_dense_fraction_reference(rho):
             character = chern_character(e)
             assert character.components() == dense_character(ring, e.rank, e.c1, e.c2, e.c3)
             assert chern_from_character(ring, character) == e
+
+
+# --------------------------------------------------------------------------
+# Integer classes over one denominator, against the dense Fraction
+# reference: every operation, and the lowest-terms form after each.
+
+
+def dense_add(x, y, sign=1):
+    return (
+        x[0] + sign * y[0],
+        tuple(a + sign * b for a, b in zip(x[1], y[1])),
+        tuple(a + sign * b for a, b in zip(x[2], y[2])),
+        x[3] + sign * y[3],
+    )
+
+
+def dense_scale(x, factor):
+    return (factor * x[0], tuple(factor * a for a in x[1]), tuple(factor * a for a in x[2]), factor * x[3])
+
+
+def dense_exp(ring, v):
+    square = dense_square(ring, v, v)
+    return (Fraction(1), tuple(v), tuple(a / 2 for a in square), dense_dot(v, square) / 6)
+
+
+def assert_lowest_terms(x):
+    """den > 0 and coprime to every numerator, i.e. den is the lcm of the Fractions' denominators."""
+    den, n0, n2, n4, n6 = x._ints
+    assert all(type(n) is int for n in (den, n0, n6, *n2, *n4))
+    assert len(n2) == len(n4) == x.ring.rho
+    assert den > 0 and gcd(den, n0, n6, *n2, *n4) == 1
+    a0, a2, a4, a6 = x.components()
+    assert den == lcm(*(f.denominator for f in (a0, *a2, *a4, a6)))
+
+
+FACTORS = (0, -1, -3, 2, Fraction(-5, 6), Fraction(7, 4), Fraction(1, 9))
+
+
+@pytest.mark.parametrize("rho", range(1, 9))
+def test_integer_class_operations_match_dense_fraction_reference(rho):
+    rng = random.Random(800 + rho)
+    for _ in range(2):
+        ring = fractional_ring(rng, rho)
+        x = random_fractional_class(rng, ring)
+        reference = x.components()
+        for _ in range(40):
+            y = random_fractional_class(rng, ring)
+            op = rng.choice(("add", "sub", "scale", "star", "exp", "product"))
+            if op == "add":
+                x, reference = x + y, dense_add(reference, y.components())
+            elif op == "sub":
+                x, reference = x - y, dense_add(reference, y.components(), -1)
+            elif op == "scale":
+                factor = rng.choice(FACTORS)
+                x, reference = factor * x, dense_scale(reference, factor)
+            elif op == "star":
+                r0, r2, r4, r6 = reference
+                x, reference = star(x), (r0, tuple(-a for a in r2), r4, -r6)
+            elif op == "exp":
+                v = fractional_vector(rng, rho)
+                e = ring.exp_h2(v)
+                assert e.components() == dense_exp(ring, v)
+                assert_lowest_terms(e)
+                x, reference = x * e, dense_multiply(ring, reference, dense_exp(ring, v))
+            else:
+                factors = [random_fractional_class(rng, ring) for _ in range(5)]
+                product, dense = factors[0], factors[0].components()
+                for f in factors[1:]:
+                    product, dense = product * f, dense_multiply(ring, dense, f.components())
+                    assert product.components() == dense
+                    assert_lowest_terms(product)
+                x, reference = x - product, dense_add(reference, dense, -1)
+            assert x.components() == reference
+            assert_lowest_terms(x)
+            assert top_degree(x, y) == dense_multiply(ring, reference, y.components())[3]
+
+
+@pytest.mark.parametrize("rho", range(1, 9))
+def test_one_value_reached_three_ways_prints_and_hashes_alike(rho):
+    rng = random.Random(850 + rho)
+    ring = fractional_ring(rng, rho)
+    x, y, z = (random_fractional_class(rng, ring) for _ in range(3))
+    product = x * y
+    built = ring.graded(*product.components())
+    summed = (product - z) + z
+    rebuilt = GradedClass(ring, *product.components())
+    for other in (built, summed, rebuilt):
+        assert other == product and product == other
+        assert other._ints == product._ints
+        assert hash(other) == hash(product) == hash((ring, *product.components()))
+        assert repr(other) == repr(product)
+        assert str(other) == str(product)
+    assert repr(product).startswith(f"GradedClass(ring={ring!r}, a0={product.a0!r}, a2=")
+    assert product != product + ring.point_class().scale(Fraction(1, 7))
+
+
+def dense_gram(ring, s):
+    rho = ring.rho
+    return tuple(
+        tuple(sum((ring.triple[i][j][k] * s[k] for k in range(rho)), Fraction(0)) for j in range(rho))
+        for i in range(rho)
+    )
+
+
+def dense_mat_vec(matrix, v):
+    return tuple(dense_dot(row, v) for row in matrix)
+
+
+def dense_mukai(ring, e):
+    """ch(E) sqrt(td): y2 = x2/2, y4 = (x4 - y2^2)/2, y6 = (x6 - 2 y2.y4)/2 for td = 1 + x2 + x4 + x6."""
+    _, x2, x4, x6 = dense_todd(ring)
+    y2 = tuple(a / 2 for a in x2)
+    y4 = tuple((a - b) / 2 for a, b in zip(x4, dense_square(ring, y2, y2)))
+    sqrt_todd = (Fraction(1), y2, y4, (x6 - 2 * dense_dot(y2, y4)) / 2)
+    return dense_multiply(ring, dense_character(ring, e.rank, e.c1, e.c2, e.c3), sqrt_todd)
+
+
+@pytest.mark.parametrize("rho", range(1, 9))
+def test_integer_restriction_matches_dense_fraction_reference(rho):
+    rng = random.Random(900 + rho)
+    matches = set()
+    for _ in range(3):
+        ring = fractional_ring(rng, rho)
+        for s in ((Fraction(0),) * rho, fractional_vector(rng, rho), fractional_vector(rng, rho)):
+            gram = dense_gram(ring, s)
+            k3 = K3Restriction.from_ring(ring, s)
+            public = K3Restriction(gram=gram, s_coords=s)
+            assert k3 == public and k3.gram == gram
+            u, v = fractional_vector(rng, rho), fractional_vector(rng, rho)
+            assert k3.dot(u, v) == public.dot(u, v) == dense_dot(u, dense_mat_vec(gram, v))
+            x = random_fractional_class(rng, ring)
+            expected = K3Vector(x.a0, x.a2, dense_dot(s, x.a4))
+            assert restrict_to_k3(x, k3) == restrict_to_k3(x, public) == expected
+            e = ChernData(ring, rng.randint(1, 3), fractional_vector(rng, rho),
+                          fractional_vector(rng, rho), rng.choice(ENTRIES))
+            result = mukai_restrict(FlagDescriptor(ring=ring, s_coords=s), e)
+            m = dense_mukai(ring, e)
+            delta = dense_add(m, dense_multiply(ring, m, dense_exp(ring, tuple(-a for a in s))), -1)
+            assert result.delta.components() == delta
+            assert result.degree2_matches == (delta[1] == tuple(e.rank * a for a in s))
+            assert result.degree4_matches == (delta[2] == dense_mat_vec(gram, result.vector.v2))
+            matches.add(result.degree4_matches)
+    assert matches == {True, False}
+
+
+def test_public_restriction_still_checks_fractional_symmetry():
+    gram = ((Fraction(1, 2), Fraction(1, 3)), (Fraction(2, 6), 0))
+    assert K3Restriction(gram=gram, s_coords=(1, 0)).gram[0][1] == Fraction(1, 3)
+    with pytest.raises(LatticeValidationError) as error:
+        K3Restriction(gram=((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 4), 0)), s_coords=(1, 0))
+    assert str(error.value) == "gram matrix not symmetric at (0,1)"
