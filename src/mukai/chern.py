@@ -61,6 +61,8 @@ class ChernData(Record):
         # through this name.
         if isinstance(self.rank, bool) or not isinstance(self.rank, int) or self.rank < 1:
             raise LatticeValidationError(f"rank must be a positive integer, got {self.rank!r}")
+        if isinstance(self.labels, str):
+            raise LatticeValidationError(f"labels must be a sequence of strings, got {self.labels!r}")
         vars(self).update(
             c1=as_vector(self.c1),
             c2=as_vector(self.c2),

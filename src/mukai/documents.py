@@ -23,7 +23,7 @@ from pathlib import Path
 from .errors import DocumentError, LatticeValidationError
 from .flags import FlagDescriptor, GluingDescriptor, KernelResult, make_gluing, validate_flag
 from .chern import ChernData, MukaiVector
-from .moduli import CDEntry, CDRegistry
+from .moduli import CD_FIELD_RULES, CDEntry, CDRegistry
 from .rational import INT_BOUND, MAX_DIGITS, format_fraction, parse_rational
 from .rings import GradedClass, K3Vector, ThreefoldRing
 
@@ -385,41 +385,17 @@ def _entry_to_document(entry: CDEntry) -> dict:
 def _entry_from_document(doc: dict, where: str) -> CDEntry:
     if not isinstance(doc, dict):
         raise DocumentError(f"{where}: expected a JSON object")
-    for key in ("key", "manifold", "vector", "provenance"):
-        value = _require(doc, key, where)
-        if not isinstance(value, str):
-            raise DocumentError(f"{where}.{key}: expected a string")
-    value = doc.get("value")
-    if value is not None:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise DocumentError(f"{where}.value: expected an integer or null")
-        _capped(value, f"{where}.value")
-    for key in ("symbol", "sign_note", "constraint", "citation"):
-        if not isinstance(doc.get(key), (str, type(None))):
-            raise DocumentError(f"{where}.{key}: expected a string or null")
-    exceptional = doc.get("exceptional", False)
-    if not isinstance(exceptional, bool):
-        raise DocumentError(f"{where}.exceptional: expected true or false")
-    parents = doc.get("parents")
-    if parents is not None:
-        if not isinstance(parents, list) or len(parents) != 2 or not all(
-            isinstance(p, str) for p in parents
-        ):
-            raise DocumentError(f"{where}.parents: expected an array of two strings")
-        parents = tuple(parents)
-    return CDEntry(
-        key=doc["key"],
-        manifold=doc["manifold"],
-        vector_desc=doc["vector"],
-        provenance=doc["provenance"],
-        value=value,
-        symbol=doc.get("symbol"),
-        exceptional=exceptional,
-        sign_note=doc.get("sign_note"),
-        constraint=doc.get("constraint"),
-        parents=parents,
-        citation=doc.get("citation"),
-    )
+    fields = {}
+    for name, allowed, phrase in CD_FIELD_RULES:
+        key = "vector" if name == "vector_desc" else name
+        if key not in doc and name not in ("key", "manifold", "vector_desc", "provenance"):
+            continue  # an optional field takes the CDEntry default
+        value = fields[name] = _require(doc, key, where)
+        if not allowed(value):
+            raise DocumentError(f"{where}.{key}: {phrase}")
+        if name == "value" and value is not None:
+            _capped(value, f"{where}.value")
+    return CDEntry(**fields)
 
 
 def load_registry(path, missing_ok: bool = False) -> CDRegistry:

@@ -86,10 +86,9 @@ class FlagDescriptor(Record):
     def __post_init__(self):
         # Separate from `__init__` because bench/tracing.py counts constructions
         # through this name.  `k3` is derived: not a field, so not in ==, hash or repr.
-        coords = as_vector(self.s_coords)
-        if len(coords) != self.ring.rho:
-            raise LatticeValidationError("section class length must match rho")
-        vars(self).update(s_coords=coords, k3=K3Restriction.from_ring(self.ring, coords))
+        # `from_ring` coerces and checks the section class.
+        k3 = K3Restriction.from_ring(self.ring, self.s_coords)
+        vars(self).update(s_coords=k3.s_coords, k3=k3)
 
     @property
     def name(self) -> str:

@@ -80,11 +80,10 @@ def nullspace(matrix) -> list[tuple[Fraction, ...]]:
     The basis follows the usual free-variable parametrization of the
     reduced row echelon form, so it is deterministic.
     """
-    mat = as_matrix(matrix)
-    if not mat:
+    reduced, pivots = rref(matrix)
+    if not reduced:
         return []
-    ncols = len(mat[0])
-    reduced, pivots = rref(mat)
+    ncols = len(reduced[0])
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:

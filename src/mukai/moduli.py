@@ -183,19 +183,12 @@ def bogomolov_check(e: ChernData, H) -> BogomolovReport:
 def chi_top_cy3(ring: ThreefoldRing) -> int:
     """Topological Euler number 2(rho - h12) of a Calabi-Yau ring.
 
-    Re-derives the number from the Hodge data and insists it agree with
-    the stored value, so a hand-built inconsistent ring cannot slip
-    through.
+    `ThreefoldRing` refuses a Calabi-Yau ring whose stored `chi_top`
+    differs from 2(rho - h12), so the stored value is that number.
     """
     if not ring.is_calabi_yau:
         raise LatticeValidationError(f"ring {ring.name!r} is not Calabi-Yau (c1 != 0)")
-    derived = 2 * (ring.rho - ring.h12)
-    if derived != ring.chi_top:
-        raise LatticeValidationError(
-            f"Euler number mismatch on {ring.name!r}: stored {ring.chi_top}, "
-            f"Hodge data gives {derived}"
-        )
-    return derived
+    return ring.chi_top
 
 
 # --------------------------------------------------------------------------
@@ -211,6 +204,35 @@ _PROVENANCES = (
 )
 
 
+def _of(*types):
+    return lambda value: type(value) in types
+
+
+_TEXT, _OPTIONAL_TEXT = _of(str), _of(str, type(None))
+
+# The type rule of each `CDEntry` field, in the order they are checked: a
+# test and the phrase a refusal ends with.  The registry loader checks
+# documents by the same rules, so every entry that builds can be saved and
+# read back.
+CD_FIELD_RULES = (
+    ("key", _TEXT, "expected a string"),
+    ("manifold", _TEXT, "expected a string"),
+    ("vector_desc", _TEXT, "expected a string"),
+    ("provenance", _TEXT, "expected a string"),
+    ("value", _of(int, type(None)), "expected an integer or null"),
+    ("symbol", _OPTIONAL_TEXT, "expected a string or null"),
+    ("sign_note", _OPTIONAL_TEXT, "expected a string or null"),
+    ("constraint", _OPTIONAL_TEXT, "expected a string or null"),
+    ("citation", _OPTIONAL_TEXT, "expected a string or null"),
+    ("exceptional", _of(bool), "expected true or false"),
+    (
+        "parents",
+        lambda v: v is None or (type(v) in (tuple, list) and len(v) == 2 and all(map(_TEXT, v))),
+        "expected an array of two strings",
+    ),
+)
+
+
 class CDEntry(Record):
     """One Casson-Donaldson number, with provenance.
 
@@ -219,7 +241,8 @@ class CDEntry(Record):
     and puts the expression in `symbol`.  `exceptional` is a user
     assertion that the class is realized by exceptional stable bundles,
     which is what licenses the multiplicative closure rule; `parents`
-    records the closure ancestry so products can be re-derived.
+    records the closure ancestry so products can be re-derived.  Each
+    field must pass its rule in `CD_FIELD_RULES`.
     """
 
     key: str
@@ -248,21 +271,7 @@ class CDEntry(Record):
         parents=None,
         citation=None,
     ):
-        if provenance not in _PROVENANCES:
-            raise LatticeValidationError(
-                f"unknown provenance {provenance!r}; expected one of {_PROVENANCES}"
-            )
-        if (value is None) == (symbol is None):
-            raise LatticeValidationError("exactly one of value/symbol must be set")
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            raise LatticeValidationError("CD values are integers")
-        if value is not None and not -INT_BOUND < value < INT_BOUND:
-            raise LatticeValidationError(f"CD value has more than {MAX_DIGITS} digits")
-        if provenance == "degeneration" and value is not None and value < 0:
-            raise LatticeValidationError(
-                "degeneration entries are absolute Euler characteristics and cannot be negative"
-            )
-        vars(self).update(
+        fields = dict(
             key=key,
             manifold=manifold,
             vector_desc=vector_desc,
@@ -275,6 +284,22 @@ class CDEntry(Record):
             parents=parents,
             citation=citation,
         )
+        for name, allowed, phrase in CD_FIELD_RULES:
+            if not allowed(fields[name]):
+                raise LatticeValidationError(f"CD entry {name}: {phrase}, got {fields[name]!r}")
+        if provenance not in _PROVENANCES:
+            raise LatticeValidationError(
+                f"unknown provenance {provenance!r}; expected one of {_PROVENANCES}"
+            )
+        if (value is None) == (symbol is None):
+            raise LatticeValidationError("exactly one of value/symbol must be set")
+        if value is not None and not -INT_BOUND < value < INT_BOUND:
+            raise LatticeValidationError(f"CD value has more than {MAX_DIGITS} digits")
+        if provenance == "degeneration" and value is not None and value < 0:
+            raise LatticeValidationError(
+                "degeneration entries are absolute Euler characteristics and cannot be negative"
+            )
+        vars(self).update(fields, parents=None if parents is None else tuple(parents))
 
     @property
     def display_value(self) -> str:
@@ -361,10 +386,6 @@ def cd_seed(registry: CDRegistry, ring: ThreefoldRing, kind: str) -> CDEntry:
 _SYMBOL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_+()\[\],^ .*-]*$")
 
 
-def _symbolic_product(a: str, b: str) -> str:
-    return f"({a})*({b})"
-
-
 def cd_closure(
     registry: CDRegistry,
     entry_m: CDEntry,
@@ -394,7 +415,7 @@ def cd_closure(
     if entry_m.value is not None and entry_mp.value is not None:
         value, symbol = entry_m.value * entry_mp.value, None
     else:
-        value, symbol = None, _symbolic_product(entry_m.display_value, entry_mp.display_value)
+        value, symbol = None, f"({entry_m.display_value})*({entry_mp.display_value})"
     entry = CDEntry(
         key=key,
         manifold=entry_m.manifold,
@@ -426,7 +447,7 @@ def cd_degeneration(
     """
     vector = k3_mukai_vector(flag, e)
     key = f"{flag.name}:degeneration:{vector}"
-    if isinstance(euler_char_of_moduli, int):
+    if type(euler_char_of_moduli) is int:
         value, symbol = abs(euler_char_of_moduli), None
         sign_note = (
             f"stored |chi| = {abs(euler_char_of_moduli)} of chi = {euler_char_of_moduli}; "

@@ -17,7 +17,7 @@ from .chern import (
 )
 from .errors import IntegralityWarning, LatticeValidationError
 from .flags import FlagDescriptor, require_isometry
-from .rational import as_fraction, as_vector, format_fraction, mat_vec
+from .rational import as_vector, format_fraction, mat_vec
 from .record import Record
 from .rings import GradedClass, K3Restriction, K3Vector, star, top_degree
 
@@ -86,8 +86,6 @@ def mukai_pairing_3fold(u, v) -> Fraction:
 
 def mukai_pairing_k3(restriction: K3Restriction, u: K3Vector, v: K3Vector) -> Fraction:
     """Symmetric K3 pairing u2.G.v2 - u0 v4 - u4 v0."""
-    if len(u.v2) != restriction.rank or len(v.v2) != restriction.rank:
-        raise LatticeValidationError("K3 vectors do not match the restriction rank")
     return restriction.dot(u.v2, v.v2) - u.v0 * v.v4 - u.v4 * v.v0
 
 
@@ -155,7 +153,7 @@ def spherical_reflect(m: GradedClass, mp: GradedClass, pairing_value) -> GradedC
     implicitly here.
     """
     m, mp = _as_graded(m), _as_graded(mp)
-    return -mp - as_fraction(pairing_value) * m
+    return -mp - m.scale(pairing_value)
 
 
 class RestrictionResult(Record):

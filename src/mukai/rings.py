@@ -85,13 +85,6 @@ def _check_symmetric(flat: list[int], rho: int) -> None:
                     raise LatticeValidationError(f"triple tensor not symmetric at ({i},{j},{k})")
 
 
-def _check_lengths(ring: "ThreefoldRing", a2, a4) -> None:
-    if len(a2) != ring.rho or len(a4) != ring.rho:
-        raise LatticeValidationError(
-            f"class has {len(a2)}/{len(a4)} coordinates, ring has rho={ring.rho}"
-        )
-
-
 class ThreefoldRing(Record):
     """Intersection data of a threefold: the exact skeleton of H^even.
 
@@ -123,6 +116,8 @@ class ThreefoldRing(Record):
     h12: int
 
     def __init__(self, name, basis_labels, triple, c1_coords, c2_values, chi_top, h12):
+        if isinstance(basis_labels, str):
+            raise LatticeValidationError(f"basis labels must be a sequence of strings, got {basis_labels!r}")
         labels = tuple(str(s) for s in basis_labels)
         if not labels:
             raise LatticeValidationError("rank of H^2 must be at least 1")
@@ -170,10 +165,7 @@ class ThreefoldRing(Record):
 
     def graded(self, a0: Rational = 0, a2=None, a4=None, a6: Rational = 0) -> "GradedClass":
         zero = (Fraction(0),) * self.rho
-        a2 = as_vector(a2) if a2 is not None else zero
-        a4 = as_vector(a4) if a4 is not None else zero
-        _check_lengths(self, a2, a4)
-        return GradedClass._exact(self, _integers(as_fraction(a0), a2, a4, as_fraction(a6)))
+        return GradedClass(self, a0, zero if a2 is None else a2, zero if a4 is None else a4, a6)
 
     def zero(self) -> "GradedClass":
         return self.graded()
@@ -253,8 +245,12 @@ class GradedClass(Record):
         # Separate from `__init__` because bench/tracing.py counts checked
         # constructions through this name; `_exact` skips both.
         a2, a4 = as_vector(a2), as_vector(a4)
-        _check_lengths(self.ring, a2, a4)
-        vars(self)["_ints"] = _integers(as_fraction(a0), a2, a4, as_fraction(a6))
+        rho = self.ring.rho
+        if len(a2) != rho or len(a4) != rho:
+            raise LatticeValidationError(f"class has {len(a2)}/{len(a4)} coordinates, ring has rho={rho}")
+        # Over the lcm of the denominators, so already coprime.
+        nums, den = over_common_denominator((as_fraction(a0), *a2, *a4, as_fraction(a6)))
+        vars(self)["_ints"] = den, nums[0], tuple(nums[1:rho + 1]), tuple(nums[rho + 1:-1]), nums[-1]
 
     @classmethod
     def _exact(cls, ring, ints: tuple) -> "GradedClass":
@@ -325,13 +321,6 @@ class GradedClass(Record):
 
 def _fractions(nums, den: int) -> tuple[Fraction, ...]:
     return tuple([Fraction(n, den) for n in nums])
-
-
-def _integers(a0: Fraction, a2: tuple, a4: tuple, a6: Fraction) -> tuple:
-    """The `_ints` form of `Fraction` coefficients (over their lcm, so already coprime)."""
-    nums, den = over_common_denominator((a0, *a2, *a4, a6))
-    rho = len(a2)
-    return den, nums[0], tuple(nums[1:rho + 1]), tuple(nums[rho + 1:-1]), nums[-1]
 
 
 def _reduced(ring, den: int, n0: int, n2: list, n4: list, n6: int) -> GradedClass:

@@ -60,15 +60,15 @@ class SchubertElement:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        if not isinstance(n, int) or n < 2:
+        if type(n) is not int or n < 2:
             raise LatticeValidationError(f"G(2,n) needs an integer n >= 2, got {n!r}")
         self.n = n
         clean: dict[tuple[int, int], int] = {}
         for key, coeff in (terms or {}).items():
             a, b = key
-            if not isinstance(coeff, int):
+            if type(coeff) is not int:
                 raise LatticeValidationError(f"coefficient of sigma{key} must be an integer")
-            if not (isinstance(a, int) and isinstance(b, int) and n - 2 >= a >= b >= 0):
+            if not (type(a) is int and type(b) is int and n - 2 >= a >= b >= 0):
                 raise LatticeValidationError(
                     f"partition {key} does not fit the 2x{n - 2} box of G(2,{n})"
                 )
@@ -104,7 +104,7 @@ class SchubertElement:
         return self + (-other)
 
     def scale(self, factor: int) -> "SchubertElement":
-        if not isinstance(factor, int):
+        if type(factor) is not int:
             raise LatticeValidationError("Schubert coefficients stay integral: scale by an int")
         return SchubertElement(self.n, {k: factor * v for k, v in self.terms.items()})
 
@@ -121,7 +121,7 @@ class SchubertElement:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "SchubertElement":
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise LatticeValidationError("powers must be non-negative integers")
         # Write self = c sigma_(0,0) + N.  N^k vanishes above dim G(2,n) =
         # 2(n-2), so the binomial sum stops there whatever the exponent.
@@ -162,7 +162,7 @@ def pieri_mult(x: SchubertElement, k: int) -> SchubertElement:
     with m1 >= l1 >= m2 >= l2 and m1 + m2 = l1 + l2 + k: the strip adds
     at most one box per column, so it cannot wrap to a third row.
     """
-    if not isinstance(k, int) or not (0 <= k <= x.n - 2):
+    if type(k) is not int or not (0 <= k <= x.n - 2):
         raise LatticeValidationError(f"sigma_k needs 0 <= k <= {x.n - 2} on G(2,{x.n}), got {k}")
     out: dict[tuple[int, int], int] = {}
     for (l1, l2), coeff in x.terms.items():
@@ -208,7 +208,7 @@ def integrate(x: SchubertElement) -> int:
 
 def euler_char_g2n(n: int) -> int:
     """Euler characteristic of G(2,n): its Schubert-cell count C(n,2)."""
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         raise LatticeValidationError(f"G(2,n) needs an integer n >= 2, got {n!r}")
     return comb(n, 2)
 
@@ -241,9 +241,9 @@ def top_chern_sym_dual_tautological(n: int, k: int) -> int:
     >>> top_chern_sym_dual_tautological(6, 7)   # lines on a septic fourfold
     698005
     """
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         raise LatticeValidationError(f"G(2,n) needs an integer n >= 2, got {n!r}")
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise LatticeValidationError(f"symmetric power needs k >= 0, got {k!r}")
     if k + 1 != 2 * (n - 2):
         return 0

@@ -60,6 +60,13 @@ def test_chern_data_rejects_bool_rank():
         ChernData(ring=quintic_ring(), rank=True, c1=(0,), c2=(0,), c3=0)
 
 
+def test_chern_data_refuses_a_bare_string_of_labels():
+    with pytest.raises(LatticeValidationError) as error:
+        ChernData(ring=quintic_ring(), rank=1, c1=(0,), c2=(0,), c3=0, labels="E1")
+    assert str(error.value) == "labels must be a sequence of strings, got 'E1'"
+    assert ChernData(ring=quintic_ring(), rank=1, c1=(0,), c2=(0,), c3=0, labels=["E1"]).labels == ("E1",)
+
+
 def test_chern_character_of_hyperplane_bundle():
     ring = quintic_ring()
     ch = chern_character(line_bundle(ring, (1,)))

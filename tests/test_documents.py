@@ -2,6 +2,7 @@
 
 import copy
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -467,6 +468,37 @@ def test_registry_entry_fields_are_typed(tmp_path, change, message):
     with pytest.raises(DocumentError) as info:
         load_registry(path)
     assert str(info.value) == f"{path}.entries[1].{message}"
+
+
+def random_entry(rng, index):
+    """A valid CDEntry with every field drawn at random."""
+    provenance = rng.choice(["line-bundle-rule", "skyscraper-rule", "degeneration", "closure",
+                             "registry-constant"])
+    value = rng.choice([None, rng.randint(-10**6, 10**6), int("9" * 1000)])
+    if provenance == "degeneration" and value is not None:
+        value = abs(value)
+    return CDEntry(
+        key=f"m{index}:{rng.choice(['a', 'b|c', 'ü'])}",
+        manifold=rng.choice(["quintic", "cp3-quartic", ""]),
+        vector_desc=rng.choice(["m(L)", "(2, (0), -2)", "x\ny"]),
+        provenance=provenance,
+        value=value,
+        symbol=rng.choice(["chi(M_3)", "N"]) if value is None else None,
+        exceptional=rng.random() < 0.5,
+        sign_note=rng.choice([None, "symbolic", ""]),
+        constraint=rng.choice([None, "k > k0"]),
+        parents=rng.choice([None, ("a", "b"), ["x", "x"]]),
+        citation=rng.choice([None, "a citation"]),
+    )
+
+
+def test_registry_save_load_round_trip_on_random_registries(tmp_path):
+    rng = random.Random(1313)
+    path = tmp_path / "registry.json"
+    for _ in range(200):
+        registry = CDRegistry(random_entry(rng, i) for i in range(rng.randint(0, 6)))
+        save_registry(path, registry)
+        assert load_registry(path).entries() == registry.entries()
 
 
 def test_an_absent_exceptional_flag_loads_as_false(tmp_path):

@@ -65,8 +65,10 @@ def test_validate_flag_echo_of_obstruction_assertion():
 
 
 def test_flag_section_length_checked():
-    with pytest.raises(LatticeValidationError):
-        FlagDescriptor(ring=quintic_ring(), s_coords=(1, 0))
+    for s_coords in ((1, 0), ()):
+        with pytest.raises(LatticeValidationError) as error:
+            FlagDescriptor(ring=quintic_ring(), s_coords=s_coords)
+        assert str(error.value) == "section class length must match rho"
 
 
 def test_obstruction_kernel_trivial_for_quartic():

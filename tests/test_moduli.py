@@ -332,16 +332,47 @@ def test_cd_entry_validation():
         )
     with pytest.raises(LatticeValidationError, match="negative"):
         CDEntry(key="x", manifold="x", vector_desc="x", provenance="degeneration", value=-3)
-    with pytest.raises(LatticeValidationError, match="integers"):
-        CDEntry(key="x", manifold="x", vector_desc="x", provenance="closure", value=Fraction(1))
-    with pytest.raises(LatticeValidationError, match="integers"):
-        CDEntry(key="x", manifold="x", vector_desc="x", provenance="closure", value=True)
+    for value in (Fraction(1), True):
+        with pytest.raises(LatticeValidationError) as info:
+            CDEntry(key="x", manifold="x", vector_desc="x", provenance="closure", value=value)
+        assert str(info.value) == f"CD entry value: expected an integer or null, got {value!r}"
     for value in (10**1000, -(10**1000)):
         with pytest.raises(LatticeValidationError, match="more than 1000 digits"):
             CDEntry(key="x", manifold="x", vector_desc="x", provenance="closure", value=value)
     for value in (10**1000 - 1, -(10**1000) + 1):
         assert CDEntry(key="x", manifold="x", vector_desc="x", provenance="closure",
                        value=value).value == value
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"exceptional": "yes"}, "CD entry exceptional: expected true or false, got 'yes'"),
+        ({"parents": ("a",)}, "CD entry parents: expected an array of two strings, got ('a',)"),
+        ({"value": None, "symbol": 5}, "CD entry symbol: expected a string or null, got 5"),
+        ({"key": 7}, "CD entry key: expected a string, got 7"),
+        ({"sign_note": 3}, "CD entry sign_note: expected a string or null, got 3"),
+    ],
+    ids=["exceptional", "parents", "symbol", "key", "sign_note"],
+)
+def test_cd_entry_refuses_what_the_registry_cannot_read_back(change, message):
+    fields = dict(key="x", manifold="x", vector_desc="x", provenance="closure", value=1)
+    with pytest.raises(LatticeValidationError) as info:
+        CDEntry(**{**fields, **change})
+    assert str(info.value) == message
+
+
+def test_cd_entry_stores_parents_as_a_tuple():
+    entry = CDEntry(key="x", manifold="x", vector_desc="x", provenance="closure", value=1,
+                    parents=["a", "b"])
+    assert entry.parents == ("a", "b")
+
+
+def test_cd_degeneration_refuses_a_bool():
+    flag = cp3_quartic_flag()
+    for chi in (True, False):
+        with pytest.raises(LatticeValidationError, match="must be an integer or a symbolic name"):
+            cd_degeneration(CDRegistry(), flag, instanton_type(flag.ring), chi)
 
 
 # --------------------------------------------------------------------------

@@ -98,8 +98,10 @@ def test_k3_pairing_is_symmetric():
 
 def test_k3_pairing_rank_mismatch():
     k3 = cp3_quartic_flag().k3
-    with pytest.raises(LatticeValidationError):
-        mukai_pairing_k3(k3, K3Vector(1, (0, 0), 0), K3Vector(1, (0,), 0))
+    for u, v, size in (((0, 0), (0,), 2), ((0,), (), 0)):
+        with pytest.raises(LatticeValidationError) as error:
+            mukai_pairing_k3(k3, K3Vector(1, u, 0), K3Vector(1, v, 0))
+        assert str(error.value) == f"vector has {size} coordinates, lattice has rank 1"
 
 
 # --------------------------------------------------------------------------

@@ -243,8 +243,25 @@ def test_k3_vector_rank_mismatch():
 
 def test_graded_class_wrong_length_rejected():
     ring = synthetic_ring()
-    with pytest.raises(LatticeValidationError):
+    with pytest.raises(LatticeValidationError) as error:
         GradedClass(ring, Fraction(1), (Fraction(1),), (Fraction(0), Fraction(0)), Fraction(0))
+    assert str(error.value) == "class has 1/2 coordinates, ring has rho=2"
+    for a2, a4, message in (
+        ((1,), None, "class has 1/2 coordinates, ring has rho=2"),
+        (None, (1, 2, 3), "class has 2/3 coordinates, ring has rho=2"),
+        ((), (), "class has 0/0 coordinates, ring has rho=2"),
+    ):
+        with pytest.raises(LatticeValidationError) as error:
+            ring.graded(a0=1, a2=a2, a4=a4)
+        assert str(error.value) == message
+
+
+def test_ring_refuses_a_bare_string_of_labels():
+    base = dict(triple=(((0, 0), (0, 0)), ((0, 0), (0, 0))), c1_coords=(1, 0), c2_values=(0, 0))
+    with pytest.raises(LatticeValidationError) as error:
+        ThreefoldRing(name="ab", basis_labels="ab", **base, chi_top=0, h12=0)
+    assert str(error.value) == "basis labels must be a sequence of strings, got 'ab'"
+    assert ThreefoldRing(name="ab", basis_labels=["a", "b"], **base, chi_top=0, h12=0).rho == 2
 
 
 def test_ring_rejects_bool_chi_top_and_h12():

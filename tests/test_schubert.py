@@ -22,6 +22,26 @@ from mukai import (
 from mukai.cli import MAX_N
 
 
+def test_bool_is_not_an_integer():
+    x = sigma(4, 1)
+    for call in (
+        lambda: x.scale(True),
+        lambda: x * True,
+        lambda: True * x,
+        lambda: x ** True,
+        lambda: SchubertElement(4, {(1, 0): True}),
+        lambda: SchubertElement(True, {}),
+        lambda: sigma(4, True),
+        lambda: sigma(4, 1, False),
+        lambda: pieri_mult(x, True),
+        lambda: euler_char_g2n(True),
+        lambda: top_chern_sym_dual_tautological(3, True),
+        lambda: top_chern_sym_dual_tautological(True, 1),
+    ):
+        with pytest.raises(LatticeValidationError):
+            call()
+
+
 def strip_oracle(n, terms, k):
     """Independent Pieri rule straight from the horizontal-strip definition."""
     out = {}
