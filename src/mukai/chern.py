@@ -50,15 +50,9 @@ class ChernData(Record):
     c1: tuple[Fraction, ...]
     c2: tuple[Fraction, ...]
     c3: Fraction
-    labels: tuple[str, ...]
-
-    def __init__(self, ring, rank, c1, c2, c3, labels=()):
-        vars(self).update(ring=ring, rank=rank, c1=c1, c2=c2, c3=c3, labels=labels)
-        self.__post_init__()
+    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        # Separate from `__init__` because bench/tracing.py counts constructions
-        # through this name.
         if isinstance(self.rank, bool) or not isinstance(self.rank, int) or self.rank < 1:
             raise LatticeValidationError(f"rank must be a positive integer, got {self.rank!r}")
         if isinstance(self.labels, str):
@@ -196,9 +190,6 @@ class MukaiVector(Record):
 
     graded: GradedClass
     normalization: str
-
-    def __init__(self, graded, normalization):
-        vars(self).update(graded=graded, normalization=normalization)
 
     @property
     def ring(self) -> ThreefoldRing:

@@ -67,25 +67,12 @@ class FlagDescriptor(Record):
 
     ring: ThreefoldRing
     s_coords: tuple[Fraction, ...]
-    h1_ty: int | None
-    h0_normal: int | None
-    first_obstruction_vanishes: bool | None
-
-    def __init__(
-        self, ring, s_coords, h1_ty=None, h0_normal=None, first_obstruction_vanishes=None
-    ):
-        vars(self).update(
-            ring=ring,
-            s_coords=s_coords,
-            h1_ty=h1_ty,
-            h0_normal=h0_normal,
-            first_obstruction_vanishes=first_obstruction_vanishes,
-        )
-        self.__post_init__()
+    h1_ty: int | None = None
+    h0_normal: int | None = None
+    first_obstruction_vanishes: bool | None = None
 
     def __post_init__(self):
-        # Separate from `__init__` because bench/tracing.py counts constructions
-        # through this name.  `k3` is derived: not a field, so not in ==, hash or repr.
+        # `k3` is derived: not a field, so not in ==, hash or repr.
         # `from_ring` coerces and checks the section class.
         k3 = K3Restriction.from_ring(self.ring, self.s_coords)
         vars(self).update(s_coords=k3.s_coords, k3=k3)
@@ -100,16 +87,10 @@ class FlagCheck(Record):
     passed: bool
     detail: str
 
-    def __init__(self, name, passed, detail):
-        vars(self).update(name=name, passed=passed, detail=detail)
-
 
 class FlagReport(Record):
     flag: FlagDescriptor
     checks: tuple[FlagCheck, ...]
-
-    def __init__(self, flag, checks):
-        vars(self).update(flag=flag, checks=checks)
 
     @property
     def valid(self) -> bool:
@@ -179,9 +160,6 @@ class KernelResult(Record):
     dimension: int
     basis: tuple[tuple[Fraction, ...], ...]
 
-    def __init__(self, dimension, basis):
-        vars(self).update(dimension=dimension, basis=basis)
-
     def __str__(self):
         rows = ["(" + ", ".join(format_fraction(x) for x in vec) + ")" for vec in self.basis]
         return f"dim {self.dimension}: " + (", ".join(rows) if rows else "trivial")
@@ -211,18 +189,7 @@ class GluingDescriptor(Record):
     matrix: tuple[tuple[Fraction, ...], ...]
     section_class_d: tuple[Fraction, ...]
 
-    def __init__(self, flag_plus, flag_minus, matrix, section_class_d):
-        vars(self).update(
-            flag_plus=flag_plus,
-            flag_minus=flag_minus,
-            matrix=matrix,
-            section_class_d=section_class_d,
-        )
-        self.__post_init__()
-
     def __post_init__(self):
-        # Separate from `__init__` because bench/tracing.py counts constructions
-        # through this name.
         g_plus = self.flag_plus.k3.gram
         g_minus = self.flag_minus.k3.gram
         if g_plus != g_minus:
@@ -311,9 +278,6 @@ class DeformationDims(Record):
     case: str
     h0_sections: Fraction | None
     note: str
-
-    def __init__(self, value, case, h0_sections, note):
-        vars(self).update(value=value, case=case, h0_sections=h0_sections, note=note)
 
 
 def deformation_dims(

@@ -68,9 +68,6 @@ class Cy3ModuliReport(Record):
     chi_self: Fraction
     note: str | None
 
-    def __init__(self, value, chi_self, note):
-        vars(self).update(value=value, chi_self=chi_self, note=note)
-
 
 def vdim_cy3(ring: ThreefoldRing, e: ChernData) -> Cy3ModuliReport:
     """Virtual dimension of simple-bundle moduli on a Calabi-Yau: always 0.
@@ -105,15 +102,6 @@ class Nonemptiness(Record):
     primitive: bool | None
     component_gcd: int | None
     note: str
-
-    def __init__(self, nonempty, square, primitive, component_gcd, note):
-        vars(self).update(
-            nonempty=nonempty,
-            square=square,
-            primitive=primitive,
-            component_gcd=component_gcd,
-            note=note,
-        )
 
     def __bool__(self) -> bool:
         return self.nonempty
@@ -154,9 +142,6 @@ class BogomolovReport(Record):
     value: Fraction
     positive: bool
     note: str | None
-
-    def __init__(self, delta, value, positive, note):
-        vars(self).update(delta=delta, value=value, positive=positive, note=note)
 
     def __iter__(self):
         return iter((self.delta, self.value, self.positive))
@@ -249,49 +234,24 @@ class CDEntry(Record):
     manifold: str
     vector_desc: str
     provenance: str
-    value: int | None
-    symbol: str | None
-    exceptional: bool
-    sign_note: str | None
-    constraint: str | None
-    parents: tuple[str, str] | None
-    citation: str | None
+    value: int | None = None
+    symbol: str | None = None
+    exceptional: bool = False
+    sign_note: str | None = None
+    constraint: str | None = None
+    parents: tuple[str, str] | None = None
+    citation: str | None = None
 
-    def __init__(
-        self,
-        key,
-        manifold,
-        vector_desc,
-        provenance,
-        value=None,
-        symbol=None,
-        exceptional=False,
-        sign_note=None,
-        constraint=None,
-        parents=None,
-        citation=None,
-    ):
-        fields = dict(
-            key=key,
-            manifold=manifold,
-            vector_desc=vector_desc,
-            provenance=provenance,
-            value=value,
-            symbol=symbol,
-            exceptional=exceptional,
-            sign_note=sign_note,
-            constraint=constraint,
-            parents=parents,
-            citation=citation,
-        )
+    def __post_init__(self):
         for name, allowed, phrase in CD_FIELD_RULES:
-            if not allowed(fields[name]):
-                raise LatticeValidationError(f"CD entry {name}: {phrase}, got {fields[name]!r}")
+            if not allowed(vars(self)[name]):
+                raise LatticeValidationError(f"CD entry {name}: {phrase}, got {vars(self)[name]!r}")
+        provenance, value = self.provenance, self.value
         if provenance not in _PROVENANCES:
             raise LatticeValidationError(
                 f"unknown provenance {provenance!r}; expected one of {_PROVENANCES}"
             )
-        if (value is None) == (symbol is None):
+        if (value is None) == (self.symbol is None):
             raise LatticeValidationError("exactly one of value/symbol must be set")
         if value is not None and not -INT_BOUND < value < INT_BOUND:
             raise LatticeValidationError(f"CD value has more than {MAX_DIGITS} digits")
@@ -299,7 +259,8 @@ class CDEntry(Record):
             raise LatticeValidationError(
                 "degeneration entries are absolute Euler characteristics and cannot be negative"
             )
-        vars(self).update(fields, parents=None if parents is None else tuple(parents))
+        if self.parents is not None:
+            vars(self)["parents"] = tuple(self.parents)
 
     @property
     def display_value(self) -> str:
@@ -483,10 +444,7 @@ class Constant(Record):
     name: str
     value: int | None
     citation: str
-    note: str
-
-    def __init__(self, name, value, citation, note=""):
-        vars(self).update(name=name, value=value, citation=citation, note=note)
+    note: str = ""
 
 
 class ConstantsRegistry:

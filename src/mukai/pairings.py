@@ -41,10 +41,7 @@ class PairingResult(Record):
     """An exact pairing value plus an optional integrality note."""
 
     value: Fraction
-    integrality_note: str | None
-
-    def __init__(self, value, integrality_note=None):
-        vars(self).update(value=value, integrality_note=integrality_note)
+    integrality_note: str | None = None
 
 
 class HDeclaration(Record):
@@ -59,10 +56,9 @@ class HDeclaration(Record):
     e2: ChernData
     value: int
 
-    def __init__(self, e1, e2, value):
-        if isinstance(value, bool) or not isinstance(value, int):
+    def __post_init__(self):
+        if isinstance(self.value, bool) or not isinstance(self.value, int):
             raise LatticeValidationError("a declared h value must be an integer")
-        vars(self).update(e1=e1, e2=e2, value=value)
 
 
 def _as_graded(u) -> GradedClass:
@@ -174,14 +170,6 @@ class RestrictionResult(Record):
     delta: GradedClass
     degree2_matches: bool
     degree4_matches: bool
-
-    def __init__(self, vector, delta, degree2_matches, degree4_matches):
-        vars(self).update(
-            vector=vector,
-            delta=delta,
-            degree2_matches=degree2_matches,
-            degree4_matches=degree4_matches,
-        )
 
     @property
     def note(self) -> str:

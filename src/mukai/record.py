@@ -1,17 +1,29 @@
 """Immutable value records: the package's replacement for frozen dataclasses.
 
-A subclass of `Record` lists its fields as class annotations, in order,
-and gets value equality (same class only), a hash of the field values,
-the `Name(field=value, ...)` repr and immutability: assigning or deleting
-any attribute raises `AttributeError`.  Nothing is generated at class
+A subclass of `Record` declares its fields once, as class annotations in
+order, and a field's default as the class attribute of the same name.  It
+gets a constructor taking the fields by position or keyword, value
+equality (same class only), a hash of the field values, the
+`Name(field=value, ...)` repr and immutability: assigning or deleting any
+attribute raises `AttributeError`.  Nothing is generated at class
 creation, so defining a record costs no more than defining a class.
 
-Each record writes its own `__init__`, with the fields as parameters in
-field order (defaults go there too), and stores the values with
-`vars(self).update(...)`; a record that coerces or validates its input
-does so there.  Attributes that are not annotated (caches, derived
-values) are stored the same way and take no part in `==`, `hash` or
-`repr`.
+The constructor stores the values, then calls `__post_init__`, where a
+record checks its fields or coerces them with `vars(self).update(...)`.
+Attributes that are not annotated (caches, derived values) are stored the
+same way and take no part in `==`, `hash` or `repr`.
+
+>>> class Interval(Record):
+...     low: int
+...     high: int = 0
+...     def __post_init__(self):
+...         if self.low > self.high:
+...             raise ValueError("empty interval")
+>>> Interval(-1), Interval(1, high=2) == Interval(high=2, low=1)
+(Interval(low=-1, high=0), True)
+>>> Interval(1)
+Traceback (most recent call last):
+ValueError: empty interval
 """
 
 from __future__ import annotations
@@ -26,6 +38,33 @@ class Record:
         super().__init_subclass__(**kwargs)
         # A subclass of a record keeps its base's fields first, as dataclasses do.
         cls._fields += tuple(name for name in cls.__annotations__ if name not in cls._fields)
+        cls._field_set = frozenset(cls._fields)
+
+    def __init__(self, *args, **values):
+        fields = self._fields
+        if args:
+            if len(args) > len(fields):
+                raise TypeError(f"{type(self).__name__}() takes at most {len(fields)} positional arguments")
+            for name in fields[:len(args)] if values else ():
+                if name in values:
+                    raise TypeError(f"{type(self).__name__}() got multiple values for argument {name!r}")
+            values.update(zip(fields, args))
+        if values.keys() != self._field_set:
+            cls = type(self)
+            for name in values:
+                if name not in cls._field_set:
+                    raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+            # A missing field takes its default, the class attribute of the same name.
+            for name in fields:
+                if name not in values:
+                    if not hasattr(cls, name):
+                        raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+                    values[name] = getattr(cls, name)
+        vars(self).update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

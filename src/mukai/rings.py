@@ -412,7 +412,7 @@ class K3Restriction(Record):
                     raise LatticeValidationError(f"gram matrix not symmetric at ({i},{j})")
         s_coords = as_vector(s_coords)
         if len(s_coords) != len(gram):
-            raise LatticeValidationError("section class length must match gram rank")
+            raise LatticeValidationError("section class length must match rho")
         self._store(gram, s_coords, *over_common_denominator([x for row in gram for x in row]))
 
     def _store(self, gram, s_coords, flat: list[int], den: int) -> None:
@@ -469,8 +469,8 @@ class K3Vector(Record):
     v2: tuple[Fraction, ...]
     v4: Fraction
 
-    def __init__(self, v0, v2, v4):
-        vars(self).update(v0=as_fraction(v0), v2=as_vector(v2), v4=as_fraction(v4))
+    def __post_init__(self):
+        vars(self).update(v0=as_fraction(self.v0), v2=as_vector(self.v2), v4=as_fraction(self.v4))
 
     def __add__(self, other: "K3Vector") -> "K3Vector":
         if len(self.v2) != len(other.v2):

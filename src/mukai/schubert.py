@@ -65,7 +65,10 @@ class SchubertElement:
         self.n = n
         clean: dict[tuple[int, int], int] = {}
         for key, coeff in (terms or {}).items():
-            a, b = key
+            try:
+                a, b = key
+            except (TypeError, ValueError):
+                a = b = None
             if type(coeff) is not int:
                 raise LatticeValidationError(f"coefficient of sigma{key} must be an integer")
             if not (type(a) is int and type(b) is int and n - 2 >= a >= b >= 0):
@@ -261,14 +264,6 @@ class FourLinesCount(Record):
     part_descriptions: tuple[str, str]
     total: int
     schubert_total: int
-
-    def __init__(self, parts, part_descriptions, total, schubert_total):
-        vars(self).update(
-            parts=parts,
-            part_descriptions=part_descriptions,
-            total=total,
-            schubert_total=schubert_total,
-        )
 
     @property
     def consistent(self) -> bool:

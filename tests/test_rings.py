@@ -219,6 +219,12 @@ def test_restriction_rejects_asymmetric_gram():
         K3Restriction(gram=((0, 1), (0, 0)), s_coords=(1, 0))
 
 
+def test_restriction_section_length_has_one_wording():
+    with pytest.raises(LatticeValidationError) as error:
+        K3Restriction(((1, 0), (0, 1)), (1,))
+    assert str(error.value) == "section class length must match rho"
+
+
 def test_restrict_to_k3_drops_degree_six():
     ring = synthetic_ring()
     k3 = K3Restriction.from_ring(ring, (1, 0))

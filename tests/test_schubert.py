@@ -87,6 +87,13 @@ def test_element_validation():
         sigma(4, 1) ** -1
 
 
+@pytest.mark.parametrize("key", [(1,), 5, (1, 2, 3)], ids=["short", "int", "long"])
+def test_keys_that_are_not_pairs_are_refused(key):
+    with pytest.raises(LatticeValidationError) as error:
+        SchubertElement(4, {key: 1})
+    assert str(error.value) == f"partition {key} does not fit the 2x2 box of G(2,4)"
+
+
 def test_powers_above_the_dimension_vanish_without_looping():
     zero = SchubertElement(5, {})
     x = sigma(5, 1) + 3 * sigma(5, 2, 1)
