@@ -9,6 +9,8 @@ survives as exactly that.  The Chern character and its inverse
 are read off the ring's truncated exponential e^{c1}, which differs from
 ch only by the terms in c2 and c3.  Each `ChernData` computes its
 character once, on first use, and keeps it out of `==`, `hash` and `repr`.
+Each ring keeps td and sqrt(td) once, as fixed factors (see `rings`), so a
+Mukai vector is a rho^2 product.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from fractions import Fraction
 from .errors import LatticeValidationError
 from .rational import as_fraction, as_vector, dot, is_integral
 from .record import Record
-from .rings import GradedClass, K3Restriction, K3Vector, ThreefoldRing, restrict_to_k3
+from .rings import (
+    GradedClass, K3Restriction, K3Vector, ThreefoldRing, _fixed_factor, _times_fixed, restrict_to_k3,
+)
 
 __all__ = [
     "ChernData",
@@ -134,22 +138,27 @@ def chern_sum(e1: ChernData, e2: ChernData) -> ChernData:
     return chern_from_character(e1.ring, total, e1.labels + e2.labels)
 
 
-def _per_ring(ring: ThreefoldRing, key: str, compute) -> GradedClass:
-    """A class computed once per ring and kept there as its integer form.
+def _per_ring(ring: ThreefoldRing, key: str, compute) -> tuple:
+    """A class computed once per ring and kept there as a fixed factor.
 
-    Only the `_ints` tuple is kept, never the class: a class points back
-    at its ring, and that cycle would keep every ring alive until a full
-    GC pass.  A read wraps the tuple, with no `Fraction` made.
+    Only integers are kept, the class's `_ints` tuple and its rows (see
+    `rings._fixed_factor`), never the class: a class points back at its
+    ring, and that cycle would keep every ring alive until a full GC pass.
     """
-    ints = ring._cache.get(key)
-    if ints is None:
-        ints = ring._cache[key] = compute(ring)._ints
-    return GradedClass._exact(ring, ints)
+    fixed = ring._cache.get(key)
+    if fixed is None:
+        fixed = ring._cache[key] = _fixed_factor(compute(ring))
+    return fixed
+
+
+def _todd_factor(ring: ThreefoldRing) -> tuple:
+    """The Todd class of `ring` as a fixed factor, for the Euler form."""
+    return _per_ring(ring, "todd", _todd)
 
 
 def todd_class(ring: ThreefoldRing) -> GradedClass:
     """Todd class 1 + c1/2 + (c1^2 + c2)/12 + (c1 c2)/24 of the tangent bundle."""
-    return _per_ring(ring, "todd", _todd)
+    return GradedClass._exact(ring, _todd_factor(ring)[0])
 
 
 def _todd(ring: ThreefoldRing) -> GradedClass:
@@ -211,7 +220,8 @@ def mukai_vector(e: ChernData) -> MukaiVector:
     that care can consult `is_integral`.
     """
     ring = e.ring
-    graded = chern_character(e) * _per_ring(ring, "sqrt_todd", lambda r: sqrt_series(todd_class(r)))
+    sqrt_todd = _per_ring(ring, "sqrt_todd", lambda r: sqrt_series(todd_class(r)))
+    graded = _times_fixed(chern_character(e), sqrt_todd)
     tag = "cy3-full-todd" if ring.is_calabi_yau else "fano-full-todd"
     return MukaiVector(graded=graded, normalization=tag)
 

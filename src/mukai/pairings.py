@@ -2,9 +2,13 @@
 
 The threefold pairing (u, v) = -[star(v) . u]_6 is skew; the K3 pairing
 (u, v) = u2.G.v2 - u0 v4 - u4 v0 is symmetric.  The Euler form chi is
-computed by Riemann-Roch-Hirzebruch from topological types alone, so it
-agrees with the alternating Ext sum whenever the input data comes from
-honest bundles, and is an exact rational either way.
+computed by Riemann-Roch-Hirzebruch (Fulton, *Intersection Theory*,
+ch. 15) from topological types alone, so it agrees with the alternating
+Ext sum whenever the input data comes from honest bundles, and is an exact
+rational either way.  With td fixed per ring, chi(E1, E2) is a bilinear
+form in the two characters: the H^2 parts pair through the ring's integer
+matrix M[j][k] = D sum_i d[i][j][k] td2[i], and every other term is a
+product of scalars or one dot product, so no cup product is formed.
 """
 
 from __future__ import annotations
@@ -12,14 +16,12 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 
-from .chern import (
-    ChernData, MukaiVector, chern_character, k3_mukai_vector, mukai_vector, todd_class,
-)
+from .chern import ChernData, MukaiVector, _todd_factor, chern_character, k3_mukai_vector, mukai_vector
 from .errors import IntegralityWarning, LatticeValidationError
 from .flags import FlagDescriptor, require_isometry
 from .rational import as_vector, format_fraction, mat_vec
 from .record import Record
-from .rings import GradedClass, K3Restriction, K3Vector, star, top_degree
+from .rings import GradedClass, K3Restriction, K3Vector, _top_times_fixed, star, top_degree
 
 __all__ = [
     "PairingResult",
@@ -101,12 +103,18 @@ def euler_chi(e1: ChernData, e2: ChernData) -> Fraction:
 def euler_chi_result(e1: ChernData, e2: ChernData) -> PairingResult:
     """Euler form packaged with its integrality note, for reporting.
 
+    By Riemann-Roch-Hirzebruch chi(E1, E2) = [ch(E2) . ch(E1)^v . td]_6
+    (Fulton, *Intersection Theory*, ch. 15), with ch(E1)^v = star(ch(E1)).
+    It is computed as a bilinear form in the two characters, x2^T M y2 plus
+    terms of order rho, M being the ring's integer matrix of td (kept once
+    per ring), so it costs rho^2 and no cup product.
+
     The note is set, and `euler_chi` warns with it, when both inputs have
     integral Chern data but the value is fractional.
     """
     if e1.ring != e2.ring:
         raise LatticeValidationError("Euler form needs both types on the same ring")
-    value = top_degree(chern_character(e2) * star(chern_character(e1)), todd_class(e1.ring))
+    value = _top_times_fixed(chern_character(e2), star(chern_character(e1)), _todd_factor(e1.ring))
     note = None
     if value.denominator != 1 and e1.is_integral and e2.is_integral:
         note = (

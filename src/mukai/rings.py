@@ -32,6 +32,13 @@ the rho^3 loop in `int` and one gcd to reduce; the `Fraction` coefficients
 are made only when they are read.  `K3Restriction` keeps integers over one
 denominator too, so restriction and its dot products are integer sums.
 
+The cup product is one rho^3 loop, the square term of x2 and y2.  When y is
+fixed per ring (td and sqrt(td)), the library keeps y as a fixed factor: its
+integers and the rho^2 rows R[i][j] = D sum_k d[i][j][k] y2[k], one rho^3
+pass made once.  Multiplying by y then costs rho^2, and so does an integral
+[x . z . y]_6, whose square term is the bilinear form x2^T R z2 (d is
+symmetric).  `ring_multiply` stays the one general product.
+
 Elements are immutable `GradedClass` values supporting +, -, scalar
 multiplication and the cup product; `star` is the degree involution that
 negates H^2 and H^6.  `K3Restriction` carries the rank-rho Gram matrix of
@@ -195,6 +202,19 @@ class ThreefoldRing(Record):
         outer = [a * b for a in u for b in v]
         return [sum(map(mul, outer, plane)) for plane in self._planes]
 
+    def _rows(self, v: list[int]) -> tuple[tuple[int, ...], ...]:
+        """The rho^2 integers R[i][j] = D sum_k d[i][j][k] v[k] of a fixed H^2 vector v.
+
+        Row i dotted with u is `_square(u, v)[i]`, so a product by v costs
+        rho^2 once R is kept.  As d is symmetric, R is also the matrix of
+        the form (u, w) -> D sum_i v[i] (u w)_4[i].
+        """
+        rho = len(v)
+        return tuple([
+            tuple([sum(map(mul, plane[j:j + rho], v)) for j in range(0, rho * rho, rho)])
+            for plane in self._planes
+        ])
+
     def cubic(self, u, v, w) -> Fraction:
         """Triple intersection number of three degree-2 coordinate vectors."""
         (u, du), (v, dv), (w, dw) = (over_common_denominator(self._vector(x)) for x in (u, v, w))
@@ -352,14 +372,56 @@ def ring_multiply(x: GradedClass, y: GradedClass) -> GradedClass:
     is exactly the Poincare pairing.
     """
     x._check_same_ring(y)
-    ring = x.ring
-    dx, x0, x2, x4, x6 = x._ints
-    dy, y0, y2, y4, y6 = y._ints
+    return _product(x.ring, x._ints, y._ints, x.ring._square(x._ints[2], y._ints[2]))
+
+
+def _product(ring: ThreefoldRing, x: tuple, y: tuple, square: list[int]) -> GradedClass:
+    """The product of two `_ints` tuples, given the integer square term of x2 and y2."""
+    dx, x0, x2, x4, x6 = x
+    dy, y0, y2, y4, y6 = y
     d = ring._den
     n2 = [(x0 * b + y0 * a) * d for a, b in zip(x2, y2)]
-    n4 = [(x0 * b + y0 * a) * d + c for a, b, c in zip(x4, y4, ring._square(x2, y2))]
+    n4 = [(x0 * b + y0 * a) * d + c for a, b, c in zip(x4, y4, square)]
     top = _top_numerator(x0, x2, x4, x6, y0, y2, y4, y6)
     return _reduced(ring, dx * dy * d, x0 * y0 * d, n2, n4, top * d)
+
+
+def _fixed_factor(y: GradedClass) -> tuple:
+    """A class kept for repeated products: (y._ints, the `_rows` of y2), integers only.
+
+    One rho^3 pass; each product by y, or integral against it, then costs rho^2.
+    """
+    return y._ints, y.ring._rows(y._ints[2])
+
+
+def _times_fixed(x: GradedClass, fixed: tuple) -> GradedClass:
+    """x . y for a fixed factor y of x's ring, the square term read off y's rows."""
+    ints, rows = fixed
+    x2 = x._ints[2]
+    return _product(x.ring, x._ints, ints, [sum(map(mul, row, x2)) for row in rows])
+
+
+def _top_times_fixed(x: GradedClass, y: GradedClass, fixed: tuple) -> Fraction:
+    """Degree-6 part of x . y . t for a fixed factor t, without forming x . y.
+
+    [x y t]_6 = (xy)_0 t6 + t0 (xy)_6 + (xy)_2 . t4 + t2 . (xy)_4, and the
+    only rho^3 term of it, t2 . (x2 y2)_4, is the bilinear form x2^T R y2
+    of t's rows R: so the whole integral costs rho^2.
+    """
+    (dt, t0, t2, t4, t6), rows = fixed
+    dx, x0, x2, x4, x6 = x._ints
+    dy, y0, y2, y4, y6 = y._ints
+    d = x.ring._den
+    xy2 = [x0 * b + y0 * a for a, b in zip(x2, y2)]
+    linear = (
+        x0 * y0 * t6
+        + t0 * _top_numerator(x0, x2, x4, x6, y0, y2, y4, y6)
+        + sum(map(mul, xy2, t4))
+        + x0 * sum(map(mul, t2, y4))
+        + y0 * sum(map(mul, t2, x4))
+    )
+    form = sum(map(mul, x2, [sum(map(mul, row, y2)) for row in rows]))
+    return Fraction(linear * d + form, dx * dy * dt * d)
 
 
 def top_degree(x: GradedClass, y: GradedClass) -> Fraction:
@@ -413,11 +475,12 @@ class K3Restriction(Record):
         s_coords = as_vector(s_coords)
         if len(s_coords) != len(gram):
             raise LatticeValidationError("section class length must match rho")
-        self._store(gram, s_coords, *over_common_denominator([x for row in gram for x in row]))
+        flat, den = over_common_denominator([x for row in gram for x in row])
+        n = len(gram)
+        self._store(gram, s_coords, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)), den)
 
-    def _store(self, gram, s_coords, flat: list[int], den: int) -> None:
-        n, s = len(gram), over_common_denominator(s_coords)
-        rows = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+    def _store(self, gram, s_coords, rows: tuple, den: int) -> None:
+        s = over_common_denominator(s_coords)
         vars(self).update(gram=gram, s_coords=s_coords, _rows=rows, _den=den, _s=s)
 
     @classmethod
@@ -428,13 +491,9 @@ class K3Restriction(Record):
             raise LatticeValidationError("section class length must match rho")
         nums, den = over_common_denominator(s)
         den *= ring._den
-        rho = ring.rho
-        flat = [
-            sum(map(mul, plane[j * rho:(j + 1) * rho], nums)) for plane in ring._planes for j in range(rho)
-        ]
-        gram = tuple(tuple(Fraction(n, den) for n in flat[i * rho:(i + 1) * rho]) for i in range(rho))
+        rows = ring._rows(nums)
         x = object.__new__(cls)
-        x._store(gram, s, flat, den)
+        x._store(tuple(tuple(Fraction(n, den) for n in row) for row in rows), s, rows, den)
         return x
 
     @property

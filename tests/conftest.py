@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from mukai import ChernData, FlagDescriptor, ThreefoldRing
 
-LETTERS = ("A", "B", "C", "D", "E", "F", "G")
+LETTERS = ("A", "B", "C", "D", "E", "F", "G", "H")
 
 
 def quintic_ring() -> ThreefoldRing:
@@ -131,6 +131,30 @@ def random_fano_ring(rng, rho=None) -> ThreefoldRing:
         c2_values=tuple(rng.randint(-20, 40) for _ in range(rho)),
         chi_top=rng.randint(-10, 10),
         h12=rng.randint(0, 20),
+    )
+
+
+def with_denominators(rng, ring) -> ThreefoldRing:
+    """`ring` with its triple, c1 and c2 entries divided by small denominators.
+
+    The triple keeps its symmetry (one denominator per sorted index), and a
+    Calabi-Yau ring stays Calabi-Yau.
+    """
+    dens = {}
+
+    def den(*key):
+        return dens.setdefault(tuple(sorted(key)), rng.choice((1, 1, 2, 3, 4, 6)))
+
+    def divided(values):
+        return tuple(Fraction(x) / rng.choice((1, 1, 2, 3, 5)) for x in values)
+
+    triple = tuple(
+        tuple(tuple(Fraction(x) / den(i, j, k) for k, x in enumerate(row)) for j, row in enumerate(plane))
+        for i, plane in enumerate(ring.triple)
+    )
+    return ThreefoldRing(
+        ring.name, ring.basis_labels, triple, divided(ring.c1_coords), divided(ring.c2_values),
+        ring.chi_top, ring.h12,
     )
 
 

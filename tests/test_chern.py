@@ -9,6 +9,7 @@ import pytest
 
 from mukai import (
     ChernData,
+    FlagDescriptor,
     K3Vector,
     LatticeValidationError,
     ThreefoldRing,
@@ -18,6 +19,7 @@ from mukai import (
     dual_chern,
     euler_chi,
     k3_mukai_vector,
+    mukai_restrict,
     mukai_vector,
     sqrt_series,
     structure_sheaf_chi,
@@ -263,23 +265,31 @@ def test_filled_cache_leaves_ring_equality_hash_and_repr_alone():
 def test_ring_is_freed_with_its_last_reference():
     # A cache that kept classes (which point back at their ring) would
     # form a cycle, and the ring would outlive its last reference until a
-    # full GC pass.
+    # full GC pass.  A flag, its K3 restriction and the restriction
+    # diagnostic must not keep one either.
     enabled = gc.isenabled()
     gc.disable()
     try:
         ring = quintic_ring()
+        flag = FlagDescriptor(ring=ring, s_coords=(1,))
         o = ChernData(ring=ring, rank=1, c1=(0,), c2=(0,), c3=0)
         o1 = ChernData(ring=ring, rank=1, c1=(1,), c2=(0,), c3=0)
         todd, m = todd_class(ring), mukai_vector(o)
-        alive = [weakref.ref(x) for x in (ring, todd, m, m.graded)]
+        restricted = mukai_restrict(flag, o1)
+        alive = [weakref.ref(x) for x in (ring, flag, flag.k3, todd, m, m.graded, restricted.delta)]
         assert m.graded.components() == (1, (0,), (Fraction(25, 12),), 0)
         assert euler_chi(o, o1) == 5
-        # The cache keeps integer tuples only, never a class.
+        # Each kept factor is integers only, never a class: the `_ints`
+        # tuple (den, n0, n2, n4, n6) and the rho x rho rows of its H^2 part,
+        # which for td are also the matrix of the Euler form's square term.
         assert set(ring._cache) == {"todd", "sqrt_todd"}
-        for den, n0, n2, n4, n6 in ring._cache.values():
+        for (den, n0, n2, n4, n6), rows in ring._cache.values():
             assert all(type(n) is int for n in (den, n0, *n2, *n4, n6))
-        del ring, o, o1, todd, m
-        assert [ref() for ref in alive] == [None] * 4
+            assert type(rows) is tuple and len(rows) == ring.rho
+            assert all(type(row) is tuple and len(row) == ring.rho for row in rows)
+            assert all(type(n) is int for row in rows for n in row)
+        del ring, flag, o, o1, todd, m, restricted
+        assert [ref() for ref in alive] == [None] * 7
     finally:
         if enabled:
             gc.enable()

@@ -17,6 +17,7 @@ from mukai import (
     LatticeValidationError,
     ThreefoldRing,
     mukai_vector,
+    structure_sheaf_chi,
 )
 from mukai.documents import (
     builtin_names,
@@ -36,7 +37,14 @@ from mukai.documents import (
     save_registry,
 )
 
-from conftest import cp3_quartic_flag, instanton_type, quintic_ring
+from conftest import (
+    cp3_quartic_flag,
+    instanton_type,
+    quintic_ring,
+    random_cy_ring,
+    random_fano_ring,
+    with_denominators,
+)
 
 
 def quintic_document():
@@ -76,6 +84,49 @@ def test_flag_round_trip():
     assert isinstance(back, FlagDescriptor)
     assert back.s_coords == (4,)
     assert back.k3.gram == ((4,),)
+
+
+def through_json(doc):
+    return json.loads(json.dumps(doc))
+
+
+def random_document_ring(rng):
+    """A Calabi-Yau or Fano ring with rho <= 4 and fractional data; half the
+    Fano rings have c1.c2 = 24, so that their anticanonical flag is valid."""
+    rho = rng.randint(1, 4)
+    if rng.random() < 0.5:
+        return with_denominators(rng, random_cy_ring(rng, rho))
+    ring = with_denominators(rng, random_fano_ring(rng, rho))
+    if rng.random() < 0.5:
+        c1, c2 = ring.c1_coords, list(ring.c2_values)
+        k = next(i for i, a in enumerate(c1) if a)
+        c2[k] = (24 - sum(a * b for i, (a, b) in enumerate(zip(c1, c2)) if i != k)) / c1[k]
+        ring = ThreefoldRing(ring.name, ring.basis_labels, ring.triple, c1, c2, ring.chi_top, ring.h12)
+    return ring
+
+
+def test_documents_round_trip_through_json_on_random_rings_and_flags():
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(300):
+        ring = random_document_ring(rng)
+        doc = through_json(ring_to_document(ring))
+        assert flag_from_document(doc) == FlagDescriptor(ring=ring, s_coords=ring.c1_coords)
+        if ring.is_calabi_yau:
+            assert manifold_from_document(doc) == ring
+            seen.add("cy3")
+        elif structure_sheaf_chi(ring) == 1:
+            assert manifold_from_document(doc) == FlagDescriptor(ring=ring, s_coords=ring.c1_coords)
+            seen.add("valid fano3")
+        flag = FlagDescriptor(
+            ring=ring,
+            s_coords=tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 7))) for _ in range(ring.rho)),
+            h1_ty=rng.choice((None, 0, 5)),
+            h0_normal=rng.choice((None, 0, 12)),
+            first_obstruction_vanishes=rng.choice((None, True, False)),
+        )
+        assert flag_from_document(through_json(flag_to_document(flag))) == flag
+    assert seen == {"cy3", "valid fano3"}
 
 
 def test_flag_section_defaults_to_anticanonical():

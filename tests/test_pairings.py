@@ -8,11 +8,13 @@ import pytest
 
 from mukai import (
     ChernData,
+    FlagDescriptor,
     HDeclaration,
     IntegralityWarning,
     K3Vector,
     LatticeValidationError,
     ThreefoldRing,
+    chern_character,
     chern_sum,
     chi_split,
     euler_chi,
@@ -22,9 +24,15 @@ from mukai import (
     mukai_pairing_k3,
     mukai_restrict,
     mukai_vector,
+    ring_multiply,
     spherical_reflect,
+    sqrt_series,
+    star,
+    todd_class,
+    top_degree,
     twist_class,
 )
+from mukai.rational import dot, mat_vec
 
 from conftest import (
     cp3_quartic_flag,
@@ -36,6 +44,7 @@ from conftest import (
     random_fano_ring,
     random_graded,
     synthetic_flag,
+    with_denominators,
 )
 
 
@@ -351,3 +360,55 @@ def test_gluing_match_rejects_non_isometry():
         gluing_match(k3, ((2,),), v, v)
     with pytest.raises(LatticeValidationError, match="size"):
         gluing_match(k3, ((1, 0), (0, 1)), v, v)
+
+
+# --------------------------------------------------------------------------
+# The Euler form, m(E) and the restriction diagnostic against full cup
+# products: the library multiplies by td and sqrt(td) through their kept
+# rows instead.
+
+
+def reference_chi(e1, e2):
+    """chi(E1, E2) = [ch(E2) . star(ch(E1)) . td]_6 through a full `ring_multiply`."""
+    return top_degree(chern_character(e2) * star(chern_character(e1)), todd_class(e1.ring))
+
+
+def reference_mukai(e):
+    return ring_multiply(chern_character(e), sqrt_series(todd_class(e.ring)))
+
+
+def reference_restrict(flag, e):
+    """(vector, delta, degree2_matches, degree4_matches) of `mukai_restrict`, in Fractions."""
+    ch, s = chern_character(e), flag.s_coords
+    vector = K3Vector(ch.a0, ch.a2, dot(ch.a4, s) + e.rank)
+    m = reference_mukai(e)
+    delta = m - ring_multiply(m, flag.ring.exp_h2(tuple(-a for a in s)))
+    return (
+        vector,
+        delta,
+        delta.a2 == tuple(e.rank * a for a in s),
+        delta.a4 == mat_vec(flag.k3.gram, vector.v2),
+    )
+
+
+def test_fixed_factor_paths_match_the_full_products():
+    rng = random.Random(20261019)
+    kinds, matches = set(), set()
+    for _ in range(500):
+        rho = rng.randint(1, 8)
+        ring = random_cy_ring(rng, rho) if rng.random() < 0.5 else random_fano_ring(rng, rho)
+        ring = with_denominators(rng, ring)
+        s = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(rho))
+        flag = FlagDescriptor(ring=ring, s_coords=s)
+        e1, e2 = random_chern(rng, ring, ("E1",)), random_chern(rng, ring, ("E2",))
+        forward, backward = reference_chi(e1, e2), reference_chi(e2, e1)
+        assert euler_chi_result(e1, e2).value == forward
+        assert chi_split(e1, e2) == ((forward + backward) / 2, (forward - backward) / 2)
+        for e in (e1, e2):
+            assert mukai_vector(e).graded == reference_mukai(e)
+            result = mukai_restrict(flag, e)
+            expected = reference_restrict(flag, e)
+            assert (result.vector, result.delta, result.degree2_matches, result.degree4_matches) == expected
+            matches.add(expected[3])
+        kinds.add(ring.is_calabi_yau)
+    assert kinds == matches == {True, False}

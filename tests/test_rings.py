@@ -25,6 +25,8 @@ from mukai import (
     top_degree,
 )
 
+from mukai.rings import _fixed_factor, _times_fixed, _top_times_fixed
+
 from conftest import (
     LETTERS,
     quintic_ring,
@@ -411,6 +413,19 @@ def test_integer_kernel_matches_dense_fraction_reference(rho):
             character = chern_character(e)
             assert character.components() == dense_character(ring, e.rank, e.c1, e.c2, e.c3)
             assert chern_from_character(ring, character) == e
+
+
+@pytest.mark.parametrize("rho", range(1, 9))
+def test_fixed_factor_kernels_match_the_cup_product(rho):
+    rng = random.Random(750 + rho)
+    for _ in range(3):
+        ring = fractional_ring(rng, rho)
+        for _ in range(4):
+            x, y, t = (random_fractional_class(rng, ring) for _ in range(3))
+            fixed = _fixed_factor(t)
+            assert all(type(n) is int for row in fixed[1] for n in row)
+            assert _times_fixed(x, fixed) == ring_multiply(x, t)
+            assert _top_times_fixed(x, y, fixed) == top_degree(ring_multiply(x, y), t)
 
 
 # --------------------------------------------------------------------------
