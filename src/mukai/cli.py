@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -18,11 +19,10 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import documents, flags, moduli, pairings, schubert
-from .chern import MukaiVector, k3_mukai_vector, mukai_vector, twist_chern
+from .chern import k3_mukai_vector, mukai_vector, twist_chern
 from .errors import DocumentError, LatticeValidationError, MukaiError
 from .flags import FlagDescriptor
-from .rational import MAX_DIGITS, as_vector, format_fraction, identity_matrix
-from .rings import GradedClass, K3Vector
+from .rational import MAX_DIGITS, as_vector, identity_matrix
 
 __all__ = ["main"]
 
@@ -52,14 +52,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return format_fraction(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, (K3Vector, GradedClass, MukaiVector)):
-        return str(value)
     if isinstance(value, (list, tuple)):
         return "(" + ", ".join(_fmt(v) for v in value) + ")"
     return str(value)
@@ -99,7 +95,7 @@ def _report(payload, as_json: bool) -> str:
 
 def _document_path(name: str) -> Path:
     path = Path(name)
-    if path.exists():
+    if os.path.exists(path):  # False for a name too long; Path.exists raises before 3.12
         return path
     if "/" not in name and "\\" not in name:
         return documents.builtin_path(name)
@@ -107,7 +103,7 @@ def _document_path(name: str) -> Path:
 
 
 def _manifold(args):
-    source = args.manifold or args.flag
+    source = args.manifold or getattr(args, "flag", None)  # `cd seed` has no --flag
     if source is None:
         raise UsageError("a --manifold or --flag document is required")
     return documents.load_manifold(_document_path(source))
@@ -156,7 +152,7 @@ def _matrix(text: str, rank: int):
         return identity_matrix(rank)
     if text == "-identity":
         return tuple(tuple(-x for x in row) for row in identity_matrix(rank))
-    if not Path(text).exists():
+    if not os.path.exists(Path(text)):
         raise DocumentError(f"cannot read matrix from {text!r}")
     return documents.load_matrix(text)
 
@@ -296,7 +292,7 @@ def _validate_flag(args) -> tuple[dict, int]:
     doc = documents._read_json(_document_path(args.path))
     flag = documents.flag_from_document(doc, where=str(args.path))
     report = flags.validate_flag(flag)
-    checks = [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks]
+    checks = [c.as_dict() for c in report.checks]
     payload = {"flag": flag.name, "valid": report.valid, "gram": flag.k3.gram, "checks": checks}
     return payload, 0 if report.valid else 1
 
@@ -310,7 +306,7 @@ def _double(args) -> dict:
         "section_class_d": double.section_class_d,
         "d_square": double.d_square(),
         "smooth_total_space": flags.smooth_total_space(double),
-        "joint_kernel": {"dimension": kernel.dimension, "basis": kernel.basis},
+        "joint_kernel": kernel.as_dict(),
     }
 
 
@@ -423,13 +419,7 @@ def _pieri(args) -> dict:
 
 def _four_lines(args) -> dict:
     note = schubert.four_lines_count()
-    return {
-        "parts": note.parts,
-        "part_descriptions": list(note.part_descriptions),
-        "total": note.total,
-        "schubert_total": note.schubert_total,
-        "consistent": note.consistent,
-    }
+    return {**note.as_dict(), "consistent": note.consistent}
 
 
 # --------------------------------------------------------------------------

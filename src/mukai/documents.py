@@ -17,6 +17,7 @@ check named.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -289,8 +290,8 @@ def jsonable(obj):
     """
     if isinstance(obj, Fraction):
         return obj.numerator if obj.denominator == 1 else format_fraction(obj)
-    if isinstance(obj, K3Vector):
-        return {"v0": jsonable(obj.v0), "v2": jsonable(obj.v2), "v4": jsonable(obj.v4)}
+    if isinstance(obj, (K3Vector, KernelResult)):
+        return {name: jsonable(value) for name, value in obj.as_dict().items()}
     if isinstance(obj, GradedClass):
         return {
             "a0": jsonable(obj.a0),
@@ -303,8 +304,6 @@ def jsonable(obj):
         out["normalization"] = obj.normalization
         out["integral"] = obj.is_integral
         return out
-    if isinstance(obj, KernelResult):
-        return {"dimension": obj.dimension, "basis": jsonable(obj.basis)}
     if isinstance(obj, CDEntry):
         return _entry_to_document(obj)
     if isinstance(obj, dict):
@@ -366,20 +365,12 @@ def load_matrix(path) -> tuple[tuple[Fraction, ...], ...]:
 # registry persistence
 
 
+# Document keys that differ from their `CDEntry` field names.
+_CD_KEYS = {"vector_desc": "vector"}
+
+
 def _entry_to_document(entry: CDEntry) -> dict:
-    return {
-        "key": entry.key,
-        "manifold": entry.manifold,
-        "vector": entry.vector_desc,
-        "provenance": entry.provenance,
-        "value": entry.value,
-        "symbol": entry.symbol,
-        "exceptional": entry.exceptional,
-        "sign_note": entry.sign_note,
-        "constraint": entry.constraint,
-        "parents": list(entry.parents) if entry.parents else None,
-        "citation": entry.citation,
-    }
+    return {_CD_KEYS.get(name, name): jsonable(value) for name, value in entry.as_dict().items()}
 
 
 def _entry_from_document(doc: dict, where: str) -> CDEntry:
@@ -387,8 +378,8 @@ def _entry_from_document(doc: dict, where: str) -> CDEntry:
         raise DocumentError(f"{where}: expected a JSON object")
     fields = {}
     for name, allowed, phrase in CD_FIELD_RULES:
-        key = "vector" if name == "vector_desc" else name
-        if key not in doc and name not in ("key", "manifold", "vector_desc", "provenance"):
+        key = _CD_KEYS.get(name, name)
+        if key not in doc and hasattr(CDEntry, name):
             continue  # an optional field takes the CDEntry default
         value = fields[name] = _require(doc, key, where)
         if not allowed(value):
@@ -401,7 +392,7 @@ def _entry_from_document(doc: dict, where: str) -> CDEntry:
 def load_registry(path, missing_ok: bool = False) -> CDRegistry:
     """Load a registry file; optionally start empty when it doesn't exist."""
     path = Path(path)
-    if missing_ok and not path.exists():
+    if missing_ok and not os.path.exists(path):  # False, not OSError, for too long a name
         return CDRegistry()
     doc = _read_json(path)
     entries = doc.get("entries") if isinstance(doc, dict) else None
@@ -415,9 +406,10 @@ def load_registry(path, missing_ok: bool = False) -> CDRegistry:
 def save_registry(path, registry: CDRegistry) -> None:
     """Write a registry canonically: sorted keys, two-space indent."""
     doc = {"entries": [_entry_to_document(e) for e in registry.entries()]}
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    try:
+        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -435,6 +427,6 @@ def builtin_names() -> tuple[str, ...]:
 def builtin_path(name: str) -> Path:
     """Filesystem path of a bundled document (e.g. 'quintic.json')."""
     candidate = _DATA / name
-    if not candidate.is_file():
+    if not os.path.isfile(candidate):
         raise DocumentError(f"no bundled document named {name!r}; have {builtin_names()}")
     return candidate

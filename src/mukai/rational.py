@@ -84,11 +84,8 @@ def as_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def format_fraction(value: Fraction) -> str:
-    """Render ``p/q`` with the slash omitted for integers."""
-    value = as_fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render ``p/q`` with the slash omitted for integers, as `Fraction.__str__` does."""
+    return str(as_fraction(value))
 
 
 def is_integral(*values) -> bool:

@@ -11,7 +11,9 @@ creation, so defining a record costs no more than defining a class.
 The constructor stores the values, then calls `__post_init__`, where a
 record checks its fields or coerces them with `vars(self).update(...)`.
 Attributes that are not annotated (caches, derived values) are stored the
-same way and take no part in `==`, `hash` or `repr`.
+same way and take no part in `==`, `hash`, `repr` or `as_dict()`, which
+maps the fields to their values in declaration order.  Only `GradedClass`
+keeps its own `__init__`, because its fields are properties over integers.
 
 >>> class Interval(Record):
 ...     low: int
@@ -68,6 +70,10 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
+
+    def as_dict(self) -> dict:
+        """The fields and their values, in declaration order."""
+        return dict(zip(self._fields, self._values()))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

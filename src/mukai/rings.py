@@ -75,13 +75,6 @@ __all__ = [
 ]
 
 
-def _coerce_triple(triple, rho: int) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-    out = tuple(tuple(tuple(as_fraction(x) for x in row) for row in plane) for plane in triple)
-    if len(out) != rho or any(len(p) != rho for p in out) or any(len(r) != rho for p in out for r in p):
-        raise LatticeValidationError(f"triple intersection tensor must be {rho}x{rho}x{rho}")
-    return out
-
-
 def _check_symmetric(flat: list[int], rho: int) -> None:
     """Raise at the first (i,j,k) where the flattened rho^3 tensor is not symmetric."""
     for i in range(rho):
@@ -122,7 +115,8 @@ class ThreefoldRing(Record):
     chi_top: int
     h12: int
 
-    def __init__(self, name, basis_labels, triple, c1_coords, c2_values, chi_top, h12):
+    def __post_init__(self):
+        basis_labels = self.basis_labels
         if isinstance(basis_labels, str):
             raise LatticeValidationError(f"basis labels must be a sequence of strings, got {basis_labels!r}")
         labels = tuple(str(s) for s in basis_labels)
@@ -131,22 +125,21 @@ class ThreefoldRing(Record):
         if len(set(labels)) != len(labels):
             raise LatticeValidationError("basis labels must be distinct")
         rho = len(labels)
-        triple = _coerce_triple(triple, rho)
+        triple = tuple(tuple(tuple(as_fraction(x) for x in row) for row in plane) for plane in self.triple)
+        if len(triple) != rho or any(len(p) != rho or any(len(r) != rho for r in p) for p in triple):
+            raise LatticeValidationError(f"triple intersection tensor must be {rho}x{rho}x{rho}")
         flat, den = over_common_denominator([x for plane in triple for row in plane for x in row])
         _check_symmetric(flat, rho)
-        c1_coords, c2_values = as_vector(c1_coords), as_vector(c2_values)
+        c1_coords, c2_values = as_vector(self.c1_coords), as_vector(self.c2_values)
         if len(c1_coords) != rho or len(c2_values) != rho:
             raise LatticeValidationError("c1/c2 data must have length rho")
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (chi_top, h12)):
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.chi_top, self.h12)):
             raise LatticeValidationError("chi_top and h12 must be integers")
         vars(self).update(
-            name=name,
             basis_labels=labels,
             triple=triple,
             c1_coords=c1_coords,
             c2_values=c2_values,
-            chi_top=chi_top,
-            h12=h12,
             # The kernel's copy of `triple`: integer planes over the denominator _den.
             _planes=tuple(tuple(flat[i * rho * rho:(i + 1) * rho * rho]) for i in range(rho)),
             _den=den,
@@ -154,10 +147,10 @@ class ThreefoldRing(Record):
             # square root), as coefficient tuples; see `chern._per_ring`.
             _cache={},
         )
-        if self.is_calabi_yau and chi_top != 2 * (rho - h12):
+        if self.is_calabi_yau and self.chi_top != 2 * (rho - self.h12):
             raise LatticeValidationError(
-                f"Calabi-Yau Euler number mismatch: chi_top={chi_top} "
-                f"but 2(rho - h12) = {2 * (rho - h12)}"
+                f"Calabi-Yau Euler number mismatch: chi_top={self.chi_top} "
+                f"but 2(rho - h12) = {2 * (rho - self.h12)}"
             )
 
     @property
@@ -464,22 +457,20 @@ class K3Restriction(Record):
     gram: tuple[tuple[Fraction, ...], ...]
     s_coords: tuple[Fraction, ...]
 
-    def __init__(self, gram, s_coords):
-        gram = as_matrix(gram)
+    def __post_init__(self):
+        gram = as_matrix(self.gram)
         if any(len(row) != len(gram) for row in gram):
             raise LatticeValidationError("gram matrix must be square")
         for i in range(len(gram)):
             for j in range(len(gram)):
                 if gram[i][j] != gram[j][i]:
                     raise LatticeValidationError(f"gram matrix not symmetric at ({i},{j})")
-        s_coords = as_vector(s_coords)
+        s_coords = as_vector(self.s_coords)
         if len(s_coords) != len(gram):
             raise LatticeValidationError("section class length must match rho")
         flat, den = over_common_denominator([x for row in gram for x in row])
         n = len(gram)
-        self._store(gram, s_coords, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)), den)
-
-    def _store(self, gram, s_coords, rows: tuple, den: int) -> None:
+        rows = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
         s = over_common_denominator(s_coords)
         vars(self).update(gram=gram, s_coords=s_coords, _rows=rows, _den=den, _s=s)
 
@@ -489,11 +480,12 @@ class K3Restriction(Record):
         s = as_vector(s_coords)
         if len(s) != ring.rho:
             raise LatticeValidationError("section class length must match rho")
-        nums, den = over_common_denominator(s)
-        den *= ring._den
+        nums, s_den = over_common_denominator(s)
+        den = s_den * ring._den
         rows = ring._rows(nums)
+        gram = tuple(tuple(Fraction(n, den) for n in row) for row in rows)
         x = object.__new__(cls)
-        x._store(tuple(tuple(Fraction(n, den) for n in row) for row in rows), s, rows, den)
+        vars(x).update(gram=gram, s_coords=s, _rows=rows, _den=den, _s=(nums, s_den))
         return x
 
     @property

@@ -46,6 +46,12 @@ __all__ = [
 ]
 
 
+def _check_n(n) -> int:
+    if type(n) is not int or n < 2:
+        raise LatticeValidationError(f"G(2,n) needs an integer n >= 2, got {n!r}")
+    return n
+
+
 class SchubertElement:
     """An integer combination of two-row Schubert classes on G(2,n).
 
@@ -60,9 +66,7 @@ class SchubertElement:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        if type(n) is not int or n < 2:
-            raise LatticeValidationError(f"G(2,n) needs an integer n >= 2, got {n!r}")
-        self.n = n
+        self.n = _check_n(n)
         clean: dict[tuple[int, int], int] = {}
         for key, coeff in (terms or {}).items():
             try:
@@ -76,8 +80,8 @@ class SchubertElement:
                     f"partition {key} does not fit the 2x{n - 2} box of G(2,{n})"
                 )
             if coeff != 0:
-                clean[(a, b)] = clean.get((a, b), 0) + coeff
-        self.terms = {k: v for k, v in clean.items() if v != 0}
+                clean[(a, b)] = coeff
+        self.terms = clean
 
     # -- structural helpers ------------------------------------------------
 
@@ -177,23 +181,15 @@ def pieri_mult(x: SchubertElement, k: int) -> SchubertElement:
     return SchubertElement(x.n, out)
 
 
-def _column_mult(x: SchubertElement) -> SchubertElement:
-    """Multiply by sigma_(1,1): shift both rows up by one, clip at the box."""
-    out: dict[tuple[int, int], int] = {}
-    for (a, b), coeff in x.terms.items():
-        if a + 1 <= x.n - 2:
-            out[(a + 1, b + 1)] = out.get((a + 1, b + 1), 0) + coeff
-    return SchubertElement(x.n, out)
-
-
 def multiply(x: SchubertElement, y: SchubertElement) -> SchubertElement:
     """Full product, via sigma_(a,b) = sigma_(1,1)^b . sigma_(a-b)."""
     x._check_same_space(y)
     total = SchubertElement(x.n, {})
     for (a, b), coeff in sorted(y.terms.items()):
         partial = x
-        for _ in range(b):
-            partial = _column_mult(partial)
+        if b:  # sigma_(1,1)^b adds b to both rows; a first row past the box vanishes
+            shifted = {(c + b, d + b): v for (c, d), v in x.terms.items() if c + b <= x.n - 2}
+            partial = SchubertElement(x.n, shifted)
         partial = pieri_mult(partial, a - b)
         total = total + partial.scale(coeff)
     return total
@@ -211,9 +207,7 @@ def integrate(x: SchubertElement) -> int:
 
 def euler_char_g2n(n: int) -> int:
     """Euler characteristic of G(2,n): its Schubert-cell count C(n,2)."""
-    if type(n) is not int or n < 2:
-        raise LatticeValidationError(f"G(2,n) needs an integer n >= 2, got {n!r}")
-    return comb(n, 2)
+    return comb(_check_n(n), 2)
 
 
 def lines_on_octic_double() -> int:
@@ -244,8 +238,7 @@ def top_chern_sym_dual_tautological(n: int, k: int) -> int:
     >>> top_chern_sym_dual_tautological(6, 7)   # lines on a septic fourfold
     698005
     """
-    if type(n) is not int or n < 2:
-        raise LatticeValidationError(f"G(2,n) needs an integer n >= 2, got {n!r}")
+    _check_n(n)
     if type(k) is not int or k < 0:
         raise LatticeValidationError(f"symmetric power needs k >= 0, got {k!r}")
     if k + 1 != 2 * (n - 2):

@@ -390,6 +390,26 @@ def test_document_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
     assert err.startswith(f"parse error: {bad}: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_unusable_paths_are_one_error_line(capsys, tmp_path):
+    long_name = "9" * 1000
+    registry = str(tmp_path / "no-such-dir" / "registry.json")
+    cases = [
+        (["mukai", "--manifold", long_name, "--bundle", "x"], 2, "parse error: no bundled document named"),
+        (["glue-check", "--flag", "cp3-quartic.json", "--bundle", "cp3-o1.json", "--matrix", long_name], 2,
+         "parse error: cannot read matrix from"),
+        (["cd", "seed", "--registry", registry, "--manifold", "quintic.json", "--kind", "skyscraper"], 2,
+         f"parse error: cannot write {registry}: No such file or directory"),
+        (["cd", "list", "--registry", str(tmp_path / long_name)], 2, "parse error: cannot read"),
+        (["cd", "seed", "--registry", registry, "--manifold", "", "--kind", "skyscraper"], 64,
+         "a --manifold or --flag document is required"),
+    ]
+    for argv, expected, start in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (expected, ""), argv
+        assert err.startswith(start) and err.count("\n") == 1, (argv, err)
+    assert not (tmp_path / "no-such-dir").exists()
+
+
 def test_validation_errors_exit_1(capsys):
     code, _, err = run(
         capsys, "mukai", "--manifold", "quintic.json", "--bundle", "instanton1.json"

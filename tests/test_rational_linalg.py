@@ -69,6 +69,18 @@ def test_format_fraction():
     assert format_fraction(Fraction(-3, 7)) == "-3/7"
 
 
+def test_format_fraction_is_str_of_the_fraction():
+    rng = random.Random(17)
+    big = 10**299
+    values = [Fraction(0), Fraction(-1), Fraction(big), Fraction(-big, 3), Fraction(1, big)]
+    while len(values) < 1000:
+        bound = rng.choice([1, 9, 10**6, 10**300 - 1])
+        values.append(Fraction(rng.randint(-bound, bound), rng.randint(1, bound)))
+    for x in values:
+        p, q = x.numerator, x.denominator
+        assert format_fraction(x) == str(x) == (f"{p}" if q == 1 else f"{p}/{q}"), x
+
+
 def test_is_integral_recurses():
     assert is_integral(Fraction(2), (Fraction(1), Fraction(0)))
     assert not is_integral(Fraction(2), (Fraction(1, 2),))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mukai import K3Vector, ThreefoldRing, chern, flags, moduli, pairings, rings, schubert
+from mukai import ChernData, K3Vector, ThreefoldRing, chern, flags, moduli, pairings, rings, schubert
 from mukai.documents import builtin_path, load_manifold
 from mukai.pairings import PairingResult
 from mukai.record import Record
@@ -18,8 +18,8 @@ from conftest import quintic_ring
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# The records that compute integer state from their arguments before storing anything.
-OWN_INIT = {"ThreefoldRing", "GradedClass", "K3Restriction"}
+# The one record whose fields are properties over integers, so it binds them itself.
+OWN_INIT = {"GradedClass"}
 
 
 def all_records():
@@ -90,6 +90,20 @@ def test_record_init_binds_fields():
         with pytest.raises(TypeError) as error:
             Point(*args, **kwargs)
         assert str(error.value) == message
+
+
+def test_as_dict():
+    ring = quintic_ring()
+    bundle = ChernData(ring, 1, (1,), (0,), 0)
+    chern.chern_character(bundle)  # fills the `_ch` cache
+    flag = load_manifold(builtin_path("cp3-quartic.json"))
+    assert "_ch" in vars(bundle) and "k3" in vars(flag)
+    for record in (ring, bundle, flag, K3Vector(1, ("1/2",), -3)):
+        as_dict = record.as_dict()
+        assert tuple(as_dict) == record._fields
+        assert tuple(as_dict.values()) == tuple(getattr(record, name) for name in record._fields)
+    assert flag.as_dict()["ring"] is flag.ring
+    assert K3Vector(1, ("1/2",), -3).as_dict() == {"v0": 1, "v2": (Fraction(1, 2),), "v4": -3}
 
 
 def test_equal_fields_give_equal_records_and_hashes():

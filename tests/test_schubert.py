@@ -165,6 +165,40 @@ def test_multiply_commutes_and_associates():
         assert multiply(x, y + z) == multiply(x, y) + multiply(x, z)
 
 
+def _column_mult(x):
+    """Multiply by sigma_(1,1): shift both rows up by one, clip at the box."""
+    out = {}
+    for (a, b), coeff in x.terms.items():
+        if a + 1 <= x.n - 2:
+            out[(a + 1, b + 1)] = out.get((a + 1, b + 1), 0) + coeff
+    return SchubertElement(x.n, out)
+
+
+def reference_multiply(x, y):
+    """The column-loop product: sigma_(1,1) applied b times, then Pieri by sigma_(a-b)."""
+    total = SchubertElement(x.n, {})
+    for (a, b), coeff in sorted(y.terms.items()):
+        partial = x
+        for _ in range(b):
+            partial = _column_mult(partial)
+        total = total + pieri_mult(partial, a - b).scale(coeff)
+    return total
+
+
+def dense_element(rng, n):
+    """Every partition of the 2 x (n-2) box, each with a nonzero coefficient."""
+    terms = {(a, b): rng.choice([-1, 1]) * rng.randint(1, 50) for a in range(n - 1) for b in range(a + 1)}
+    return SchubertElement(n, terms)
+
+
+def test_multiply_matches_the_column_loop_on_dense_elements():
+    rng = random.Random(90)
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        x, y = dense_element(rng, n), dense_element(rng, n)
+        assert multiply(x, y) == reference_multiply(x, y), (n, x, y)
+
+
 def test_poincare_duality():
     for n in range(3, 8):
         box = n - 2
