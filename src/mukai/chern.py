@@ -226,18 +226,7 @@ def mukai_vector(e: ChernData) -> MukaiVector:
     return MukaiVector(graded=graded, normalization=tag)
 
 
-def _restriction_of(flag_or_restriction, e: ChernData) -> K3Restriction:
-    if isinstance(flag_or_restriction, K3Restriction):
-        return flag_or_restriction
-    k3 = getattr(flag_or_restriction, "k3", None)
-    if not isinstance(k3, K3Restriction):
-        raise TypeError("expected a K3Restriction or an object carrying one as .k3")
-    if e.ring != flag_or_restriction.ring:
-        raise LatticeValidationError("Chern data must live on the flag's ring")
-    return k3
-
-
-def k3_mukai_vector(flag_or_restriction, e: ChernData) -> K3Vector:
+def k3_mukai_vector(flag, e: ChernData) -> K3Vector:
     """Mukai vector of the restriction of a bundle to an anticanonical K3.
 
     On a K3 surface sqrt(td) = 1 + pt, so the vector is
@@ -245,9 +234,13 @@ def k3_mukai_vector(flag_or_restriction, e: ChernData) -> K3Vector:
         (rank, c1 . S-basis, integral_S ch2 + rank),
 
     computed by restricting the ambient Chern character and adding the
-    rank to the point component.  A flag must carry the ring of `e`.
+    rank to the point component.  The flag must carry the ring of `e`.
     """
-    k3 = _restriction_of(flag_or_restriction, e)
+    k3 = getattr(flag, "k3", None)
+    if not isinstance(k3, K3Restriction):
+        raise TypeError("expected an object carrying a K3Restriction as .k3")
+    if e.ring != flag.ring:
+        raise LatticeValidationError("Chern data must live on the flag's ring")
     restricted = restrict_to_k3(chern_character(e), k3)
     return K3Vector(restricted.v0, restricted.v2, restricted.v4 + e.rank)
 

@@ -94,16 +94,17 @@ def _report(payload, as_json: bool) -> str:
 
 
 def _document_path(name: str) -> Path:
-    path = Path(name)
-    if os.path.exists(path):  # False for a name too long; Path.exists raises before 3.12
-        return path
+    # os.path.exists is False for '' (Path('') is '.') and for a name too long,
+    # where Path.exists raises before 3.12.
+    if os.path.exists(name):
+        return Path(name)
     if "/" not in name and "\\" not in name:
         return documents.builtin_path(name)
     raise DocumentError(f"cannot read {name}: no such file")
 
 
 def _manifold(args):
-    source = args.manifold or getattr(args, "flag", None)  # `cd seed` has no --flag
+    source = args.manifold or args.flag
     if source is None:
         raise UsageError("a --manifold or --flag document is required")
     return documents.load_manifold(_document_path(source))
@@ -152,7 +153,7 @@ def _matrix(text: str, rank: int):
         return identity_matrix(rank)
     if text == "-identity":
         return tuple(tuple(-x for x in row) for row in identity_matrix(rank))
-    if not os.path.exists(Path(text)):
+    if not os.path.exists(text):
         raise DocumentError(f"cannot read matrix from {text!r}")
     return documents.load_matrix(text)
 
@@ -367,7 +368,7 @@ def _saved_entry(args, registry, entry: moduli.CDEntry) -> dict:
 
 def _cd_seed(args) -> dict:
     registry = _registry(args, missing_ok=True)
-    manifold = _manifold(args)
+    manifold = documents.load_manifold(_document_path(args.manifold))
     ring = manifold.ring if isinstance(manifold, FlagDescriptor) else manifold
     entry = moduli.cd_seed(registry, ring, args.kind)
     return _saved_entry(args, registry, entry)
@@ -623,7 +624,3 @@ def main(argv=None) -> int:
         return 1
     sys.stdout.write(report)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

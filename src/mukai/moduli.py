@@ -463,9 +463,6 @@ class ConstantsRegistry:
         except KeyError:
             raise LatticeValidationError(f"no constant named {name!r}") from None
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._table)
-
     def __iter__(self):
         return iter(self._table.values())
 

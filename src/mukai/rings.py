@@ -167,18 +167,6 @@ class ThreefoldRing(Record):
         zero = (Fraction(0),) * self.rho
         return GradedClass(self, a0, zero if a2 is None else a2, zero if a4 is None else a4, a6)
 
-    def zero(self) -> "GradedClass":
-        return self.graded()
-
-    def unit(self) -> "GradedClass":
-        return self.graded(a0=1)
-
-    def point_class(self) -> "GradedClass":
-        return self.graded(a6=1)
-
-    def h2(self, coords) -> "GradedClass":
-        return self.graded(a2=coords)
-
     # --- intersection form ----------------------------------------------
 
     def _vector(self, coords) -> tuple[Fraction, ...]:
@@ -314,10 +302,6 @@ class GradedClass(Record):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
-
-    def integral(self) -> Fraction:
-        """Integral over the threefold, i.e. the degree-6 coefficient."""
-        return self.a6
 
     def components(self):
         return (self.a0, self.a2, self.a4, self.a6)
@@ -531,21 +515,6 @@ class K3Vector(Record):
             tuple(a + b for a, b in zip(self.v2, other.v2)),
             self.v4 + other.v4,
         )
-
-    def __neg__(self) -> "K3Vector":
-        return self.scale(-1)
-
-    def __sub__(self, other: "K3Vector") -> "K3Vector":
-        return self + (-other)
-
-    def scale(self, factor: Rational) -> "K3Vector":
-        factor = as_fraction(factor)
-        return K3Vector(factor * self.v0, tuple(factor * a for a in self.v2), factor * self.v4)
-
-    def __rmul__(self, factor):
-        if isinstance(factor, (int, Fraction)):
-            return self.scale(factor)
-        return NotImplemented
 
     def __str__(self):
         mid = ", ".join(format_fraction(x) for x in self.v2)

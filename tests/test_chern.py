@@ -176,7 +176,7 @@ def test_sqrt_series_round_trip():
     for _ in range(1000):
         ring = random_cy_ring(rng) if rng.random() < 0.5 else random_fano_ring(rng)
         x = random_graded(rng, ring)
-        x = ring.unit() + ring.graded(a2=x.a2, a4=x.a4, a6=x.a6)
+        x = ring.graded(1, x.a2, x.a4, x.a6)
         y = sqrt_series(x)
         assert y * y == x
 
@@ -217,12 +217,14 @@ def test_k3_mukai_vector_of_line_bundles_on_quartic():
     o_y = line_bundle(flag.ring, (0,))
     o_h = line_bundle(flag.ring, (1,))
     assert k3_mukai_vector(flag, o_y) == K3Vector(1, (0,), 1)
-    assert k3_mukai_vector(flag.k3, o_h) == K3Vector(1, (1,), 3)
+    assert k3_mukai_vector(flag, o_h) == K3Vector(1, (1,), 3)
 
 
 def test_k3_mukai_vector_rejects_unrelated_objects():
-    with pytest.raises(TypeError):
-        k3_mukai_vector(object(), instanton_type())
+    flag = cp3_quartic_flag()
+    for other in (object(), flag.k3):  # a bare restriction carries no ring to check
+        with pytest.raises(TypeError):
+            k3_mukai_vector(other, instanton_type(flag.ring))
 
 
 def test_structure_sheaf_chi():

@@ -400,8 +400,18 @@ def test_unusable_paths_are_one_error_line(capsys, tmp_path):
         (["cd", "seed", "--registry", registry, "--manifold", "quintic.json", "--kind", "skyscraper"], 2,
          f"parse error: cannot write {registry}: No such file or directory"),
         (["cd", "list", "--registry", str(tmp_path / long_name)], 2, "parse error: cannot read"),
-        (["cd", "seed", "--registry", registry, "--manifold", "", "--kind", "skyscraper"], 64,
-         "a --manifold or --flag document is required"),
+        # An empty name is a name that matches nothing, not the current directory.
+        (["cd", "seed", "--registry", registry, "--manifold", "", "--kind", "skyscraper"], 2,
+         "parse error: no bundled document named ''; have ("),
+        (["mukai", "--manifold", "quintic.json", "--bundle", ""], 2,
+         "parse error: no bundled document named ''; have ("),
+        (["chi", "--flag", "", "--bundle", "x", "--bundle2", "x"], 2,
+         "parse error: no bundled document named ''; have ("),
+        (["validate-flag", ""], 2, "parse error: no bundled document named ''; have ("),
+        (["glue-check", "--flag", "cp3-quartic.json", "--bundle", "cp3-o1.json", "--matrix="], 2,
+         "parse error: cannot read matrix from ''"),
+        # Only the commands that take --manifold or --flag call an empty --manifold absent.
+        (["mukai", "--manifold", "", "--bundle", "x"], 64, "a --manifold or --flag document is required"),
     ]
     for argv, expected, start in cases:
         code, out, err = run(capsys, *argv)

@@ -1,6 +1,7 @@
 """JSON parsing, emission and the bundled document set."""
 
 import copy
+import itertools
 import json
 import random
 import re
@@ -11,6 +12,7 @@ import pytest
 from mukai import (
     CDEntry,
     CDRegistry,
+    ChernData,
     DocumentError,
     FlagDescriptor,
     K3Vector,
@@ -36,8 +38,11 @@ from mukai.documents import (
     ring_to_document,
     save_registry,
 )
+from mukai.flags import make_gluing
+from mukai.rational import identity_matrix
 
 from conftest import (
+    LETTERS,
     cp3_quartic_flag,
     instanton_type,
     quintic_ring,
@@ -334,6 +339,98 @@ def test_matrix_file_and_gluing_matrix_share_one_parser(tmp_path):
         doc = {"kind": "gluing", "flag_plus": flag_doc, "flag_minus": flag_doc, "matrix": rows}
         with pytest.raises(DocumentError, match=message):
             gluing_from_document(doc)
+
+
+def random_fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+
+
+def test_bundle_documents_round_trip_through_json():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        ring = with_denominators(rng, rng.choice((random_cy_ring, random_fano_ring))(rng, rng.randint(1, 3)))
+        e = ChernData(
+            ring=ring,
+            rank=rng.randint(1, 5),
+            c1=[random_fraction(rng) for _ in range(ring.rho)],
+            c2=[random_fraction(rng) for _ in range(ring.rho)],
+            c3=random_fraction(rng),
+            labels=rng.sample(["E", "O(1)", "twisted by L", "\u03bb", ""], rng.randint(0, 3)),
+        )
+        doc = jsonable({"manifold": ring.name, "rank": e.rank, "c1": e.c1, "c2": e.c2, "c3": e.c3})
+        if e.labels:
+            doc["labels"] = list(e.labels)
+        if rng.random() < 0.2:
+            del doc["manifold"]
+        loaded_ring = flag_from_document(through_json(ring_to_document(ring)))
+        if rng.random() < 0.5:
+            loaded_ring = loaded_ring.ring
+        assert bundle_from_document(through_json(doc), loaded_ring) == e
+
+
+def symmetric_flag(rng, rho, sigma):
+    """A valid flag on a fractional ring whose H^2 basis permutation `sigma`
+    (index i to sigma[i]) preserves the triple, c1 and c2, so that it is an
+    isometry of the restricted lattice."""
+    orbit = [tuple(range(rho))]
+    while (step := tuple(sigma[i] for i in orbit[-1])) != orbit[0]:
+        orbit.append(step)
+    values = {key: random_fraction(rng) for key in itertools.combinations_with_replacement(range(rho), 3)}
+
+    def invariant(vector):
+        return tuple(sum(vector[g[i]] for g in orbit) for i in range(rho))
+
+    triple = tuple(
+        tuple(
+            tuple(sum(values[tuple(sorted((g[i], g[j], g[k])))] for g in orbit) for k in range(rho))
+            for j in range(rho)
+        )
+        for i in range(rho)
+    )
+    while True:
+        c1 = invariant([random_fraction(rng) for _ in range(rho)])
+        c2 = invariant([random_fraction(rng) for _ in range(rho)])
+        c1c2 = sum(a * b for a, b in zip(c1, c2))
+        if c1c2:
+            break
+    ring = ThreefoldRing(
+        f"symmetric-{rho}", LETTERS[:rho], triple, c1, tuple(24 * b / c1c2 for b in c2),
+        rng.randint(-10, 10), rng.randint(0, 20),
+    )
+    return FlagDescriptor(
+        ring=ring,
+        s_coords=ring.c1_coords,
+        h1_ty=rng.choice((None, 0, 5)),
+        h0_normal=rng.choice((None, 0, 12)),
+        first_obstruction_vanishes=rng.choice((None, True, False)),
+    )
+
+
+def test_gluing_documents_round_trip_through_json():
+    rng = random.Random(20261021)
+    seen = set()
+    for _ in range(200):
+        rho = rng.randint(1, 3)
+        sigma = list(range(rho))
+        rng.shuffle(sigma)
+        plus = symmetric_flag(rng, rho, sigma)
+        if rng.random() < 0.5:
+            minus = plus
+        else:
+            minus = FlagDescriptor(ring=plus.ring, s_coords=plus.s_coords, h1_ty=rng.choice((None, 1, 7)))
+        sign = rng.choice((1, -1))
+        matrix = tuple(tuple(sign * int(sigma[j] == i) for j in range(rho)) for i in range(rho))
+        doc = {"kind": "gluing", "flag_plus": flag_to_document(plus), "flag_minus": flag_to_document(minus)}
+        if matrix != identity_matrix(rho) or rng.random() < 0.5:  # an absent matrix is the identity
+            doc["matrix"] = jsonable(matrix)
+        section_class = None
+        if rng.random() < 0.5:
+            section_class = tuple(random_fraction(rng) for _ in range(rho))
+            doc["section_class"] = jsonable(section_class)
+        gluing = gluing_from_document(through_json(doc))
+        assert gluing == make_gluing(plus, minus, matrix=matrix, section_class=section_class)
+        seen.add((sign, sigma == sorted(sigma), section_class is None))
+    assert len(seen) == 8
 
 
 # --------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 Every command line gives exit code 0, 1, 2 or 64; a failure prints one line
 to stderr and nothing to stdout.  Every mutated document either loads or
-raises `MukaiError`.  The streams are seeded, so a failure replays exactly.
+raises `MukaiError`.  Each call and each load finishes within `DEADLINE_S`.
+The streams are seeded, so a failure replays exactly.
 """
 
 import json
 import random
+import time
 
 from mukai import cli, documents, moduli
 from mukai.errors import MukaiError
@@ -14,6 +16,9 @@ from mukai.errors import MukaiError
 from conftest import quintic_ring
 
 BIG = "9" * 1000
+# The slowest legitimate call, `schubert integrate sigma1^124 --n 64`, takes
+# about 25 ms, so 2 s leaves room for a slow host.
+DEADLINE_S = 2.0
 VALUES = {
     "document": [*documents.builtin_names(), "missing.json", "dir/missing.json", ""],
     "number": [
@@ -93,9 +98,12 @@ def test_random_command_lines_exit_cleanly(tmp_path, monkeypatch, capsys):
     codes = set()
     for _ in range(2000):
         argv = random_argv(rng, files)
+        start = time.perf_counter()
         code = cli.main(argv)
+        elapsed = time.perf_counter() - start
         out, err = capsys.readouterr()
         codes.add(code)
+        assert elapsed < DEADLINE_S, (argv, elapsed)
         assert code in (0, 1, 2, 64), argv
         if code and "--help" not in argv and not (argv[:1] == ["validate-flag"] and code == 1 and out):
             assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (argv, out, err)
@@ -178,10 +186,13 @@ def test_mutated_documents_load_or_raise_mukai_errors(tmp_path):
         doc = originals[name]
         for _ in range(rng.randint(1, 3)):
             doc = mutate(rng, doc)
+        start = time.perf_counter()
         try:
             load(doc, name)
         except MukaiError:
             outcomes["refused"] += 1
         else:
             outcomes["loaded"] += 1
+        elapsed = time.perf_counter() - start
+        assert elapsed < DEADLINE_S, (name, doc, elapsed)
     assert min(outcomes.values()) > 100, outcomes

