@@ -201,10 +201,6 @@ class MukaiVector(Record):
     normalization: str
 
     @property
-    def ring(self) -> ThreefoldRing:
-        return self.graded.ring
-
-    @property
     def is_integral(self) -> bool:
         # In lowest terms the denominator is 1 exactly when every coefficient is integral.
         return self.graded._ints[0] == 1

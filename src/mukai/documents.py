@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .errors import DocumentError, LatticeValidationError
 from .flags import FlagDescriptor, GluingDescriptor, KernelResult, make_gluing, validate_flag
-from .chern import ChernData, MukaiVector
+from .chern import ChernData
 from .moduli import CD_FIELD_RULES, CDEntry, CDRegistry
 from .rational import INT_BOUND, MAX_DIGITS, format_fraction, parse_rational
 from .rings import GradedClass, K3Vector, ThreefoldRing
@@ -299,13 +299,6 @@ def jsonable(obj):
             "a4": jsonable(obj.a4),
             "a6": jsonable(obj.a6),
         }
-    if isinstance(obj, MukaiVector):
-        out = jsonable(obj.graded)
-        out["normalization"] = obj.normalization
-        out["integral"] = obj.is_integral
-        return out
-    if isinstance(obj, CDEntry):
-        return _entry_to_document(obj)
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -331,7 +324,7 @@ def _read_json(path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(
-            f"{path}: invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
+            f"{path}: invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from None
     except ValueError:  # an integer past the interpreter's int() digit limit
         raise DocumentError(

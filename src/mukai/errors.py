@@ -19,16 +19,9 @@ class LatticeValidationError(MukaiError, ValueError):
 class DocumentError(MukaiError, ValueError):
     """An input document could not be parsed into a domain object.
 
-    Carries an optional (line, column) position when the underlying JSON
-    decoder provides one.  Maps to CLI exit code 2.
+    When the JSON decoder reports a position, the message ends with it as
+    "(line L, column C)".  Maps to CLI exit code 2.
     """
-
-    def __init__(self, message: str, *, line: int | None = None, column: int | None = None):
-        self.line = line
-        self.column = column
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)
 
 
 class IntegralityWarning(UserWarning):

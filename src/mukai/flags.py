@@ -89,7 +89,6 @@ class FlagCheck(Record):
 
 
 class FlagReport(Record):
-    flag: FlagDescriptor
     checks: tuple[FlagCheck, ...]
 
     @property
@@ -151,7 +150,7 @@ def validate_flag(flag: FlagDescriptor) -> FlagReport:
             )
         )
 
-    return FlagReport(flag=flag, checks=tuple(checks))
+    return FlagReport(checks=tuple(checks))
 
 
 class KernelResult(Record):

@@ -466,9 +466,6 @@ class ConstantsRegistry:
     def __iter__(self):
         return iter(self._table.values())
 
-    def __len__(self):
-        return len(self._table)
-
 
 BUILTIN_CONSTANTS = ConstantsRegistry(
     [

@@ -94,9 +94,6 @@ class SchubertElement:
             isinstance(other, SchubertElement) and self.n == other.n and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
-
     def __add__(self, other: "SchubertElement") -> "SchubertElement":
         self._check_same_space(other)
         merged = dict(self.terms)
@@ -104,27 +101,14 @@ class SchubertElement:
             merged[key] = merged.get(key, 0) + coeff
         return SchubertElement(self.n, merged)
 
-    def __neg__(self) -> "SchubertElement":
-        return SchubertElement(self.n, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "SchubertElement") -> "SchubertElement":
-        return self + (-other)
-
     def scale(self, factor: int) -> "SchubertElement":
         if type(factor) is not int:
             raise LatticeValidationError("Schubert coefficients stay integral: scale by an int")
         return SchubertElement(self.n, {k: factor * v for k, v in self.terms.items()})
 
-    def __rmul__(self, factor):
-        if isinstance(factor, int):
-            return self.scale(factor)
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, SchubertElement):
             return multiply(self, other)
-        if isinstance(other, int):
-            return self.scale(other)
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "SchubertElement":

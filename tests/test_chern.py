@@ -151,6 +151,12 @@ def test_chern_sum_is_whitney_additive_on_characters():
         assert total.rank == e1.rank + e2.rank
 
 
+def test_chern_sum_needs_one_ring():
+    with pytest.raises(LatticeValidationError) as error:
+        chern_sum(instanton_type(), line_bundle(quintic_ring(), (1,)))
+    assert str(error.value) == "summands live on different rings"
+
+
 def test_todd_class_on_quintic_and_cp3():
     assert todd_class(quintic_ring()).components() == (1, (0,), (Fraction(25, 6),), 0)
     assert todd_class(cp3_ring()).components() == (1, (2,), (Fraction(11, 6),), 1)
@@ -204,7 +210,8 @@ def test_mukai_vector_of_hyperplane_on_quintic():
 def test_mukai_vector_normalization_tag_on_fano():
     m = mukai_vector(instanton_type())
     assert m.normalization == "fano-full-todd"
-    assert m.ring.name == "cp3-quartic"
+    assert m.graded.ring.name == "cp3-quartic"
+    assert str(m) == f"{m.graded} [fano-full-todd]"
 
 
 def test_k3_mukai_vector_of_instanton():

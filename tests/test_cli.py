@@ -179,6 +179,20 @@ def test_vdim_flag_and_manifold(capsys):
     assert "vdim      0" in out
 
 
+def test_vdim_notes_the_tangent_bundle_type(capsys, tmp_path):
+    # (rank, c1, c2, c3) = (3, c1, c2, chi_top) of the quintic itself.
+    bundle = tmp_path / "tangent.json"
+    bundle.write_text('{"rank": 3, "c1": [0], "c2": [50], "c3": -200}', encoding="utf-8")
+    argv = ["vdim", "--manifold", "quintic.json", "--bundle", str(bundle)]
+    note = "tangent-bundle type: possibly obstructed/unobstructed deformations"
+    assert run(capsys, *argv) == (
+        0, f"manifold  quintic\nvdim      0\nchi_self  0\nnote      {note}\n", ""
+    )
+    assert run(capsys, *argv, "--json") == (
+        0, f'{{"chi_self": 0, "manifold": "quintic", "note": "{note}", "vdim": 0}}\n', ""
+    )
+
+
 def test_twist_and_reflect(capsys):
     code, out, _ = run(
         capsys,
@@ -620,6 +634,22 @@ def test_fractional_chi_is_reported_on_stdout_only(tmp_path, argv, stdout):
         check=False,
     )
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", stdout)
+
+
+def test_chi_prints_its_integrality_note(capsys, tmp_path):
+    # A Calabi-Yau ring with H^3 = 1 and c2 = 0: chi(O, O(1)) = H^3/6 = 1/6.
+    ring = {"name": "cube", "kind": "cy3", "rho": 1, "basis": ["h"], "triple": [[[1]]],
+            "c1": [0], "c2_values": [0], "chi_top": 0, "h12": 1}
+    for name, doc in [("cube.json", ring), ("o.json", {"rank": 1, "c1": [0], "c2": [0], "c3": 0}),
+                      ("o1.json", {"rank": 1, "c1": [1], "c2": [0], "c3": 0})]:
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["chi", "--manifold", str(tmp_path / "cube.json"),
+            "--bundle", str(tmp_path / "o.json"), "--bundle2", str(tmp_path / "o1.json")]
+    note = "chi(e1, e2) = 1/6 is fractional on integral Chern data"
+    assert run(capsys, *argv) == (0, f"chi               1/6\nintegrality_note  {note}\n", "")
+    assert run(capsys, *argv, "--json") == (
+        0, f'{{"chi": "1/6", "integrality_note": "{note}"}}\n', ""
+    )
 
 
 @pytest.mark.parametrize("text", ["1e2", "0.5", " 3 "])

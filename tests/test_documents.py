@@ -235,6 +235,13 @@ def test_bundle_manifold_cross_check():
         bundle_from_document(doc, cp3_quartic_flag())
 
 
+def test_bundle_document_needs_a_ring_or_flag():
+    doc = {"rank": 1, "c1": [0], "c2": [0], "c3": 0}
+    with pytest.raises(TypeError) as error:
+        bundle_from_document(doc, "quintic")
+    assert str(error.value) == "manifold must be a ThreefoldRing or FlagDescriptor"
+
+
 def test_gluing_document_round_trip(tmp_path):
     gluing = load_gluing(builtin_path("cp3-double.json"))
     assert gluing.section_class_d == (8,)
@@ -498,10 +505,7 @@ def test_jsonable_scalars_and_vectors():
 
 def test_jsonable_domain_objects():
     assert jsonable(K3Vector(2, (0,), -2)) == {"v0": 2, "v2": [0], "v4": -2}
-    m = mukai_vector(instanton_type())
-    out = jsonable(m)
-    assert out["normalization"] == "fano-full-todd"
-    assert out["a0"] == 2
+    assert jsonable(mukai_vector(instanton_type()).graded)["a0"] == 2
     with pytest.raises(TypeError):
         jsonable(object())
 

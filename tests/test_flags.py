@@ -208,6 +208,14 @@ def test_twisted_double_rejects_bad_matrices():
         twisted_double_smoothable(flag, ((1,),))
 
 
+def test_twisted_double_rejects_an_isometry_that_is_not_an_involution():
+    # With section 0 the Gram matrix is zero, so A = (2) is an isometry; A^2 = 4.
+    flag = FlagDescriptor(ring=cp3_quartic_flag().ring, s_coords=(0,))
+    with pytest.raises(LatticeValidationError) as error:
+        twisted_double_smoothable(flag, ((2,),))
+    assert str(error.value) == "matrix is not an involution (A^2 != I)"
+
+
 def test_joint_kernel_vectors_restrict_to_zero():
     """Joint-kernel vectors satisfy G x+ + G A x- = 0 on every test flag."""
     from mukai.rational import mat_mul, mat_vec

@@ -399,7 +399,7 @@ def test_builtin_constants_open_problems_are_named():
 
 
 def test_builtin_constants_all_cited():
-    assert len(BUILTIN_CONSTANTS) == 9
+    assert len(list(BUILTIN_CONSTANTS)) == 9
     for constant in BUILTIN_CONSTANTS:
         assert constant.citation.strip()
     names = [constant.name for constant in BUILTIN_CONSTANTS]

@@ -115,6 +115,7 @@ def test_nullspace_hand_examples():
     assert nullspace([[4, 2], [2, 1]]) == [(1, -2)]
     assert nullspace([[4, 4]]) == [(1, -1)]
     assert nullspace([[1, 0], [0, 1]]) == []
+    assert nullspace(()) == []
 
 
 def test_rank_and_nullspace_against_sympy():

@@ -50,6 +50,20 @@ def test_ring_rejects_asymmetric_triple():
         )
 
 
+@pytest.mark.parametrize(
+    "labels, triple, message",
+    [
+        ((), (), "rank of H^2 must be at least 1"),
+        (("H",), (((1, 0),),), "triple intersection tensor must be 1x1x1"),
+    ],
+)
+def test_ring_rejects_a_tensor_of_the_wrong_shape(labels, triple, message):
+    with pytest.raises(LatticeValidationError) as error:
+        ThreefoldRing(name="bad", basis_labels=labels, triple=triple, c1_coords=(0,),
+                      c2_values=(0,), chi_top=0, h12=1)
+    assert str(error.value) == message
+
+
 def _first_asymmetry(triple):
     """The first (i,j,k) a Fraction loop finds where d[i][j][k] != d[j][i][k] or d[i][k][j]."""
     rho = len(triple)
@@ -167,6 +181,7 @@ def test_scalar_multiplication_and_subtraction():
     x = ring.graded(a0=2, a2=(1, 0), a4=(0, 3), a6="1/2")
     y = 2 * x
     assert y.a0 == 4 and y.a6 == 1
+    assert x * 2 == y
     assert (y - x) == x
     assert (-x) + x == ring.graded()
     assert x.scale(Fraction(1, 2)).a0 == 1
@@ -221,6 +236,12 @@ def test_restriction_rejects_asymmetric_gram():
         K3Restriction(gram=((0, 1), (0, 0)), s_coords=(1, 0))
 
 
+def test_restriction_rejects_a_gram_matrix_that_is_not_square():
+    with pytest.raises(LatticeValidationError) as error:
+        K3Restriction(gram=((1, 0),), s_coords=(1,))
+    assert str(error.value) == "gram matrix must be square"
+
+
 def test_restriction_section_length_has_one_wording():
     with pytest.raises(LatticeValidationError) as error:
         K3Restriction(((1, 0), (0, 1)), (1,))
@@ -233,6 +254,13 @@ def test_restrict_to_k3_drops_degree_six():
     x = ring.graded(a0=3, a2=(1, 2), a4=(5, 7), a6=11)
     v = restrict_to_k3(x, k3)
     assert v == K3Vector(3, (1, 2), 5)
+
+
+def test_restrict_to_k3_needs_a_restriction_of_the_ring_rank():
+    x = synthetic_ring().graded(a0=3, a2=(1, 2), a4=(5, 7), a6=11)
+    with pytest.raises(LatticeValidationError) as error:
+        restrict_to_k3(x, K3Restriction.from_ring(quintic_ring(), (1,)))
+    assert str(error.value) == "restriction rank does not match the ring"
 
 
 def test_k3_vector_arithmetic_and_str():

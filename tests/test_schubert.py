@@ -26,8 +26,6 @@ def test_bool_is_not_an_integer():
     x = sigma(4, 1)
     for call in (
         lambda: x.scale(True),
-        lambda: x * True,
-        lambda: True * x,
         lambda: x ** True,
         lambda: SchubertElement(4, {(1, 0): True}),
         lambda: SchubertElement(True, {}),
@@ -96,7 +94,7 @@ def test_keys_that_are_not_pairs_are_refused(key):
 
 def test_powers_above_the_dimension_vanish_without_looping():
     zero = SchubertElement(5, {})
-    x = sigma(5, 1) + 3 * sigma(5, 2, 1)
+    x = sigma(5, 1) + sigma(5, 2, 1).scale(3)
     looped = sigma(5, 0)
     for _ in range(7):  # dim G(2,5) = 6
         looped = looped * x
@@ -115,8 +113,8 @@ def test_powers_above_the_dimension_vanish_without_looping():
 def test_powers_with_a_unit_term_match_repeated_products(n):
     for x in (
         sigma(n, 0) + sigma(n, n - 2),
-        3 * sigma(n, 0) + sigma(n, n - 2, n - 2),
-        -2 * sigma(n, 0) + 5 * sigma(n, n - 2) - sigma(n, n - 2, n - 2),
+        sigma(n, 0).scale(3) + sigma(n, n - 2, n - 2),
+        sigma(n, 0).scale(-2) + sigma(n, n - 2).scale(5) + sigma(n, n - 2, n - 2).scale(-1),
     ):
         looped = sigma(n, 0)
         for exponent in range(2 * (n - 2) + 4):
@@ -125,9 +123,15 @@ def test_powers_with_a_unit_term_match_repeated_products(n):
 
 
 def test_zero_coefficients_are_pruned():
-    x = sigma(4, 1) - sigma(4, 1)
+    x = sigma(4, 1) + sigma(4, 1).scale(-1)
     assert x.terms == {}
     assert x == SchubertElement(4, {})
+
+
+def test_elements_are_not_hashable():
+    # Equality compares the public, mutable `terms` dict, so no hash can stay sound.
+    with pytest.raises(TypeError):
+        hash(sigma(4, 1))
 
 
 def test_hand_products_on_g24():
@@ -306,7 +310,7 @@ def test_top_chern_of_tangent_bundle_equals_euler_number():
     top = (
         a2 * a2
         + a1 * a2 * b1
-        + (a1 * a1 - 2 * a2) * b2
+        + (a1 * a1 + a2.scale(-2)) * b2
         + a2 * b1 * b1
         + a1 * b1 * b2
         + b2 * b2
