@@ -10,18 +10,23 @@ are read off the ring's truncated exponential e^{c1}, which differs from
 ch only by the terms in c2 and c3.  Each `ChernData` computes its
 character once, on first use, and keeps it out of `==`, `hash` and `repr`.
 Each ring keeps td and sqrt(td) once, as fixed factors (see `rings`), so a
-Mukai vector is a rho^2 product.
+Mukai vector is a rho^2 product.  Both are built from integers, as `_exp`
+builds e^{c1}: c1 and c2 over their denominators and the ring's integer
+tensor planes give td's numerators with one rho^3 square and one gcd, and
+`sqrt_series` reads its argument's numerators the same way, so no
+`Fraction` is made until a coefficient is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import LatticeValidationError
-from .rational import as_fraction, as_vector, dot, is_integral
+from .rational import as_fraction, as_vector, dot, is_integral, over_common_denominator
 from .record import Record
 from .rings import (
-    GradedClass, K3Restriction, K3Vector, ThreefoldRing, _fixed_factor, _times_fixed, restrict_to_k3,
+    GradedClass, K3Restriction, K3Vector, ThreefoldRing, _fixed_factor, _reduced, _restricted, _times_fixed,
 )
 
 __all__ = [
@@ -162,10 +167,15 @@ def todd_class(ring: ThreefoldRing) -> GradedClass:
 
 
 def _todd(ring: ThreefoldRing) -> GradedClass:
-    c1_sq = ring.square_to_h4(ring.c1_coords, ring.c1_coords)
-    td2 = tuple(a / 2 for a in ring.c1_coords)
-    td4 = tuple((a + b) / 12 for a, b in zip(c1_sq, ring.c2_values))
-    return ring.graded(a0=1, a2=td2, a4=td4, a6=structure_sheaf_chi(ring))
+    # With c1 = n/a, c2 = m/b and D the tensor's denominator, `_square(n, n)`
+    # is D a^2 c1^2; over L = 24 a^2 b D the class has numerators
+    # L, 12 a b D n, 2 (b D a^2 c1^2 + a^2 D m) and a D n.m.
+    (n, a), (m, b) = over_common_denominator(ring.c1_coords), over_common_denominator(ring.c2_values)
+    d = ring._den
+    square = ring._square(n, n)
+    n4 = [2 * b * x + 2 * a * a * d * y for x, y in zip(square, m)]
+    den = 24 * a * a * b * d
+    return _reduced(ring, den, den, [12 * a * b * d * x for x in n], n4, a * d * sum(map(mul, n, m)))
 
 
 def sqrt_series(x: GradedClass) -> GradedClass:
@@ -178,15 +188,20 @@ def sqrt_series(x: GradedClass) -> GradedClass:
         y6 = (x6 - 2 y2.y4) / 2,
 
     where y2^2 is an H^4 functional and y2.y4 the Poincare pairing.
-    The degree-0 part of x must be 1.
+    The degree-0 part of x must be 1.  In x's integers (numerators n over
+    e, D the tensor's denominator, s = `_square(n2, n2)`), y4 is
+    m4 / (8 e^2 D) with m4 = 4 e D n4 - s, and over 16 e^3 D the root has
+    numerators 16 e^3 D, 8 e^2 D n2, 2 e m4 and 8 e^2 D n6 - n2.m4.
     """
-    if x.a0 != 1:
+    e, n0, n2, n4, n6 = x._ints
+    if n0 != e:
         raise LatticeValidationError(f"square root requires unit degree-0 part, got {x.a0}")
     ring = x.ring
-    y2 = tuple(a / 2 for a in x.a2)
-    y2_sq = ring.square_to_h4(y2, y2)
-    y4 = tuple((a - b) / 2 for a, b in zip(x.a4, y2_sq))
-    return ring.graded(a0=1, a2=y2, a4=y4, a6=(x.a6 - 2 * dot(y2, y4)) / 2)
+    d = ring._den
+    m4 = [4 * e * d * a - b for a, b in zip(n4, ring._square(n2, n2))]
+    f = 8 * e * e * d
+    return _reduced(ring, 2 * e * f, 2 * e * f, [f * a for a in n2], [2 * e * a for a in m4],
+                    f * n6 - sum(map(mul, n2, m4)))
 
 
 class MukaiVector(Record):
@@ -229,16 +244,15 @@ def k3_mukai_vector(flag, e: ChernData) -> K3Vector:
 
         (rank, c1 . S-basis, integral_S ch2 + rank),
 
-    computed by restricting the ambient Chern character and adding the
-    rank to the point component.  The flag must carry the ring of `e`.
+    computed by restricting the ambient Chern character with the rank
+    added to the point component.  The flag must carry the ring of `e`.
     """
     k3 = getattr(flag, "k3", None)
     if not isinstance(k3, K3Restriction):
         raise TypeError("expected an object carrying a K3Restriction as .k3")
     if e.ring != flag.ring:
         raise LatticeValidationError("Chern data must live on the flag's ring")
-    restricted = restrict_to_k3(chern_character(e), k3)
-    return K3Vector(restricted.v0, restricted.v2, restricted.v4 + e.rank)
+    return _restricted(chern_character(e), k3, e.rank)
 
 
 def structure_sheaf_chi(ring: ThreefoldRing) -> Fraction:

@@ -11,13 +11,18 @@ form a normal-crossing total space; its smoothability and deformation
 count are controlled by the section class D of the gluing and by the
 kernels of the restriction maps, all of which reduce to exact rational
 linear algebra on the Gram matrices below.
+
+That algebra runs in integers.  The rank and both kernels are taken by
+each `K3Restriction` on its integer Gram rows, through the one
+elimination core of `linalg`; the isometry check A^T G A = G is made as
+N^T R N = a^2 R, with G = R/g and A = N/a.  `Fraction`s are made only for
+results and error messages.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg
 from .chern import structure_sheaf_chi
 from .errors import LatticeValidationError
 from .rational import (
@@ -26,9 +31,10 @@ from .rational import (
     as_vector,
     format_fraction,
     identity_matrix,
+    integer_product,
     mat_mul,
     mat_vec,
-    transpose,
+    rows_over_common_denominator,
 )
 from .record import Record
 from .rings import K3Restriction, ThreefoldRing
@@ -131,7 +137,7 @@ def validate_flag(flag: FlagDescriptor) -> FlagReport:
         )
     )
 
-    gram_rank = linalg.rank(flag.k3.gram)
+    gram_rank = flag.k3._rank()
     checks.append(
         FlagCheck(
             "restricted-lattice-rank",
@@ -170,7 +176,7 @@ def obstruction_kernel(flag: FlagDescriptor) -> KernelResult:
     A degree-2 class x is invisible on the K3 member exactly when
     G x = 0; the kernel measures polarizations killed by restriction.
     """
-    basis = linalg.nullspace(flag.k3.gram)
+    basis = flag.k3._kernel()
     return KernelResult(dimension=len(basis), basis=tuple(basis))
 
 
@@ -258,10 +264,7 @@ def joint_obstruction_kernel(gluing: GluingDescriptor) -> KernelResult:
     matrix [G | G A] consists of the pairs restricting to zero, i.e. the
     directions in which the glued polarization degenerates.
     """
-    g = gluing.gram
-    ga = mat_mul(g, gluing.matrix)
-    stacked = tuple(row_g + row_ga for row_g, row_ga in zip(g, ga))
-    basis = linalg.nullspace(stacked)
+    basis = gluing.flag_plus.k3._joint_kernel(gluing.matrix)
     return KernelResult(dimension=len(basis), basis=tuple(basis))
 
 
@@ -347,14 +350,21 @@ def twisted_double_smoothable(flag: FlagDescriptor, involution) -> bool:
 def require_isometry(matrix, gram, what: str = "matrix") -> tuple[tuple[Fraction, ...], ...]:
     """Coerce a square matrix A of the Gram matrix's size and check A^T G A = G.
 
-    `what` names the matrix in the error raised when either check fails.
+    With G = R/g and A = N/a in integers the check is N^T R N = a^2 R, so
+    `Fraction`s are made only for the error.  `what` names the matrix in
+    the error raised when either check fails.
     """
     a = as_matrix(matrix)
     n = len(gram)
     if len(a) != n or any(len(row) != n for row in a):
         raise LatticeValidationError(f"{what} size must match the restricted lattice rank")
-    conjugated = mat_mul(mat_mul(transpose(a), gram), a)
-    if conjugated != gram:
+    gram = as_matrix(gram)
+    rows, g = rows_over_common_denominator(gram)
+    nums, den = rows_over_common_denominator(a)
+    conjugated = integer_product(list(zip(*nums)), integer_product(rows, nums))
+    scale = den * den
+    if any(x != scale * y for row_c, row in zip(conjugated, rows) for x, y in zip(row_c, row)):
+        conjugated = tuple(tuple(Fraction(x, scale * g) for x in row) for row in conjugated)
         raise LatticeValidationError(
             f"{what} is not an isometry of the restricted lattice: A^T G A = {conjugated} != {gram}"
         )

@@ -73,7 +73,8 @@ def as_fraction(value: Rational) -> Fraction:
 
 
 def as_vector(values) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(v) for v in values)
+    # A Fraction is kept as it is, without the call that would return it unchanged.
+    return tuple(v if type(v) is Fraction else as_fraction(v) for v in values)
 
 
 def as_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -113,6 +114,19 @@ def over_common_denominator(values) -> tuple[list[int], int]:
     """Integer numerators of exact values over their least common denominator."""
     den = lcm(*[x.denominator for x in values])
     return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def rows_over_common_denominator(matrix) -> tuple[list[list[int]], int]:
+    """Integer rows of an exact matrix over the least common denominator of all its entries."""
+    flat, den = over_common_denominator([x for row in matrix for x in row])
+    n = len(matrix[0]) if matrix else 0
+    return [flat[i * n:(i + 1) * n] for i in range(len(matrix))], den
+
+
+def integer_product(a, b) -> list[list[int]]:
+    """The product of two integer matrices."""
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, column)) for column in columns] for row in a]
 
 
 def dot(u, v) -> Fraction:

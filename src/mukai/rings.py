@@ -43,7 +43,10 @@ Elements are immutable `GradedClass` values supporting +, -, scalar
 multiplication and the cup product; `star` is the degree involution that
 negates H^2 and H^6.  `K3Restriction` carries the rank-rho Gram matrix of
 an anticanonical K3 member, and `restrict_to_k3` projects a graded class
-to the associated Mukai lattice H^0 + H^2 + H^4 of that surface.
+to the associated Mukai lattice H^0 + H^2 + H^4 of that surface.  The
+restriction also keeps G as integer rows R over one denominator g
+(G = R/g); its rank and kernels, which `flags` reads, are taken on R by
+the integer elimination core of `linalg`.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+from . import linalg
 from .errors import LatticeValidationError
 from .rational import (
     Rational,
@@ -59,7 +63,9 @@ from .rational import (
     as_matrix,
     as_vector,
     format_fraction,
+    integer_product,
     over_common_denominator,
+    rows_over_common_denominator,
 )
 from .record import Record
 
@@ -125,7 +131,7 @@ class ThreefoldRing(Record):
         if len(set(labels)) != len(labels):
             raise LatticeValidationError("basis labels must be distinct")
         rho = len(labels)
-        triple = tuple(tuple(tuple(as_fraction(x) for x in row) for row in plane) for plane in self.triple)
+        triple = tuple(tuple(as_vector(row) for row in plane) for plane in self.triple)
         if len(triple) != rho or any(len(p) != rho or any(len(r) != rho for r in p) for p in triple):
             raise LatticeValidationError(f"triple intersection tensor must be {rho}x{rho}x{rho}")
         flat, den = over_common_denominator([x for plane in triple for row in plane for x in row])
@@ -452,11 +458,9 @@ class K3Restriction(Record):
         s_coords = as_vector(self.s_coords)
         if len(s_coords) != len(gram):
             raise LatticeValidationError("section class length must match rho")
-        flat, den = over_common_denominator([x for row in gram for x in row])
-        n = len(gram)
-        rows = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+        rows, den = rows_over_common_denominator(gram)
         s = over_common_denominator(s_coords)
-        vars(self).update(gram=gram, s_coords=s_coords, _rows=rows, _den=den, _s=s)
+        vars(self).update(gram=gram, s_coords=s_coords, _rows=tuple(map(tuple, rows)), _den=den, _s=s)
 
     @classmethod
     def from_ring(cls, ring: ThreefoldRing, s_coords) -> "K3Restriction":
@@ -475,6 +479,25 @@ class K3Restriction(Record):
     @property
     def rank(self) -> int:
         return len(self.gram)
+
+    def _rank(self) -> int:
+        """The rank of G, read off the integer rows."""
+        return len(linalg._echelon(self._rows)[1])
+
+    def _kernel(self) -> list[tuple[Fraction, ...]]:
+        """`linalg.nullspace` of G, from the integer rows."""
+        return linalg._kernel(self._rows)
+
+    def _joint_kernel(self, matrix) -> list[tuple[Fraction, ...]]:
+        """`linalg.nullspace` of [G | G A] for an exact square matrix A.
+
+        With G = R/g and A = N/a that matrix is [a R | R N] / (g a), so the
+        kernel is read off the integer matrix [a R | R N].
+        """
+        nums, a = rows_over_common_denominator(matrix)
+        rows = self._rows
+        stacked = [[a * x for x in row] + rn for row, rn in zip(rows, integer_product(rows, nums))]
+        return linalg._kernel(stacked)
 
     def _times(self, v) -> tuple[list[int], int]:
         """G.v as integer numerators over one denominator."""
@@ -528,7 +551,14 @@ def restrict_to_k3(x: GradedClass, restriction: K3Restriction) -> K3Vector:
     the section class, since a point count on S is the ambient integral
     of the degree-4 part against s.  Degree 6 dies on a surface.
     """
+    return _restricted(x, restriction, 0)
+
+
+def _restricted(x: GradedClass, restriction: K3Restriction, points: int) -> K3Vector:
+    """`restrict_to_k3` with `points` added to v4 before the one vector is made."""
     if len(restriction.s_coords) != x.ring.rho:
         raise LatticeValidationError("restriction rank does not match the ring")
+    den, _, _, n4, _ = x._ints
     s, ds = restriction._s
-    return K3Vector(x.a0, x.a2, Fraction(sum(map(mul, s, x._ints[3])), ds * x._ints[0]))
+    v4 = Fraction(sum(map(mul, s, n4)) + points * ds * den, ds * den)
+    return K3Vector(x.a0, x.a2, v4)

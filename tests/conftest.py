@@ -7,8 +7,10 @@ its own stream and failures replay exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from mukai import ChernData, FlagDescriptor, ThreefoldRing
+from mukai.rational import as_matrix
 
 LETTERS = ("A", "B", "C", "D", "E", "F", "G", "H")
 
@@ -190,3 +192,51 @@ def random_matrix(rng, rows, cols):
     return tuple(
         tuple(Fraction(rng.randint(-3, 3)) for _ in range(cols)) for _ in range(rows)
     )
+
+
+# --------------------------------------------------------------------------
+# references
+
+
+def reference_rref(matrix):
+    """Textbook Gauss-Jordan over Fraction: the reference for the integer `rref`."""
+    rows = [list(row) for row in as_matrix(matrix)]
+    if not rows:
+        return (), ()
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def reference_primitive(vector):
+    """Scaling by hand-written lcm and gcd loops: the reference for `primitive`."""
+    vec = [Fraction(v) for v in vector]
+    if all(v == 0 for v in vec):
+        return tuple(vec)
+    scale = 1
+    for v in vec:
+        scale = scale * v.denominator // gcd(scale, v.denominator)
+    ints = [int(v * scale) for v in vec]
+    common = 0
+    for v in ints:
+        common = gcd(common, v)
+    ints = [v // common for v in ints]
+    lead = next(v for v in ints if v != 0)
+    if lead < 0:
+        ints = [-v for v in ints]
+    return tuple(Fraction(v) for v in ints)

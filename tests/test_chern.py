@@ -4,6 +4,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,7 +27,7 @@ from mukai import (
     todd_class,
     twist_chern,
 )
-from mukai.rational import is_integral
+from mukai.rational import dot, is_integral
 
 from conftest import (
     cp3_quartic_flag,
@@ -37,6 +38,8 @@ from conftest import (
     random_cy_ring,
     random_fano_ring,
     random_graded,
+    synthetic_flag,
+    with_denominators,
 )
 
 
@@ -187,6 +190,37 @@ def test_sqrt_series_round_trip():
         assert y * y == x
 
 
+def reference_todd(ring):
+    """td = 1 + c1/2 + (c1^2 + c2)/12 + c1.c2/24 in `Fraction`s: the reference for `todd_class`."""
+    c1_sq = ring.square_to_h4(ring.c1_coords, ring.c1_coords)
+    td2 = tuple(a / 2 for a in ring.c1_coords)
+    td4 = tuple((a + b) / 12 for a, b in zip(c1_sq, ring.c2_values))
+    return ring.graded(a0=1, a2=td2, a4=td4, a6=dot(ring.c1_coords, ring.c2_values) / 24)
+
+
+def reference_sqrt_series(x):
+    """y2 = x2/2, y4 = (x4 - y2^2)/2, y6 = (x6 - 2 y2.y4)/2 in `Fraction`s: the reference for `sqrt_series`."""
+    ring = x.ring
+    y2 = tuple(a / 2 for a in x.a2)
+    y2_sq = ring.square_to_h4(y2, y2)
+    y4 = tuple((a - b) / 2 for a, b in zip(x.a4, y2_sq))
+    return ring.graded(a0=1, a2=y2, a4=y4, a6=(x.a6 - 2 * dot(y2, y4)) / 2)
+
+
+def test_integer_todd_and_square_root_match_the_fraction_formulas():
+    rng = random.Random(20261019)
+    for i in range(300):
+        ring = (random_cy_ring if i % 2 else random_fano_ring)(rng, 1 + i % 8)
+        if i % 3:
+            ring = with_denominators(rng, ring)
+        td = todd_class(ring)
+        assert td == reference_todd(ring), ring
+        assert sqrt_series(td) == reference_sqrt_series(td), ring
+        x = random_graded(rng, ring)
+        x = ring.graded(1, x.a2, x.a4, x.a6)
+        assert sqrt_series(x) == reference_sqrt_series(x), x
+
+
 def test_sqrt_series_requires_unit_part():
     ring = quintic_ring()
     with pytest.raises(LatticeValidationError):
@@ -232,6 +266,14 @@ def test_k3_mukai_vector_rejects_unrelated_objects():
     for other in (object(), flag.k3):  # a bare restriction carries no ring to check
         with pytest.raises(TypeError):
             k3_mukai_vector(other, instanton_type(flag.ring))
+
+
+def test_k3_mukai_vector_checks_the_restriction_rank():
+    # An object that carries the bundle's ring but a K3 restriction of another rank.
+    flag = cp3_quartic_flag()
+    other = SimpleNamespace(ring=flag.ring, k3=synthetic_flag().k3)
+    with pytest.raises(LatticeValidationError, match="restriction rank"):
+        k3_mukai_vector(other, instanton_type(flag.ring))
 
 
 def test_structure_sheaf_chi():

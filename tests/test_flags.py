@@ -8,6 +8,7 @@ import pytest
 from mukai import (
     FlagDescriptor,
     LatticeValidationError,
+    ThreefoldRing,
     build_double,
     deformation_dims,
     joint_obstruction_kernel,
@@ -17,14 +18,20 @@ from mukai import (
     twisted_double_smoothable,
     validate_flag,
 )
-from mukai.flags import GluingDescriptor
+from mukai.flags import GluingDescriptor, require_isometry
+from mukai.rational import as_matrix
 
 from conftest import (
     cp3_quartic_flag,
     quintic_ring,
     random_chern,
+    random_cy_ring,
+    random_fano_ring,
+    reference_primitive,
+    reference_rref,
     swap_symmetric_flag,
     synthetic_flag,
+    with_denominators,
 )
 
 
@@ -216,6 +223,16 @@ def test_twisted_double_rejects_an_isometry_that_is_not_an_involution():
     assert str(error.value) == "matrix is not an involution (A^2 != I)"
 
 
+def test_require_isometry_takes_a_bare_gram_matrix():
+    gram = [[2, 1], [1, "2"]]
+    swap = require_isometry([[0, 1], [1, 0]], gram)
+    assert swap == ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+    with pytest.raises(LatticeValidationError, match=r"A\^T G A = \(\(Fraction\(2, 1\), Fraction\(3, 1\)\)"):
+        require_isometry([[1, 1], [0, 1]], gram, "shear")
+    with pytest.raises(LatticeValidationError, match="size"):
+        require_isometry([[1]], gram)
+
+
 def test_joint_kernel_vectors_restrict_to_zero():
     """Joint-kernel vectors satisfy G x+ + G A x- = 0 on every test flag."""
     from mukai.rational import mat_mul, mat_vec
@@ -251,3 +268,136 @@ def test_random_chern_restricts_consistently_on_swap_flag():
         v = mukai_restrict(flag, e).vector
         swapped = K3Vector(v.v0, (v.v2[1], v.v2[0]), v.v4)
         assert gluing_match(flag.k3, swap, swapped, v)
+
+
+# --------------------------------------------------------------------------
+# the integer Gram algebra against Fraction references
+
+
+def _fraction_product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def reference_nullspace(matrix):
+    """The free-variable kernel basis of `reference_rref`, made primitive."""
+    reduced, pivots = reference_rref(matrix)
+    basis = []
+    for f in range(len(reduced[0])):
+        if f not in pivots:
+            vec = [Fraction(0)] * len(reduced[0])
+            vec[f] = Fraction(1)
+            for row, p in zip(reduced, pivots):
+                vec[p] = -row[f]
+            basis.append(reference_primitive(vec))
+    return basis
+
+
+def reference_require_isometry(matrix, gram, what):
+    """A^T G A = G in `Fraction` loops: the reference for the integer `require_isometry`."""
+    a = as_matrix(matrix)
+    n = len(gram)
+    if len(a) != n or any(len(row) != n for row in a):
+        raise LatticeValidationError(f"{what} size must match the restricted lattice rank")
+    conjugated = tuple(map(tuple, _fraction_product(_fraction_product(list(zip(*a)), gram), a)))
+    if conjugated != gram:
+        raise LatticeValidationError(
+            f"{what} is not an isometry of the restricted lattice: A^T G A = {conjugated} != {gram}"
+        )
+    return a
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except LatticeValidationError as error:
+        return str(error)
+
+
+def _gram_flag(rng, rho, kind):
+    """A flag with a fractional Gram matrix, symmetric under e0 <-> e1 ("swap"),
+    zero along the last basis vector ("null") or with it repeating e0 ("repeated")."""
+    ring = with_denominators(rng, (random_cy_ring if rng.random() < 0.5 else random_fano_ring)(rng, rho))
+    d = ring.triple
+    swap = [1, 0] + list(range(2, rho))
+    repeat = list(range(rho - 1)) + [0]
+
+    def entry(a, b, c):
+        if kind == "swap":
+            return d[a][b][c] + d[swap[a]][swap[b]][swap[c]]
+        if kind == "null":
+            return 0 if rho - 1 in (a, b, c) else d[a][b][c]
+        if kind == "repeated":
+            return d[repeat[a]][repeat[b]][repeat[c]]
+        return d[a][b][c]
+
+    triple = [[[entry(a, b, c) for c in range(rho)] for b in range(rho)] for a in range(rho)]
+    ring = ThreefoldRing(ring.name, ring.basis_labels, triple, ring.c1_coords, ring.c2_values,
+                         ring.chi_top, ring.h12)
+    s = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(rho)]
+    if kind == "swap":
+        s[1] = s[0]
+    if rng.random() < 0.05:
+        s = [0] * rho
+    return FlagDescriptor(ring=ring, s_coords=s)
+
+
+def _matrices(rng, gram, kind):
+    """Signed-permutation isometries, reflections (fractional isometries) and non-isometries."""
+    rho = len(gram)
+    identity = [[int(i == j) for j in range(rho)] for i in range(rho)]
+    yield [[-x for x in row] for row in identity]
+    if kind == "swap":
+        swap = [1, 0] + list(range(2, rho))
+        yield [[rng.choice((1, -1)) * int(swap[i] == j) for j in range(rho)] for i in range(rho)]
+    if kind == "null":
+        yield [[(-1 if i == rho - 1 else 1) * x for x in row] for i, row in enumerate(identity)]
+    # The reflection x -> x - 2 (v.G.x / v.G.v) v, when v.G.v != 0.
+    v = [rng.randint(-2, 2) for _ in range(rho)]
+    gv = [sum((g * x for g, x in zip(row, v)), Fraction(0)) for row in gram]
+    q = sum((a * b for a, b in zip(v, gv)), Fraction(0))
+    if q:
+        reflection = [[identity[i][j] - 2 * v[i] * gv[j] / q for j in range(rho)] for i in range(rho)]
+        yield reflection
+        bent = [list(row) for row in reflection]
+        bent[rng.randrange(rho)][rng.randrange(rho)] += Fraction(1, 7)
+        yield bent
+    yield [[2 * x for x in row] for row in identity]
+    yield [[Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(rho)] for _ in range(rho)]
+    if rng.random() < 0.1:
+        yield [[1] * (rho + 1)] * (rho + 1)
+
+
+def test_the_integer_gram_algebra_matches_the_fraction_references():
+    """Rank text, both kernels and the isometry check on 300 flags, rho 1-8.
+
+    Each runs on the integer Gram rows a `K3Restriction` keeps; each
+    reference is a `Fraction` loop over the Gram matrix itself.  Two of
+    each flag's candidate matrices are checked.
+    """
+    rng = random.Random(20261019)
+    seen = set()
+    for i in range(300):
+        rho = 1 + i % 8
+        kind = rng.choice(("plain", "swap", "null", "repeated")) if rho > 1 else "plain"
+        flag = _gram_flag(rng, rho, kind)
+        gram = flag.k3.gram
+        rank = len(reference_rref(gram)[1])
+        detail = f"gram rank {rank} of {rho}" + (" (degenerate restriction)" if rank < rho else "")
+        check = next(c for c in validate_flag(flag).checks if c.name == "restricted-lattice-rank")
+        assert check.detail == detail, flag
+        basis = tuple(reference_nullspace(gram))
+        assert obstruction_kernel(flag).basis == basis, flag
+        seen.add("degenerate" if basis else "nondegenerate")
+        matrices = list(_matrices(rng, gram, kind))
+        for matrix in rng.sample(matrices, 2):
+            got = _outcome(require_isometry, matrix, gram, "gluing matrix")
+            assert got == _outcome(reference_require_isometry, matrix, gram, "gluing matrix"), (flag, matrix)
+            if isinstance(got, str):
+                seen.add("size" if "size" in got else "not an isometry")
+                continue
+            seen.add("fractional isometry" if any(x.denominator > 1 for row in got for x in row) else "isometry")
+            stacked = [list(g) + row for g, row in zip(gram, _fraction_product(gram, got))]
+            joint = joint_obstruction_kernel(make_gluing(flag, flag, matrix=matrix))
+            assert joint.basis == tuple(reference_nullspace(stacked)), (flag, matrix)
+    assert seen == {"degenerate", "nondegenerate", "size", "not an isometry", "fractional isometry", "isometry"}
+

@@ -233,6 +233,17 @@ def test_chern_character_todd_class_and_its_square_root_match_the_series():
         assert components(sqrt_series(td)) == evaluate(ring, SQRT_TD_TERMS, tangent_classes(ring)), ring
 
 
+def test_sqrt_series_squares_back_under_the_oracle_cup():
+    """sqrt_series on unital classes other than td: y . y = x, the product taken by `cup`."""
+    for rng, ring in random_rings(505, 200):
+        def frac():
+            return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 5)))
+
+        x = (Fraction(1), [frac() for _ in range(ring.rho)], [frac() for _ in range(ring.rho)], frac())
+        y = components(sqrt_series(ring.graded(*x)))
+        assert cup(ring, y, y) == x, (ring, x)
+
+
 def test_mukai_vectors_and_twists_match_the_series():
     x = sympy.Symbol("x")
     exp = sympy.series(sympy.exp(x), x, 0, 4).removeO()

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 import sympy
@@ -22,7 +21,7 @@ from mukai.rational import (
     transpose,
 )
 
-from conftest import random_matrix
+from conftest import random_matrix, reference_primitive, reference_rref
 
 
 def test_as_fraction_accepts_exact_inputs():
@@ -111,6 +110,14 @@ def test_primitive_normalization():
     assert primitive((Fraction(0), Fraction(0))) == (0, 0)
 
 
+def test_primitive_refuses_floats_and_decimal_strings():
+    with pytest.raises(TypeError):
+        primitive([0.5, 1.0])
+    with pytest.raises(ValueError):
+        primitive(["1e2", " 3 "])
+    assert primitive(["1/2", 3]) == (1, 6)
+
+
 def test_nullspace_hand_examples():
     assert nullspace([[4, 2], [2, 1]]) == [(1, -2)]
     assert nullspace([[4, 4]]) == [(1, -1)]
@@ -144,31 +151,6 @@ def test_nullspace_vectors_are_in_the_kernel():
 
 # --------------------------------------------------------------------------
 # the integer kernels against plain Fraction loops
-
-
-def reference_rref(matrix):
-    """Textbook Gauss-Jordan over Fraction: the reference for the integer `rref`."""
-    rows = [list(row) for row in as_matrix(matrix)]
-    if not rows:
-        return (), ()
-    pivots = []
-    r = 0
-    for c in range(len(rows[0])):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
 def _entry(rng):
@@ -276,25 +258,6 @@ def test_dot_matches_the_fraction_sum():
     assert dot((), ()) == 0 and type(dot((), ())) is Fraction
     assert dot((1, 2), (3, -4)) == -5
     assert dot((Fraction(1, 2), Fraction(1, 3)), (Fraction(2, 3), 3)) == Fraction(4, 3)
-
-
-def reference_primitive(vector):
-    """Scaling by hand-written lcm and gcd loops: the reference for `primitive`."""
-    vec = [Fraction(v) for v in vector]
-    if all(v == 0 for v in vec):
-        return tuple(vec)
-    scale = 1
-    for v in vec:
-        scale = scale * v.denominator // gcd(scale, v.denominator)
-    ints = [int(v * scale) for v in vec]
-    common = 0
-    for v in ints:
-        common = gcd(common, v)
-    ints = [v // common for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
 
 
 def test_primitive_matches_the_reference():
