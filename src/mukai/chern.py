@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import LatticeValidationError
-from .rational import as_fraction, as_vector, dot, is_integral, over_common_denominator
+from .rational import as_fraction, as_vector, dot, over_common_denominator
 from .record import Record
 from .rings import (
     GradedClass, K3Restriction, K3Vector, ThreefoldRing, _fixed_factor, _reduced, _restricted, _times_fixed,
@@ -79,7 +79,7 @@ class ChernData(Record):
     def is_integral(self) -> bool:
         """Whether c1, c2 and c3 are all integers; decided once per record."""
         if "_integral" not in vars(self):
-            vars(self)["_integral"] = is_integral(self.c1, self.c2, self.c3)
+            vars(self)["_integral"] = all(x.denominator == 1 for x in (*self.c1, *self.c2, self.c3))
         return vars(self)["_integral"]
 
     def c1_dot_c2(self) -> Fraction:

@@ -25,7 +25,7 @@ from .errors import DocumentError, LatticeValidationError
 from .flags import FlagDescriptor, GluingDescriptor, KernelResult, make_gluing, validate_flag
 from .chern import ChernData
 from .moduli import CD_FIELD_RULES, CDEntry, CDRegistry
-from .rational import INT_BOUND, MAX_DIGITS, format_fraction, parse_rational
+from .rational import INT_BOUND, MAX_DIGITS, parse_rational
 from .rings import GradedClass, K3Vector, ThreefoldRing
 
 __all__ = [
@@ -289,7 +289,7 @@ def jsonable(obj):
     so emitted documents re-parse to the exact same values.
     """
     if isinstance(obj, Fraction):
-        return obj.numerator if obj.denominator == 1 else format_fraction(obj)
+        return obj.numerator if obj.denominator == 1 else str(obj)
     if isinstance(obj, (K3Vector, KernelResult)):
         return {name: jsonable(value) for name, value in obj.as_dict().items()}
     if isinstance(obj, GradedClass):

@@ -20,7 +20,7 @@ from .chern import ChernData, k3_mukai_vector
 from .errors import LatticeValidationError
 from .flags import FlagDescriptor
 from .pairings import euler_chi, mukai_pairing_k3
-from .rational import INT_BOUND, MAX_DIGITS, as_vector, dot, format_fraction, over_common_denominator
+from .rational import INT_BOUND, MAX_DIGITS, as_vector, dot, over_common_denominator
 from .record import Record
 from .rings import GradedClass, K3Restriction, K3Vector, ThreefoldRing
 
@@ -370,7 +370,7 @@ def cd_closure(
             raise LatticeValidationError(
                 f"parent {parent.key!r} lacks the exceptional-realization assertion"
             )
-    coords = ", ".join(format_fraction(x) for x in as_vector(L))
+    coords = ", ".join(map(str, as_vector(L)))
     k = str(k)
     key = f"{entry_m.manifold}:reflect({entry_m.key}|twist^{k}[{coords}]({entry_mp.key}))"
     if entry_m.value is not None and entry_mp.value is not None:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .chern import ChernData, MukaiVector, _todd_factor, chern_character, k3_mukai_vector, mukai_vector
 from .errors import IntegralityWarning, LatticeValidationError
 from .flags import FlagDescriptor, require_isometry
-from .rational import as_vector, format_fraction, mat_vec
+from .rational import as_vector, mat_vec
 from .record import Record
 from .rings import GradedClass, K3Restriction, K3Vector, _top_times_fixed, star, top_degree
 
@@ -119,7 +119,7 @@ def euler_chi_result(e1: ChernData, e2: ChernData) -> PairingResult:
     if value.denominator != 1 and e1.is_integral and e2.is_integral:
         note = (
             f"chi({'/'.join(e1.labels) or 'e1'}, {'/'.join(e2.labels) or 'e2'}) = "
-            f"{format_fraction(value)} is fractional on integral Chern data"
+            f"{value} is fractional on integral Chern data"
         )
     return PairingResult(value=value, integrality_note=note)
 

@@ -1,16 +1,22 @@
-"""Small helpers for exact rational scalars, vectors and matrices.
+"""Exact rational scalars, vectors and matrices, and their integer forms.
 
 Everything in the package computes over ``fractions.Fraction``; floats are
 never accepted, so a binary-float rounding artifact can never masquerade as
-an intersection number.
+an intersection number.  `as_fraction`, `as_vector` and `as_matrix` are the
+one coercion of user input; `parse_rational` reads the strings documents
+hold.
 
-`dot` is the one exact sum of products: every Poincare pairing of H^2
-coordinates against H^4 functionals goes through it.  It writes each
-vector as integer numerators over its least common denominator, sums in
-`int` and makes one `Fraction`, numerator over the product of the two
-denominators; `mat_vec` and `mat_mul` do the same for each output entry.
-`Fraction(n, d)` reduces that to lowest terms, so the results equal the
-`Fraction` sums exactly.
+The arithmetic runs on integers.  `over_common_denominator` and
+`rows_over_common_denominator` write exact values as integer numerators
+over one least common denominator, and `integer_product` multiplies
+integer matrices.  `dot` is the one exact sum of products: every Poincare
+pairing of H^2 coordinates against H^4 functionals goes through it.  It
+and `mat_vec` sum in `int` and make one `Fraction` per result, numerator
+over the product of the denominators.  `Fraction(n, d)` reduces that to
+lowest terms, so the results equal the `Fraction` sums exactly.
+
+The library prints its `Fraction`s with `str`; `format_fraction` is the
+same for any value `as_fraction` accepts.
 """
 
 from __future__ import annotations
@@ -36,11 +42,8 @@ __all__ = [
     "as_vector",
     "as_matrix",
     "format_fraction",
-    "is_integral",
     "identity_matrix",
-    "mat_mul",
     "mat_vec",
-    "transpose",
 ]
 
 
@@ -89,25 +92,10 @@ def format_fraction(value: Fraction) -> str:
     return str(as_fraction(value))
 
 
-def is_integral(*values) -> bool:
-    """True when every (possibly nested) value is an integer rational."""
-    for v in values:
-        if isinstance(v, (tuple, list)):
-            if not is_integral(*v):
-                return False
-        elif as_fraction(v).denominator != 1:
-            return False
-    return True
-
-
 def identity_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
     )
-
-
-def transpose(matrix):
-    return tuple(zip(*matrix)) if matrix else ()
 
 
 def over_common_denominator(values) -> tuple[list[int], int]:
@@ -142,14 +130,4 @@ def mat_vec(matrix, vector) -> tuple[Fraction, ...]:
     return tuple(
         Fraction(sum(map(mul, row_nums, nums)), row_den * den)
         for row_nums, row_den in map(over_common_denominator, matrix)
-    )
-
-
-def mat_mul(a, b):
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix size mismatch")
-    cols = [over_common_denominator(col) for col in transpose(b)]
-    return tuple(
-        tuple(Fraction(sum(map(mul, row_nums, nums)), row_den * den) for nums, den in cols)
-        for row_nums, row_den in map(over_common_denominator, a)
     )

@@ -62,7 +62,6 @@ from .rational import (
     as_fraction,
     as_matrix,
     as_vector,
-    format_fraction,
     integer_product,
     over_common_denominator,
     rows_over_common_denominator,
@@ -313,13 +312,8 @@ class GradedClass(Record):
         return (self.a0, self.a2, self.a4, self.a6)
 
     def __str__(self):
-        parts = [
-            format_fraction(self.a0),
-            "(" + ", ".join(format_fraction(x) for x in self.a2) + ")",
-            "(" + ", ".join(format_fraction(x) for x in self.a4) + ")",
-            format_fraction(self.a6),
-        ]
-        return "[" + " | ".join(parts) + "]"
+        a2, a4 = ", ".join(map(str, self.a2)), ", ".join(map(str, self.a4))
+        return f"[{self.a0} | ({a2}) | ({a4}) | {self.a6}]"
 
 
 def _fractions(nums, den: int) -> tuple[Fraction, ...]:
@@ -482,14 +476,14 @@ class K3Restriction(Record):
 
     def _rank(self) -> int:
         """The rank of G, read off the integer rows."""
-        return len(linalg._echelon(self._rows)[1])
+        return len(linalg.echelon(self._rows)[1])
 
     def _kernel(self) -> list[tuple[Fraction, ...]]:
-        """`linalg.nullspace` of G, from the integer rows."""
-        return linalg._kernel(self._rows)
+        """The primitive kernel basis of G, from the integer rows."""
+        return linalg.kernel(self._rows)
 
     def _joint_kernel(self, matrix) -> list[tuple[Fraction, ...]]:
-        """`linalg.nullspace` of [G | G A] for an exact square matrix A.
+        """The primitive kernel basis of [G | G A] for an exact square matrix A.
 
         With G = R/g and A = N/a that matrix is [a R | R N] / (g a), so the
         kernel is read off the integer matrix [a R | R N].
@@ -497,7 +491,7 @@ class K3Restriction(Record):
         nums, a = rows_over_common_denominator(matrix)
         rows = self._rows
         stacked = [[a * x for x in row] + rn for row, rn in zip(rows, integer_product(rows, nums))]
-        return linalg._kernel(stacked)
+        return linalg.kernel(stacked)
 
     def _times(self, v) -> tuple[list[int], int]:
         """G.v as integer numerators over one denominator."""
@@ -540,8 +534,8 @@ class K3Vector(Record):
         )
 
     def __str__(self):
-        mid = ", ".join(format_fraction(x) for x in self.v2)
-        return f"({format_fraction(self.v0)}, ({mid}), {format_fraction(self.v4)})"
+        mid = ", ".join(map(str, self.v2))
+        return f"({self.v0}, ({mid}), {self.v4})"
 
 
 def restrict_to_k3(x: GradedClass, restriction: K3Restriction) -> K3Vector:

@@ -199,7 +199,7 @@ def random_matrix(rng, rows, cols):
 
 
 def reference_rref(matrix):
-    """Textbook Gauss-Jordan over Fraction: the reference for the integer `rref`."""
+    """Textbook Gauss-Jordan over Fraction: the reference for `linalg.echelon`."""
     rows = [list(row) for row in as_matrix(matrix)]
     if not rows:
         return (), ()
@@ -224,7 +224,7 @@ def reference_rref(matrix):
 
 
 def reference_primitive(vector):
-    """Scaling by hand-written lcm and gcd loops: the reference for `primitive`."""
+    """Scaling by hand-written lcm and gcd loops: the reference for `linalg.kernel`'s vectors."""
     vec = [Fraction(v) for v in vector]
     if all(v == 0 for v in vec):
         return tuple(vec)

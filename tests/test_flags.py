@@ -126,7 +126,7 @@ def test_make_gluing_defaults():
     gluing = make_gluing(flag, flag)
     assert gluing.matrix == ((1,),)
     assert gluing.section_class_d == (8,)
-    assert gluing.gram == ((4,),)
+    assert gluing.flag_plus.k3.gram == ((4,),)
 
 
 def test_explicit_zero_section_class_is_smooth():
@@ -215,6 +215,16 @@ def test_twisted_double_rejects_bad_matrices():
         twisted_double_smoothable(flag, ((1,),))
 
 
+def test_twisted_double_squares_a_matrix_with_denominators():
+    # With s = 0 the Gram matrix is zero, so every matrix is an isometry.
+    flag = FlagDescriptor(swap_symmetric_flag().ring, (0, 0))
+    reflection = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(4, 5), Fraction(-3, 5)))
+    assert twisted_double_smoothable(flag, reflection) is True
+    with pytest.raises(LatticeValidationError) as error:
+        twisted_double_smoothable(flag, ((Fraction(1, 2), 0), (0, 2)))
+    assert str(error.value) == "matrix is not an involution (A^2 != I)"
+
+
 def test_twisted_double_rejects_an_isometry_that_is_not_an_involution():
     # With section 0 the Gram matrix is zero, so A = (2) is an isometry; A^2 = 4.
     flag = FlagDescriptor(ring=cp3_quartic_flag().ring, s_coords=(0,))
@@ -235,17 +245,18 @@ def test_require_isometry_takes_a_bare_gram_matrix():
 
 def test_joint_kernel_vectors_restrict_to_zero():
     """Joint-kernel vectors satisfy G x+ + G A x- = 0 on every test flag."""
-    from mukai.rational import mat_mul, mat_vec
+    from mukai.rational import mat_vec
 
     for flag in (cp3_quartic_flag(), synthetic_flag(), swap_symmetric_flag()):
         double = build_double(flag)
         kernel = joint_obstruction_kernel(double)
         rho = flag.ring.rho
-        ga = mat_mul(double.gram, double.matrix)
+        gram = flag.k3.gram
+        ga = _fraction_product(gram, double.matrix)
         assert kernel.dimension >= rho  # rho rows cannot cut 2 rho columns to zero
         for vec in kernel.basis:
             x_plus, x_minus = vec[:rho], vec[rho:]
-            lhs = mat_vec(double.gram, x_plus)
+            lhs = mat_vec(gram, x_plus)
             rhs = mat_vec(ga, x_minus)
             assert all(a + b == 0 for a, b in zip(lhs, rhs))
 

@@ -1,4 +1,4 @@
-"""Exact scalar helpers and the small Gaussian-elimination kernel."""
+"""Exact scalar helpers and the integer Bareiss elimination core."""
 
 import random
 from fractions import Fraction
@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from mukai.linalg import nullspace, primitive, rank, rref
+from mukai.linalg import echelon, kernel
 from mukai.rational import (
     as_fraction,
     as_matrix,
@@ -14,11 +14,10 @@ from mukai.rational import (
     dot,
     format_fraction,
     identity_matrix,
-    is_integral,
-    mat_mul,
+    integer_product,
     mat_vec,
+    over_common_denominator,
     parse_rational,
-    transpose,
 )
 
 from conftest import random_matrix, reference_primitive, reference_rref
@@ -80,11 +79,6 @@ def test_format_fraction_is_str_of_the_fraction():
         assert format_fraction(x) == str(x) == (f"{p}" if q == 1 else f"{p}/{q}"), x
 
 
-def test_is_integral_recurses():
-    assert is_integral(Fraction(2), (Fraction(1), Fraction(0)))
-    assert not is_integral(Fraction(2), (Fraction(1, 2),))
-
-
 def test_as_matrix_rejects_ragged_input():
     with pytest.raises(ValueError):
         as_matrix([[1, 2], [3]])
@@ -92,60 +86,58 @@ def test_as_matrix_rejects_ragged_input():
 
 def test_matrix_helpers_against_hand_values():
     m = as_matrix([[1, 2], [3, 4]])
-    assert transpose(m) == ((1, 3), (2, 4))
     assert mat_vec(m, (1, 1)) == (3, 7)
-    assert mat_mul(m, identity_matrix(2)) == m
+    assert identity_matrix(2) == ((1, 0), (0, 1))
+
+
+def _integer_rows(matrix):
+    """The rows of a rational matrix, each scaled to integers over its own denominator."""
+    return [over_common_denominator(row)[0] for row in as_matrix(matrix)]
+
+
+def _reduced(matrix):
+    """`echelon`'s d times the reduced form, divided by d: the reduced form and its pivots."""
+    rows, pivots, d = echelon(_integer_rows(matrix))
+    return tuple(tuple(Fraction(x, d) for x in row) for row in rows), tuple(pivots)
 
 
 def test_rref_hand_example():
-    reduced, pivots = rref([[2, 4], [1, 2]])
-    assert pivots == (0,)
-    assert reduced[0] == (1, 2)
-    assert all(x == 0 for x in reduced[1])
-
-
-def test_primitive_normalization():
-    assert primitive((Fraction(1, 2), Fraction(-3, 2))) == (1, -3)
-    assert primitive((Fraction(-2), Fraction(4))) == (1, -2)
-    assert primitive((Fraction(0), Fraction(0))) == (0, 0)
-
-
-def test_primitive_refuses_floats_and_decimal_strings():
-    with pytest.raises(TypeError):
-        primitive([0.5, 1.0])
-    with pytest.raises(ValueError):
-        primitive(["1e2", " 3 "])
-    assert primitive(["1/2", 3]) == (1, 6)
+    rows, pivots, d = echelon([[2, 4], [1, 2]])
+    assert (rows, pivots, d) == ([[2, 4], [0, 0]], [0], 2)
+    assert _reduced([[2, 4], [1, 2]]) == (((1, 2), (0, 0)), (0,))
 
 
 def test_nullspace_hand_examples():
-    assert nullspace([[4, 2], [2, 1]]) == [(1, -2)]
-    assert nullspace([[4, 4]]) == [(1, -1)]
-    assert nullspace([[1, 0], [0, 1]]) == []
-    assert nullspace(()) == []
+    assert kernel([[4, 2], [2, 1]]) == [(1, -2)]
+    assert kernel([[4, 4]]) == [(1, -1)]
+    assert kernel([[-2, 4]]) == [(2, 1)]
+    assert kernel([[0, 0]]) == [(1, 0), (0, 1)]
+    assert kernel([[1, 0], [0, 1]]) == []
+    assert kernel(()) == []
 
 
 def test_rank_and_nullspace_against_sympy():
-    """Independent oracle: sympy must agree with the hand-rolled kernel."""
+    """Independent oracle: sympy must agree with the integer core."""
     rng = random.Random(20260825)
     for _ in range(300):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         m = random_matrix(rng, rows, cols)
         sym = sympy.Matrix([[sympy.Rational(int(x)) for x in row] for row in m])
-        assert rank(m) == sym.rank()
-        ours = nullspace(m)
+        assert len(echelon(_integer_rows(m))[1]) == sym.rank()
+        ours = kernel(_integer_rows(m))
         theirs = [
-            primitive(tuple(Fraction(int(x.p), int(x.q)) for x in v)) for v in sym.nullspace()
+            reference_primitive(tuple(Fraction(int(x.p), int(x.q)) for x in v)) for v in sym.nullspace()
         ]
         assert sorted(ours) == sorted(theirs)
+        assert all(type(x) is Fraction for vec in ours for x in vec)
 
 
 def test_nullspace_vectors_are_in_the_kernel():
     rng = random.Random(7)
     for _ in range(300):
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        for vec in nullspace(m):
+        for vec in kernel(_integer_rows(m)):
             assert all(x == 0 for x in mat_vec(m, vec))
 
 
@@ -182,7 +174,7 @@ def _random_shapes(rng):
             for j in range(i, 3):
                 g[i][j] = g[j][i] = _entry(rng)
         a = [[_entry(rng) for _ in range(3)] for _ in range(3)]
-        yield [row_g + list(row_ga) for row_g, row_ga in zip(g, mat_mul(g, a))]
+        yield [row_g + list(row_ga) for row_g, row_ga in zip(g, _fraction_mat_mul(g, a))]
 
 
 def test_rref_matches_the_fraction_reference():
@@ -190,12 +182,13 @@ def test_rref_matches_the_fraction_reference():
     shapes = _random_shapes(rng)
     for _ in range(3000):
         m = next(shapes)
-        reduced, pivots = rref(m)
-        assert (reduced, pivots) == reference_rref(m), m
-        assert all(type(x) is Fraction for row in reduced for x in row)
-    assert rref([]) == ((), ())
-    assert rref([[0, 0], [0, 0]]) == (((0, 0), (0, 0)), ())
-    assert rref([["1/2", "-3/4"]]) == (((1, Fraction(-3, 2)),), (0,))
+        assert _reduced(m) == reference_rref(m), m
+        for vec in kernel(_integer_rows(m)):
+            assert all(x == 0 for x in mat_vec(m, vec)), (m, vec)
+    assert echelon([]) == ([], [], 1) and kernel([]) == []
+    assert echelon([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [], 1)
+    assert kernel([[0, 0], [0, 0]]) == [(1, 0), (0, 1)]
+    assert _reduced([["1/2", "-3/4"]]) == (((1, Fraction(-3, 2)),), (0,))
 
 
 def _fraction_mat_vec(matrix, vector):
@@ -204,7 +197,7 @@ def _fraction_mat_vec(matrix, vector):
 
 def _fraction_mat_mul(a, b):
     return tuple(
-        tuple(sum((row[k] * col[k] for k in range(len(row))), Fraction(0)) for col in transpose(b))
+        tuple(sum((row[k] * col[k] for k in range(len(row))), Fraction(0)) for col in zip(*b))
         for row in a
     )
 
@@ -216,21 +209,18 @@ def test_integer_products_match_fraction_loops():
         a = tuple(tuple(_entry(rng) for _ in range(inner)) for _ in range(rows))
         b = tuple(tuple(_entry(rng) for _ in range(cols)) for _ in range(inner))
         v = tuple(_entry(rng) for _ in range(inner))
-        product, matrix = mat_vec(a, v), mat_mul(a, b)
-        assert product == _fraction_mat_vec(a, v) and matrix == _fraction_mat_mul(a, b)
+        product = mat_vec(a, v)
+        assert product == _fraction_mat_vec(a, v)
         assert all(type(x) is Fraction for x in product)
-        assert all(type(x) is Fraction for row in matrix for x in row)
+        ints_a = [[rng.randint(-9, 9) for _ in range(inner)] for _ in range(rows)]
+        ints_b = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(inner)]
+        assert integer_product(ints_a, ints_b) == [list(row) for row in _fraction_mat_mul(ints_a, ints_b)]
     # Empty and 1 x n shapes, and integer (not Fraction) entries.
-    assert mat_vec((), ()) == () and mat_mul((), ()) == ()
+    assert mat_vec((), ()) == ()
     assert mat_vec(((),), ()) == (Fraction(0),)
-    assert mat_mul(((1, 2, 3),), ((1,), (Fraction(1, 2),), (Fraction(-1, 3),))) == ((1,),)
-    column = ((Fraction(1, 2),), (3,))
-    assert mat_mul(column, ((2, Fraction(4, 3)),)) == ((1, Fraction(2, 3)), (6, 4))
     assert mat_vec(((1, 2, 3),), (Fraction(1, 2), 0, 1)) == (Fraction(7, 2),)
     with pytest.raises(ValueError):
         mat_vec(((1, 2),), (1,))
-    with pytest.raises(ValueError):
-        mat_mul(((1, 2),), ((1, 2),))
 
 
 def _dot_entry(rng):
@@ -258,21 +248,3 @@ def test_dot_matches_the_fraction_sum():
     assert dot((), ()) == 0 and type(dot((), ())) is Fraction
     assert dot((1, 2), (3, -4)) == -5
     assert dot((Fraction(1, 2), Fraction(1, 3)), (Fraction(2, 3), 3)) == Fraction(4, 3)
-
-
-def test_primitive_matches_the_reference():
-    rng = random.Random(20261021)
-    seen = set()
-    vectors = [(), (0,), (0, 0, 0), (Fraction(-3, 4), Fraction(5, 6)), (0, -6, 4, Fraction(2, 3))]
-    for _ in range(1000):
-        vec = tuple(_entry(rng) for _ in range(rng.randint(1, 6)))
-        lead = next((x for x in vec if x), 0)
-        seen.add("zero" if not lead else "negative" if lead < 0 else "positive")
-        if len({x.denominator for x in vec}) > 1:
-            seen.add("mixed denominators")
-        vectors.append(vec)
-    assert seen == {"zero", "negative", "positive", "mixed denominators"}
-    for vec in vectors:
-        got = primitive(vec)
-        assert got == reference_primitive(vec), vec
-        assert all(type(x) is Fraction for x in got)
