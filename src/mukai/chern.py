@@ -7,19 +7,24 @@ integral(c2 . e_i), c3 as the scalar integral(c3).  All series identities
 truncated at degree 6 and evaluated exactly, so a half or a twelfth
 survives as exactly that.  The Chern character and its inverse
 are read off the ring's truncated exponential e^{c1}, which differs from
-ch only by the terms in c2 and c3.  Each `ChernData` computes its
+ch only by the terms in c2 and c3.  A twist forms no character: the
+Whitney formula gives the twisted classes from two rho^3 squares of
+integer numerators and dot products.  Each `ChernData` computes its
 character once, on first use, and keeps it out of `==`, `hash` and `repr`.
 Each ring keeps td and sqrt(td) once, as fixed factors (see `rings`), so a
 Mukai vector is a rho^2 product.  Both are built from integers, as `_exp`
 builds e^{c1}: c1 and c2 over their denominators and the ring's integer
 tensor planes give td's numerators with one rho^3 square and one gcd, and
 `sqrt_series` reads its argument's numerators the same way, so no
-`Fraction` is made until a coefficient is read.
+`Fraction` is made until a coefficient is read.  Each flag's K3
+restriction keeps e^{-S} as a fixed factor the same way (see
+`pairings.mukai_restrict`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from operator import mul
 
 from .errors import LatticeValidationError
@@ -126,13 +131,41 @@ def dual_chern(e: ChernData) -> ChernData:
 def twist_chern(e: ChernData, L, k: int = 1) -> ChernData:
     """Topological type of E tensored with the k-th power of a line bundle.
 
-    Computed through the character identity ch(E x L^k) = ch(E) e^{kL} and
-    inverted back to Chern data, so the Whitney-formula bookkeeping is
-    never written out by hand.
+    By the Whitney formula c(E x L^k) = sum_i c_i(E) (1 + l)^{r-i}, with
+    r the rank and l = kL (Fulton, *Intersection Theory*, 3.2):
+
+        c1' = c1 + r l,
+        c2' = c2 + (r-1) c1.l + C(r,2) l^2,
+        c3' = c3 + (r-2) c2.l + C(r-1,2) c1.l^2 + C(r,3) l^3,
+
+    which holds for any rank r >= 1 and any rational data, as the
+    character identity ch(E x L^k) = ch(E) e^{kL} does.  With c1 = n/a and
+    l = v/b, the squares c1.l and l^2 are two `_square` passes over the
+    integer numerators; every other term is a dot product.
+
+    The instanton (2, 0, 1, 0) on P^3 twisted by O(1):
+
+    >>> p3 = ThreefoldRing("P3", ("H",), (((1,),),), (4,), (6,), 4, 0)
+    >>> t = twist_chern(ChernData(p3, 2, (0,), (1,), 0), (1,))
+    >>> (t.rank, t.c1, t.c2, t.c3) == (2, (2,), (2,), 0)
+    True
     """
-    L = as_vector(L)
-    twisted = chern_character(e) * e.ring.exp_h2(tuple(k * a for a in L))
-    return chern_from_character(e.ring, twisted, e.labels)
+    ring, r = e.ring, e.rank
+    (v, b), (n, a) = over_common_denominator(ring._vector(L)), over_common_denominator(e.c1)
+    (m, c), p, q = over_common_denominator(e.c2), e.c3.numerator, e.c3.denominator
+    v, d = [k * x for x in v], ring._den
+    # c1.l = nv / (D a b) and l^2 = vv / (D b^2), as H^4 functionals.
+    nv, vv = ring._square(n, v), ring._square(v, v)
+    c1 = [Fraction(x * b + r * a * y, a * b) for x, y in zip(n, v)]
+    # c2' over c D a b^2, and c3' over q c D a b^3.
+    f, g, h = d * a * b * b, (r - 1) * c * b, comb(r, 2) * c * a
+    c2 = [Fraction(f * x + g * y + h * z, c * f) for x, y, z in zip(m, nv, vv)]
+    top = p * c * f * b + q * (
+        (r - 2) * f * sum(map(mul, m, v))
+        + comb(r - 1, 2) * c * b * sum(map(mul, n, vv))
+        + comb(r, 3) * c * a * sum(map(mul, v, vv))
+    )
+    return ChernData(ring, r, tuple(c1), tuple(c2), Fraction(top, q * c * f * b), e.labels)
 
 
 def chern_sum(e1: ChernData, e2: ChernData) -> ChernData:
@@ -143,22 +176,24 @@ def chern_sum(e1: ChernData, e2: ChernData) -> ChernData:
     return chern_from_character(e1.ring, total, e1.labels + e2.labels)
 
 
-def _per_ring(ring: ThreefoldRing, key: str, compute) -> tuple:
-    """A class computed once per ring and kept there as a fixed factor.
+def _kept(cache: dict, key: str, compute) -> tuple:
+    """The class `compute()`, computed once and kept in `cache` as a fixed factor.
 
-    Only integers are kept, the class's `_ints` tuple and its rows (see
-    `rings._fixed_factor`), never the class: a class points back at its
-    ring, and that cycle would keep every ring alive until a full GC pass.
+    `cache` is a ring's `_cache` (td, sqrt(td)) or a K3 restriction's
+    attributes (e^{-S}).  Only integers are kept, the class's `_ints` tuple
+    and its rows (see `rings._fixed_factor`), never the class: a class
+    points back at its ring, and kept on the ring that cycle would keep
+    every ring alive until a full GC pass.
     """
-    fixed = ring._cache.get(key)
+    fixed = cache.get(key)
     if fixed is None:
-        fixed = ring._cache[key] = _fixed_factor(compute(ring))
+        fixed = cache[key] = _fixed_factor(compute())
     return fixed
 
 
 def _todd_factor(ring: ThreefoldRing) -> tuple:
     """The Todd class of `ring` as a fixed factor, for the Euler form."""
-    return _per_ring(ring, "todd", _todd)
+    return _kept(ring._cache, "todd", lambda: _todd(ring))
 
 
 def todd_class(ring: ThreefoldRing) -> GradedClass:
@@ -231,7 +266,7 @@ def mukai_vector(e: ChernData) -> MukaiVector:
     that care can consult `is_integral`.
     """
     ring = e.ring
-    sqrt_todd = _per_ring(ring, "sqrt_todd", lambda r: sqrt_series(todd_class(r)))
+    sqrt_todd = _kept(ring._cache, "sqrt_todd", lambda: sqrt_series(todd_class(ring)))
     graded = _times_fixed(chern_character(e), sqrt_todd)
     tag = "cy3-full-todd" if ring.is_calabi_yau else "fano-full-todd"
     return MukaiVector(graded=graded, normalization=tag)

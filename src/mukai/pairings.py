@@ -9,6 +9,8 @@ rational either way.  With td fixed per ring, chi(E1, E2) is a bilinear
 form in the two characters: the H^2 parts pair through the ring's integer
 matrix M[j][k] = D sum_i d[i][j][k] td2[i], and every other term is a
 product of scalars or one dot product, so no cup product is formed.
+`mukai_restrict` multiplies m(E) by e^{-S}, which each flag's K3
+restriction keeps as a fixed factor (see `rings`), so that too costs rho^2.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 
-from .chern import ChernData, MukaiVector, _todd_factor, chern_character, k3_mukai_vector, mukai_vector
+from .chern import ChernData, MukaiVector, _kept, _todd_factor, chern_character, k3_mukai_vector, mukai_vector
 from .errors import IntegralityWarning, LatticeValidationError
 from .flags import FlagDescriptor, require_isometry
 from .rational import as_vector, mat_vec
 from .record import Record
-from .rings import GradedClass, K3Restriction, K3Vector, _top_times_fixed, star, top_degree
+from .rings import GradedClass, K3Restriction, K3Vector, _times_fixed, _top_times_fixed, star, top_degree
 
 __all__ = [
     "PairingResult",
@@ -194,11 +196,12 @@ def mukai_restrict(flag: FlagDescriptor, e: ChernData) -> RestrictionResult:
     """
     vector = k3_mukai_vector(flag, e)
     m = mukai_vector(e).graded
-    minus_s = tuple(-a for a in flag.s_coords)
-    delta = m - m * flag.ring.exp_h2(minus_s)
+    s, ds = flag.k3._s
+    # e^{-S} is made once per flag and kept on its restriction, in integers.
+    exp_minus_s = _kept(vars(flag.k3), "_exp_minus_s", lambda: flag.ring._exp([-x for x in s], ds))
+    delta = m - _times_fixed(m, exp_minus_s)
     # Compared in integers, across denominators: delta_2 = rank s and delta_4 = G.v2.
     den, _, d2, d4, _ = delta._ints
-    s, ds = flag.k3._s
     gv, dg = flag.k3._times(vector.v2)
     return RestrictionResult(
         vector=vector,

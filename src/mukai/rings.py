@@ -33,11 +33,11 @@ are made only when they are read.  `K3Restriction` keeps integers over one
 denominator too, so restriction and its dot products are integer sums.
 
 The cup product is one rho^3 loop, the square term of x2 and y2.  When y is
-fixed per ring (td and sqrt(td)), the library keeps y as a fixed factor: its
-integers and the rho^2 rows R[i][j] = D sum_k d[i][j][k] y2[k], one rho^3
-pass made once.  Multiplying by y then costs rho^2, and so does an integral
-[x . z . y]_6, whose square term is the bilinear form x2^T R z2 (d is
-symmetric).  `ring_multiply` stays the one general product.
+fixed (td and sqrt(td) per ring, e^{-S} per flag), the library keeps y as a
+fixed factor: its integers and the rho^2 rows R[i][j] = D sum_k d[i][j][k]
+y2[k], one rho^3 pass made once.  Multiplying by y then costs rho^2, and so
+does an integral [x . z . y]_6, whose square term is the bilinear form
+x2^T R z2 (d is symmetric).  `ring_multiply` stays the one general product.
 
 Elements are immutable `GradedClass` values supporting +, -, scalar
 multiplication and the cup product; `star` is the degree involution that
@@ -149,7 +149,7 @@ class ThreefoldRing(Record):
             _planes=tuple(tuple(flat[i * rho * rho:(i + 1) * rho * rho]) for i in range(rho)),
             _den=den,
             # Values `chern` derives once per ring (the Todd class and its
-            # square root), as coefficient tuples; see `chern._per_ring`.
+            # square root), as coefficient tuples; see `chern._kept`.
             _cache={},
         )
         if self.is_calabi_yau and self.chi_top != 2 * (rho - self.h12):

@@ -173,6 +173,24 @@ def random_chern(rng, ring, labels=()) -> ChernData:
     )
 
 
+def random_fraction(rng) -> Fraction:
+    """A small rational with a mixed denominator."""
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 7)))
+
+
+def random_fractional_chern(rng, ring, max_rank=4, labels=()) -> ChernData:
+    """Random Chern data on a given ring with fractional c1, c2 and c3."""
+    rho = ring.rho
+    return ChernData(
+        ring=ring,
+        rank=rng.randint(1, max_rank),
+        c1=tuple(random_fraction(rng) for _ in range(rho)),
+        c2=tuple(random_fraction(rng) for _ in range(rho)),
+        c3=random_fraction(rng),
+        labels=labels,
+    )
+
+
 def random_graded(rng, ring):
     """Random graded class with small mixed-denominator entries."""
     rho = ring.rho

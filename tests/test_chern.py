@@ -37,6 +37,8 @@ from conftest import (
     random_chern,
     random_cy_ring,
     random_fano_ring,
+    random_fraction,
+    random_fractional_chern,
     random_graded,
     synthetic_flag,
     with_denominators,
@@ -133,6 +135,36 @@ def test_dual_chern_flips_odd_classes():
 def test_twist_chern_instanton_by_hyperplane():
     twisted = twist_chern(instanton_type(), (1,), 1)
     assert (twisted.rank, twisted.c1, twisted.c2, twisted.c3) == (2, (2,), (2,), 0)
+
+
+def reference_twist(e, L, k=1):
+    """The character route: ch(E x L^k) = ch(E) e^{kL}, inverted back to Chern data."""
+    exp_kL = e.ring.exp_h2(tuple(k * Fraction(a) for a in L))
+    return chern_from_character(e.ring, chern_character(e) * exp_kL, e.labels)
+
+
+def test_whitney_twist_matches_the_character_route():
+    # Ranks 1 and 2 make (r-2) negative and zero, and C(r-1,2), C(r,3) zero.
+    rng = random.Random(71)
+    ranks, ks = set(), set()
+    for case in range(240):
+        rho = case % 8 + 1
+        ring = with_denominators(rng, (random_cy_ring if rng.random() < 0.3 else random_fano_ring)(rng, rho))
+        e = random_fractional_chern(rng, ring, max_rank=7, labels=("E",))
+        L = [random_fraction(rng) for _ in range(rho)]
+        k = rng.randint(-3, 3)
+        twisted = twist_chern(e, L, k)
+        assert twisted == reference_twist(e, L, k), (e, L, k)
+        assert twisted.labels == ("E",)
+        ranks.add(e.rank)
+        ks.add(k)
+    assert ranks == set(range(1, 8)) and ks == set(range(-3, 4))
+
+
+def test_twist_checks_the_length_of_the_line_bundle():
+    with pytest.raises(LatticeValidationError) as error:
+        twist_chern(instanton_type(), (1, 0))
+    assert str(error.value) == "vector has 2 coordinates, ring has rho=1"
 
 
 def test_twist_chern_group_action():
@@ -315,6 +347,18 @@ def test_filled_cache_leaves_ring_equality_hash_and_repr_alone():
     assert ring == rebuilt(ring) and hash(ring) == hash(rebuilt(ring))
 
 
+def test_filled_factor_leaves_flag_and_restriction_equality_hash_and_repr_alone():
+    ring = random_fano_ring(random.Random(44), rho=3)
+    flag = FlagDescriptor(ring=ring, s_coords=ring.c1_coords)
+    before = (hash(flag), repr(flag), hash(flag.k3), repr(flag.k3))
+    mukai_restrict(flag, random_chern(random.Random(45), ring))
+    assert "_exp_minus_s" in vars(flag.k3)
+    assert (hash(flag), repr(flag), hash(flag.k3), repr(flag.k3)) == before
+    fresh = FlagDescriptor(ring=rebuilt(ring), s_coords=ring.c1_coords)
+    assert flag == fresh and fresh == flag and hash(flag) == hash(fresh)
+    assert flag.k3 == fresh.k3 and hash(flag.k3) == hash(fresh.k3)
+
+
 def test_ring_is_freed_with_its_last_reference():
     # A cache that kept classes (which point back at their ring) would
     # form a cycle, and the ring would outlive its last reference until a
@@ -329,19 +373,21 @@ def test_ring_is_freed_with_its_last_reference():
         o1 = ChernData(ring=ring, rank=1, c1=(1,), c2=(0,), c3=0)
         todd, m = todd_class(ring), mukai_vector(o)
         restricted = mukai_restrict(flag, o1)
-        alive = [weakref.ref(x) for x in (ring, flag, flag.k3, todd, m, m.graded, restricted.delta)]
+        k3 = flag.k3
+        alive = [weakref.ref(x) for x in (ring, flag, k3, todd, m, m.graded, restricted.delta)]
         assert m.graded.components() == (1, (0,), (Fraction(25, 12),), 0)
         assert euler_chi(o, o1) == 5
         # Each kept factor is integers only, never a class: the `_ints`
         # tuple (den, n0, n2, n4, n6) and the rho x rho rows of its H^2 part,
         # which for td are also the matrix of the Euler form's square term.
+        # The flag's restriction keeps e^{-S} the same way.
         assert set(ring._cache) == {"todd", "sqrt_todd"}
-        for (den, n0, n2, n4, n6), rows in ring._cache.values():
+        for (den, n0, n2, n4, n6), rows in [*ring._cache.values(), vars(k3)["_exp_minus_s"]]:
             assert all(type(n) is int for n in (den, n0, *n2, *n4, n6))
             assert type(rows) is tuple and len(rows) == ring.rho
             assert all(type(row) is tuple and len(row) == ring.rho for row in rows)
             assert all(type(n) is int for row in rows for n in row)
-        del ring, flag, o, o1, todd, m, restricted
+        del ring, flag, k3, o, o1, todd, m, restricted
         assert [ref() for ref in alive] == [None] * 7
     finally:
         if enabled:
