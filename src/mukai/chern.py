@@ -10,7 +10,12 @@ are read off the ring's truncated exponential e^{c1}, which differs from
 ch only by the terms in c2 and c3.  A twist forms no character: the
 Whitney formula gives the twisted classes from two rho^3 squares of
 integer numerators and dot products.  Each `ChernData` computes its
-character once, on first use, and keeps it out of `==`, `hash` and `repr`.
+character once, on first use, and keeps it out of `==`, `hash` and `repr`;
+it keeps the integer numerators of c1 and c2 over their denominators the
+same way, which each twist of it reads.  The twisted and dual types and the
+Mukai vector are built unchecked (`Record._exact`), since the library made
+their values exact itself; `ChernData` and `chern_from_character`, which
+take caller data, keep every check.
 Each ring keeps td and sqrt(td) once, as fixed factors (see `rings`), so a
 Mukai vector is a rho^2 product.  Both are built from integers, as `_exp`
 builds e^{c1}: c1 and c2 over their denominators and the ring's integer
@@ -87,6 +92,19 @@ class ChernData(Record):
             vars(self)["_integral"] = all(x.denominator == 1 for x in (*self.c1, *self.c2, self.c3))
         return vars(self)["_integral"]
 
+    @property
+    def _numerators(self) -> tuple:
+        """((n, a), (m, b)): c1 = n/a and c2 = m/b over their least common denominators.
+
+        Integers only (n and m tuples), computed on first use and kept, like
+        the character, outside `==`, `hash` and `repr`.
+        """
+        kept = vars(self).get("_nums")
+        if kept is None:
+            (n, a), (m, b) = over_common_denominator(self.c1), over_common_denominator(self.c2)
+            kept = vars(self)["_nums"] = ((tuple(n), a), (tuple(m), b))
+        return kept
+
     def c1_dot_c2(self) -> Fraction:
         """Integral of c1 . c2 over the threefold."""
         return dot(self.c1, self.c2)
@@ -125,7 +143,8 @@ def chern_from_character(ring: ThreefoldRing, ch: GradedClass, labels=()) -> Che
 
 def dual_chern(e: ChernData) -> ChernData:
     """Topological type of the dual bundle: c_i goes to (-1)^i c_i."""
-    return ChernData(e.ring, e.rank, tuple(-a for a in e.c1), e.c2, -e.c3, e.labels)
+    c1 = tuple([-a for a in e.c1])
+    return ChernData._exact(ring=e.ring, rank=e.rank, c1=c1, c2=e.c2, c3=-e.c3, labels=e.labels)
 
 
 def twist_chern(e: ChernData, L, k: int = 1) -> ChernData:
@@ -141,7 +160,10 @@ def twist_chern(e: ChernData, L, k: int = 1) -> ChernData:
     which holds for any rank r >= 1 and any rational data, as the
     character identity ch(E x L^k) = ch(E) e^{kL} does.  With c1 = n/a and
     l = v/b, the squares c1.l and l^2 are two `_square` passes over the
-    integer numerators; every other term is a dot product.
+    integer numerators; every other term is a dot product.  The numerators
+    of c1 and c2 are the ones `e` keeps, and the result is built unchecked
+    (`Record._exact`), as its values are exact by construction.  `k` must
+    be an `int`.
 
     The instanton (2, 0, 1, 0) on P^3 twisted by O(1):
 
@@ -150,9 +172,10 @@ def twist_chern(e: ChernData, L, k: int = 1) -> ChernData:
     >>> (t.rank, t.c1, t.c2, t.c3) == (2, (2,), (2,), 0)
     True
     """
+    _check_power(k)
     ring, r = e.ring, e.rank
-    (v, b), (n, a) = over_common_denominator(ring._vector(L)), over_common_denominator(e.c1)
-    (m, c), p, q = over_common_denominator(e.c2), e.c3.numerator, e.c3.denominator
+    (v, b), ((n, a), (m, c)) = over_common_denominator(ring._vector(L)), e._numerators
+    p, q = e.c3.numerator, e.c3.denominator
     v, d = [k * x for x in v], ring._den
     # c1.l = nv / (D a b) and l^2 = vv / (D b^2), as H^4 functionals.
     nv, vv = ring._square(n, v), ring._square(v, v)
@@ -165,7 +188,15 @@ def twist_chern(e: ChernData, L, k: int = 1) -> ChernData:
         + comb(r - 1, 2) * c * b * sum(map(mul, n, vv))
         + comb(r, 3) * c * a * sum(map(mul, v, vv))
     )
-    return ChernData(ring, r, tuple(c1), tuple(c2), Fraction(top, q * c * f * b), e.labels)
+    return ChernData._exact(
+        ring=ring, rank=r, c1=tuple(c1), c2=tuple(c2), c3=Fraction(top, q * c * f * b), labels=e.labels
+    )
+
+
+def _check_power(k) -> None:
+    """Refuse a twist power that is not an `int` (a `bool` included)."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise LatticeValidationError(f"twist power k must be an integer, got {k!r}")
 
 
 def chern_sum(e1: ChernData, e2: ChernData) -> ChernData:
@@ -198,7 +229,7 @@ def _todd_factor(ring: ThreefoldRing) -> tuple:
 
 def todd_class(ring: ThreefoldRing) -> GradedClass:
     """Todd class 1 + c1/2 + (c1^2 + c2)/12 + (c1 c2)/24 of the tangent bundle."""
-    return GradedClass._exact(ring, _todd_factor(ring)[0])
+    return GradedClass._exact(ring=ring, _ints=_todd_factor(ring)[0])
 
 
 def _todd(ring: ThreefoldRing) -> GradedClass:
@@ -269,7 +300,7 @@ def mukai_vector(e: ChernData) -> MukaiVector:
     sqrt_todd = _kept(ring._cache, "sqrt_todd", lambda: sqrt_series(todd_class(ring)))
     graded = _times_fixed(chern_character(e), sqrt_todd)
     tag = "cy3-full-todd" if ring.is_calabi_yau else "fano-full-todd"
-    return MukaiVector(graded=graded, normalization=tag)
+    return MukaiVector._exact(graded=graded, normalization=tag)
 
 
 def k3_mukai_vector(flag, e: ChernData) -> K3Vector:

@@ -9,6 +9,8 @@ rational either way.  With td fixed per ring, chi(E1, E2) is a bilinear
 form in the two characters: the H^2 parts pair through the ring's integer
 matrix M[j][k] = D sum_i d[i][j][k] td2[i], and every other term is a
 product of scalars or one dot product, so no cup product is formed.
+`chi_split` evaluates both orders in one integer pass: they share the
+denominator and, M being symmetric, the square term.
 `mukai_restrict` multiplies m(E) by e^{-S}, which each flag's K3
 restriction keeps as a fixed factor (see `rings`), so that too costs rho^2.
 """
@@ -18,12 +20,16 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 
-from .chern import ChernData, MukaiVector, _kept, _todd_factor, chern_character, k3_mukai_vector, mukai_vector
+from .chern import (
+    ChernData, MukaiVector, _check_power, _kept, _todd_factor, chern_character, k3_mukai_vector, mukai_vector,
+)
 from .errors import IntegralityWarning, LatticeValidationError
 from .flags import FlagDescriptor, require_isometry
 from .rational import as_vector, mat_vec
 from .record import Record
-from .rings import GradedClass, K3Restriction, K3Vector, _times_fixed, _top_times_fixed, star, top_degree
+from .rings import (
+    GradedClass, K3Restriction, K3Vector, _bilinear, _times_fixed, _top_linear, _top_times_fixed, star, top_degree,
+)
 
 __all__ = [
     "PairingResult",
@@ -123,7 +129,7 @@ def euler_chi_result(e1: ChernData, e2: ChernData) -> PairingResult:
             f"chi({'/'.join(e1.labels) or 'e1'}, {'/'.join(e2.labels) or 'e2'}) = "
             f"{value} is fractional on integral Chern data"
         )
-    return PairingResult(value=value, integrality_note=note)
+    return PairingResult._exact(value=value, integrality_note=note)
 
 
 def chi_split(e1: ChernData, e2: ChernData) -> tuple[Fraction, Fraction]:
@@ -133,18 +139,33 @@ def chi_split(e1: ChernData, e2: ChernData) -> tuple[Fraction, Fraction]:
     they sum back to chi(e1,e2).  On a Calabi-Yau ring chi is skew and
     chi+ vanishes identically, so the split is interesting only on
     quasi-Fano rings, but any ring is accepted.
+
+    Both values come from one integer pass.  With x = ch(E1) and
+    y = ch(E2), chi(E1, E2) = [y . star(x) . td]_6 and chi(E2, E1) =
+    [x . star(y) . td]_6 have the same denominator, and the same square
+    term -x2^T R y2, since td's rows R are symmetric; only their terms of
+    order rho differ.
     """
-    forward = euler_chi_result(e1, e2).value
-    backward = euler_chi_result(e2, e1).value
-    return ((forward + backward) / 2, (forward - backward) / 2)
+    if e1.ring != e2.ring:
+        raise LatticeValidationError("Euler form needs both types on the same ring")
+    (t, rows), d = _todd_factor(e1.ring), e1.ring._den
+    ch1, ch2 = chern_character(e1), chern_character(e2)
+    x, y = ch1._ints, ch2._ints
+    forward, backward = _top_linear(y, star(ch1)._ints, t), _top_linear(x, star(ch2)._ints, t)
+    den = 2 * x[0] * y[0] * t[0] * d
+    return (
+        Fraction((forward + backward) * d - 2 * _bilinear(x[2], rows, y[2]), den),
+        Fraction((forward - backward) * d, den),
+    )
 
 
 def twist_class(m: GradedClass, L, k: int = 1) -> GradedClass:
     """Lattice action of tensoring by the k-th power of a line bundle L.
 
     Multiplies by the truncated exponential of k L; k = 0 is the
-    identity and k, -k compose to the identity.
+    identity and k, -k compose to the identity.  `k` must be an `int`.
     """
+    _check_power(k)
     m = _as_graded(m)
     coords = as_vector(L)
     return m * m.ring.exp_h2(tuple(k * a for a in coords))

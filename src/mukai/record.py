@@ -15,6 +15,14 @@ same way and take no part in `==`, `hash`, `repr` or `as_dict()`, which
 maps the fields to their values in declaration order.  Only `GradedClass`
 keeps its own `__init__`, because its fields are properties over integers.
 
+`Record._exact(**fields)` is the one trusted constructor: it stores the
+given attributes as they are and runs neither `__init__` nor
+`__post_init__`.  Only the library calls it, and only on values it has
+just made itself in the checked form (a result computed from records that
+passed their own checks, such as a twisted `ChernData` or a restricted
+`K3Vector`), so that a result is not coerced and checked a second time.
+Anything that comes from a caller goes through the public constructor.
+
 >>> class Interval(Record):
 ...     low: int
 ...     high: int = 0
@@ -64,6 +72,13 @@ class Record:
                     values[name] = getattr(cls, name)
         vars(self).update(values)
         self.__post_init__()
+
+    @classmethod
+    def _exact(cls, **fields):
+        """A record holding `fields` as given, unchecked: for values the library already checked."""
+        x = object.__new__(cls)
+        vars(x).update(fields)
+        return x
 
     def __post_init__(self):
         pass

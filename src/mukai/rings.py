@@ -38,6 +38,10 @@ fixed factor: its integers and the rho^2 rows R[i][j] = D sum_k d[i][j][k]
 y2[k], one rho^3 pass made once.  Multiplying by y then costs rho^2, and so
 does an integral [x . z . y]_6, whose square term is the bilinear form
 x2^T R z2 (d is symmetric).  `ring_multiply` stays the one general product.
+The integral's integer core is two parts, `_top_linear` (the terms of
+order rho) and `_bilinear` (the square term), so a caller that needs two
+integrals sharing one square term, as `pairings.chi_split` does, forms it
+once.
 
 Elements are immutable `GradedClass` values supporting +, -, scalar
 multiplication and the cup product; `star` is the degree involution that
@@ -47,6 +51,11 @@ to the associated Mukai lattice H^0 + H^2 + H^4 of that surface.  The
 restriction also keeps G as integer rows R over one denominator g
 (G = R/g); its rank and kernels, which `flags` reads, are taken on R by
 the integer elimination core of `linalg`.
+
+Values the kernel computes from checked records are built unchecked with
+`Record._exact`: classes from their integers, the restriction of a ring to
+a section (`K3Restriction.from_ring`) and restricted vectors.  A ring
+decides once, at construction, whether it is Calabi-Yau.
 """
 
 from __future__ import annotations
@@ -151,6 +160,8 @@ class ThreefoldRing(Record):
             # Values `chern` derives once per ring (the Todd class and its
             # square root), as coefficient tuples; see `chern._kept`.
             _cache={},
+            # Decided once here: the Euler check below and every Mukai vector's tag read it.
+            is_calabi_yau=all(c == 0 for c in c1_coords),
         )
         if self.is_calabi_yau and self.chi_top != 2 * (rho - self.h12):
             raise LatticeValidationError(
@@ -161,10 +172,6 @@ class ThreefoldRing(Record):
     @property
     def rho(self) -> int:
         return len(self.basis_labels)
-
-    @property
-    def is_calabi_yau(self) -> bool:
-        return all(c == 0 for c in self.c1_coords)
 
     # --- element constructors -------------------------------------------
 
@@ -249,7 +256,7 @@ class GradedClass(Record):
 
     def __post_init__(self, a0, a2, a4, a6):
         # Separate from `__init__` because bench/tracing.py counts checked
-        # constructions through this name; `_exact` skips both.
+        # constructions through this name; `Record._exact` skips both.
         a2, a4 = as_vector(a2), as_vector(a4)
         rho = self.ring.rho
         if len(a2) != rho or len(a4) != rho:
@@ -257,13 +264,6 @@ class GradedClass(Record):
         # Over the lcm of the denominators, so already coprime.
         nums, den = over_common_denominator((as_fraction(a0), *a2, *a4, as_fraction(a6)))
         vars(self)["_ints"] = den, nums[0], tuple(nums[1:rho + 1]), tuple(nums[rho + 1:-1]), nums[-1]
-
-    @classmethod
-    def _exact(cls, ring, ints: tuple) -> "GradedClass":
-        """Build from a `_ints` tuple already in lowest terms, unchecked."""
-        x = object.__new__(cls)
-        x.__dict__.update(ring=ring, _ints=ints)
-        return x
 
     def _check_same_ring(self, other: "GradedClass"):
         if self.ring is not other.ring and self.ring != other.ring:
@@ -327,7 +327,7 @@ def _reduced(ring, den: int, n0: int, n2: list, n4: list, n6: int) -> GradedClas
         if g != 1:
             den, n0, n6 = den // g, n0 // g, n6 // g
             n2, n4 = [a // g for a in n2], [a // g for a in n4]
-    return GradedClass._exact(ring, (den, n0, tuple(n2), tuple(n4), n6))
+    return GradedClass._exact(ring=ring, _ints=(den, n0, tuple(n2), tuple(n4), n6))
 
 
 def _top_numerator(x0, x2, x4, x6, y0, y2, y4, y6) -> int:
@@ -383,22 +383,36 @@ def _top_times_fixed(x: GradedClass, y: GradedClass, fixed: tuple) -> Fraction:
 
     [x y t]_6 = (xy)_0 t6 + t0 (xy)_6 + (xy)_2 . t4 + t2 . (xy)_4, and the
     only rho^3 term of it, t2 . (x2 y2)_4, is the bilinear form x2^T R y2
-    of t's rows R: so the whole integral costs rho^2.
+    of t's rows R: so the whole integral costs rho^2.  Its integer core is
+    `_top_linear` (the other terms) and `_bilinear` (the form).
     """
-    (dt, t0, t2, t4, t6), rows = fixed
-    dx, x0, x2, x4, x6 = x._ints
-    dy, y0, y2, y4, y6 = y._ints
-    d = x.ring._den
+    t, rows = fixed
+    d, x, y = x.ring._den, x._ints, y._ints
+    return Fraction(_top_linear(x, y, t) * d + _bilinear(x[2], rows, y[2]), x[0] * y[0] * t[0] * d)
+
+
+def _top_linear(x: tuple, y: tuple, t: tuple) -> int:
+    """[x y t]_6 less its square term t2 . (x2 y2)_4, as a numerator over dx dy dt.
+
+    x, y and t are `_ints` tuples; every term is a scalar product or a dot
+    product, so this costs rho.
+    """
+    _, x0, x2, x4, x6 = x
+    _, y0, y2, y4, y6 = y
+    _, t0, t2, t4, t6 = t
     xy2 = [x0 * b + y0 * a for a, b in zip(x2, y2)]
-    linear = (
+    return (
         x0 * y0 * t6
         + t0 * _top_numerator(x0, x2, x4, x6, y0, y2, y4, y6)
         + sum(map(mul, xy2, t4))
         + x0 * sum(map(mul, t2, y4))
         + y0 * sum(map(mul, t2, x4))
     )
-    form = sum(map(mul, x2, [sum(map(mul, row, y2)) for row in rows]))
-    return Fraction(linear * d + form, dx * dy * dt * d)
+
+
+def _bilinear(u, rows, v) -> int:
+    """u^T R v for integer rows R: the square term of `_top_times_fixed` when R are t's rows."""
+    return sum(map(mul, u, [sum(map(mul, row, v)) for row in rows]))
 
 
 def top_degree(x: GradedClass, y: GradedClass) -> Fraction:
@@ -422,7 +436,7 @@ def star(x: GradedClass) -> GradedClass:
     a sheaf to the Chern character of its dual.
     """
     den, n0, n2, n4, n6 = x._ints
-    return GradedClass._exact(x.ring, (den, n0, tuple([-a for a in n2]), n4, -n6))
+    return GradedClass._exact(ring=x.ring, _ints=(den, n0, tuple([-a for a in n2]), n4, -n6))
 
 
 class K3Restriction(Record):
@@ -466,9 +480,7 @@ class K3Restriction(Record):
         den = s_den * ring._den
         rows = ring._rows(nums)
         gram = tuple(tuple(Fraction(n, den) for n in row) for row in rows)
-        x = object.__new__(cls)
-        vars(x).update(gram=gram, s_coords=s, _rows=rows, _den=den, _s=(nums, s_den))
-        return x
+        return cls._exact(gram=gram, s_coords=s, _rows=rows, _den=den, _s=(nums, s_den))
 
     @property
     def rank(self) -> int:
@@ -555,4 +567,4 @@ def _restricted(x: GradedClass, restriction: K3Restriction, points: int) -> K3Ve
     den, _, _, n4, _ = x._ints
     s, ds = restriction._s
     v4 = Fraction(sum(map(mul, s, n4)) + points * ds * den, ds * den)
-    return K3Vector(x.a0, x.a2, v4)
+    return K3Vector._exact(v0=x.a0, v2=x.a2, v4=v4)

@@ -373,8 +373,9 @@ def test_ring_is_freed_with_its_last_reference():
         o1 = ChernData(ring=ring, rank=1, c1=(1,), c2=(0,), c3=0)
         todd, m = todd_class(ring), mukai_vector(o)
         restricted = mukai_restrict(flag, o1)
+        twisted = twist_chern(o1, (1,), 2)
         k3 = flag.k3
-        alive = [weakref.ref(x) for x in (ring, flag, k3, todd, m, m.graded, restricted.delta)]
+        alive = [weakref.ref(x) for x in (ring, flag, k3, todd, m, m.graded, restricted.delta, o1, twisted)]
         assert m.graded.components() == (1, (0,), (Fraction(25, 12),), 0)
         assert euler_chi(o, o1) == 5
         # Each kept factor is integers only, never a class: the `_ints`
@@ -387,8 +388,13 @@ def test_ring_is_freed_with_its_last_reference():
             assert type(rows) is tuple and len(rows) == ring.rho
             assert all(type(row) is tuple and len(row) == ring.rho for row in rows)
             assert all(type(n) is int for row in rows for n in row)
-        del ring, flag, k3, o, o1, todd, m, restricted
-        assert [ref() for ref in alive] == [None] * 7
+        # A twisted bundle keeps c1 and c2 of its source as integer numerators
+        # over their denominators: (n, a), (m, b), with n and m tuples.
+        for nums, den in vars(o1)["_nums"]:
+            assert type(nums) is tuple and len(nums) == ring.rho
+            assert all(type(n) is int for n in (*nums, den))
+        del ring, flag, k3, o, o1, todd, m, restricted, twisted
+        assert [ref() for ref in alive] == [None] * 9
     finally:
         if enabled:
             gc.enable()
@@ -428,7 +434,8 @@ def test_filled_memo_leaves_chern_data_equality_hash_and_repr_alone():
     e = random_chern(random.Random(63), ring)
     before = (hash(e), repr(e))
     mukai_vector(e)
-    assert "_ch" in vars(e)
+    twist_chern(e, (1, 0, -1))
+    assert "_ch" in vars(e) and "_nums" in vars(e)
     assert (hash(e), repr(e)) == before
     fresh = ChernData(ring, e.rank, e.c1, e.c2, e.c3)
     assert e == fresh and fresh == e and hash(e) == hash(fresh)

@@ -30,6 +30,7 @@ from mukai import (
     star,
     todd_class,
     top_degree,
+    twist_chern,
     twist_class,
 )
 from mukai.rational import dot, mat_vec
@@ -42,6 +43,7 @@ from conftest import (
     random_chern,
     random_cy_ring,
     random_fano_ring,
+    random_fractional_chern,
     random_graded,
     synthetic_flag,
     with_denominators,
@@ -198,6 +200,29 @@ def test_chi_split_reassembles_chi():
             assert plus - minus == euler_chi(e2, e1)
 
 
+@pytest.mark.filterwarnings("ignore::mukai.IntegralityWarning")
+def test_chi_split_is_the_half_sum_and_half_difference_of_chi():
+    # One integer pass shares the denominator and the square term of both
+    # orders; here each order is its own `euler_chi`, on fractional data.
+    rng = random.Random(2210)
+    for case in range(200):
+        rho = case % 8 + 1
+        ring = with_denominators(rng, (random_cy_ring if case % 3 == 0 else random_fano_ring)(rng, rho))
+        e1, e2 = random_fractional_chern(rng, ring), random_fractional_chern(rng, ring)
+        forward, backward = euler_chi(e1, e2), euler_chi(e2, e1)
+        plus, minus = chi_split(e1, e2)
+        assert (plus, minus) == ((forward + backward) / 2, (forward - backward) / 2)
+        assert type(plus) is type(minus) is Fraction
+
+
+def test_euler_form_and_its_split_need_one_ring():
+    e1, e2 = line_bundle(cp3_ring(), (1,)), line_bundle(quintic_ring(), (1,))
+    for form in (euler_chi_result, chi_split):
+        with pytest.raises(LatticeValidationError) as error:
+            form(e1, e2)
+        assert str(error.value) == "Euler form needs both types on the same ring"
+
+
 def test_chi_split_skew_on_cy():
     rng = random.Random(617)
     for _ in range(500):
@@ -225,9 +250,17 @@ def test_twist_class_is_a_group_action():
         assert twist_class(twist_class(m, coords, 1), coords, 1) == twist_class(m, coords, 2)
 
 
+@pytest.mark.parametrize("k", ["2", 1.5, True, Fraction(1, 2)], ids=repr)
+def test_twists_refuse_a_power_that_is_not_an_int(k):
+    e = instanton_type()
+    for twist, x in ((twist_chern, e), (twist_class, chern_character(e))):
+        with pytest.raises(LatticeValidationError) as error:
+            twist(x, (1,), k)
+        assert str(error.value) == f"twist power k must be an integer, got {k!r}"
+
+
 def test_simultaneous_twist_preserves_chi():
     rng = random.Random(619)
-    from mukai import twist_chern
 
     for _ in range(1000):
         ring = random_cy_ring(rng) if rng.random() < 0.5 else random_fano_ring(rng)

@@ -2,6 +2,7 @@
 
 import inspect
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,12 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from mukai import ChernData, K3Vector, ThreefoldRing, chern, flags, moduli, pairings, rings, schubert
+from mukai import (
+    ChernData, FlagDescriptor, K3Vector, ThreefoldRing, chern, flags, moduli, pairings, rings, schubert,
+)
 from mukai.documents import builtin_path, load_manifold
 from mukai.pairings import PairingResult
 from mukai.record import Record
 
-from conftest import quintic_ring
+from conftest import (
+    quintic_ring, random_cy_ring, random_fano_ring, random_fraction, random_fractional_chern, with_denominators,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -90,6 +95,73 @@ def test_record_init_binds_fields():
         with pytest.raises(TypeError) as error:
             Point(*args, **kwargs)
         assert str(error.value) == message
+
+
+def test_exact_skips_post_init_and_the_record_stays_frozen():
+    class Checked(Record):
+        x: int
+        y: int = 0
+
+        def __post_init__(self):
+            raise ValueError("checked")
+
+    with pytest.raises(ValueError, match="checked"):
+        Checked(1)
+    record = Checked._exact(x=1, y=2)
+    assert type(record) is Checked and vars(record) == {"x": 1, "y": 2}
+    assert repr(record).endswith(".Checked(x=1, y=2)") and record == Checked._exact(y=2, x=1)
+    for name in ("x", "extra"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, 3)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    assert vars(record) == {"x": 1, "y": 2}
+
+
+# The fields of the records the library builds with `Record._exact`, by the
+# type the checked constructors give them.
+FRACTION_FIELDS = {"c3", "v0", "v4", "value", "a0", "a6"}
+VECTOR_FIELDS = {"c1", "c2", "v2", "s_coords", "a2", "a4"}
+
+
+def trusted_records(rng, ring, flag):
+    """One record of each kind the library builds unchecked, from fractional data on `ring`."""
+    e1 = random_fractional_chern(rng, ring, labels=("E1",))
+    e2 = random_fractional_chern(rng, ring, labels=("E2", "F"))
+    line = [random_fraction(rng) for _ in range(ring.rho)]
+    m = chern.mukai_vector(e1)
+    return [
+        chern.twist_chern(e1, line, rng.randint(-3, 3)),
+        chern.dual_chern(e2),
+        m,
+        m.graded,
+        chern.k3_mukai_vector(flag, e2),
+        rings.restrict_to_k3(chern.chern_character(e1), flag.k3),
+        pairings.euler_chi_result(e1, e2),
+        flag.k3,
+    ]
+
+
+def test_trusted_records_equal_their_checked_twins():
+    rng = random.Random(2211)
+    for case in range(48):
+        rho = case % 8 + 1
+        ring = with_denominators(rng, (random_cy_ring if case % 2 else random_fano_ring)(rng, rho))
+        flag = FlagDescriptor(ring=ring, s_coords=tuple(random_fraction(rng) for _ in range(rho)))
+        for record in trusted_records(rng, ring, flag):
+            checked = type(record)(**record.as_dict())
+            assert record == checked and checked == record
+            assert (hash(record), repr(record)) == (hash(checked), repr(checked))
+            for name, value in record.as_dict().items():
+                if name in FRACTION_FIELDS:
+                    assert type(value) is Fraction, (type(record), name)
+                elif name in VECTOR_FIELDS:
+                    assert type(value) is tuple and len(value) == rho
+                    assert all(type(x) is Fraction for x in value), (type(record), name)
+                elif name == "labels":
+                    assert type(value) is tuple and all(type(x) is str for x in value)
+                elif name == "gram":
+                    assert all(type(x) is Fraction for row in value for x in row)
 
 
 def test_as_dict():

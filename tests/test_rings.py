@@ -34,6 +34,7 @@ from conftest import (
     random_fano_ring,
     random_graded,
     synthetic_ring,
+    with_denominators,
 )
 
 
@@ -128,6 +129,18 @@ def test_calabi_yau_euler_number_consistency_enforced():
     ring = quintic_ring()
     assert ring.is_calabi_yau
     assert ring.chi_top == 2 * (ring.rho - ring.h12)
+
+
+def test_calabi_yau_flag_is_decided_at_construction():
+    rng = random.Random(2212)
+    kinds = set()
+    for case in range(40):
+        rho = case % 8 + 1
+        ring = with_denominators(rng, (random_cy_ring if case % 2 else random_fano_ring)(rng, rho))
+        assert "is_calabi_yau" in vars(ring)
+        assert ring.is_calabi_yau == all(c == 0 for c in ring.c1_coords)
+        kinds.add(ring.is_calabi_yau)
+    assert kinds == {True, False}
 
 
 def test_fano_ring_has_no_euler_constraint():
