@@ -5,17 +5,18 @@ attached to a `ThreefoldRing`; c2 is stored as the functional vector
 integral(c2 . e_i), c3 as the scalar integral(c3).  All series identities
 (Chern character, Todd class, its formal square root, tensor twists) are
 truncated at degree 6 and evaluated exactly, so a half or a twelfth
-survives as exactly that.  The Chern character and its inverse
-are read off the ring's truncated exponential e^{c1}, which differs from
-ch only by the terms in c2 and c3.  A twist forms no character: the
-Whitney formula gives the twisted classes from two rho^3 squares of
-integer numerators and dot products.  Each `ChernData` computes its
-character once, on first use, and keeps it out of `==`, `hash` and `repr`;
-it keeps the integer numerators of c1 and c2 over their denominators the
-same way, which each twist of it reads.  The twisted and dual types and the
-Mukai vector are built unchecked (`Record._exact`), since the library made
-their values exact itself; `ChernData` and `chern_from_character`, which
-take caller data, keep every check.
+survives as exactly that.  A character has one route: the ring's
+truncated exponential e^{c1} from c1's integer numerators (`ring._exp`),
+plus the terms in c2 and c3 as integers over one denominator; no checked
+class is made.  Its inverse is read off e^{c1} too.  A twist forms no
+character: the Whitney formula gives the twisted classes from two rho^3
+squares of integer numerators and dot products.  A `ChernData` keeps
+`is_integral`, the numerators of c1 and c2 and the character as
+`functools.cached_property` values, outside `==`, `hash` and `repr`.
+The twisted and dual types and the Mukai vector are built unchecked
+(`Record._exact`), since the library made their values exact itself;
+`ChernData` and `chern_from_character`, which take caller data, keep
+every check.
 Each ring keeps td and sqrt(td) once, as fixed factors (see `rings`), so a
 Mukai vector is a rho^2 product.  Both are built from integers, as `_exp`
 builds e^{c1}: c1 and c2 over their denominators and the ring's integer
@@ -29,6 +30,7 @@ restriction keeps e^{-S} as a fixed factor the same way (see
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from operator import mul
 
@@ -85,29 +87,27 @@ class ChernData(Record):
         if len(self.c1) != self.ring.rho or len(self.c2) != self.ring.rho:
             raise LatticeValidationError("c1/c2 data must have length rho")
 
-    @property
+    @cached_property
     def is_integral(self) -> bool:
         """Whether c1, c2 and c3 are all integers; decided once per record."""
-        if "_integral" not in vars(self):
-            vars(self)["_integral"] = all(x.denominator == 1 for x in (*self.c1, *self.c2, self.c3))
-        return vars(self)["_integral"]
+        return all(x.denominator == 1 for x in (*self.c1, *self.c2, self.c3))
 
-    @property
-    def _numerators(self) -> tuple:
-        """((n, a), (m, b)): c1 = n/a and c2 = m/b over their least common denominators.
+    @cached_property
+    def _nums(self) -> tuple:
+        """((n, a), (m, b)): c1 = n/a and c2 = m/b over their least common denominators."""
+        (n, a), (m, b) = over_common_denominator(self.c1), over_common_denominator(self.c2)
+        return (tuple(n), a), (tuple(m), b)
 
-        Integers only (n and m tuples), computed on first use and kept, like
-        the character, outside `==`, `hash` and `repr`.
-        """
-        kept = vars(self).get("_nums")
-        if kept is None:
-            (n, a), (m, b) = over_common_denominator(self.c1), over_common_denominator(self.c2)
-            kept = vars(self)["_nums"] = ((tuple(n), a), (tuple(m), b))
-        return kept
-
-    def c1_dot_c2(self) -> Fraction:
-        """Integral of c1 . c2 over the threefold."""
-        return dot(self.c1, self.c2)
+    @cached_property
+    def _ch(self) -> GradedClass:
+        """The Chern character; see `chern_character`."""
+        ring, ((n, a), (m, b)) = self.ring, self._nums
+        p, q = self.c3.numerator, self.c3.denominator
+        # Over f = 2 a b q: rank - 1, -c2 = -m/b and (c3 - c1.c2)/2 = (a b p - q n.m)/f.
+        f = 2 * a * b * q
+        rest = _reduced(ring, f, (self.rank - 1) * f, [0] * ring.rho, [-2 * a * q * x for x in m],
+                        a * b * p - q * sum(map(mul, n, m)))
+        return ring._exp(n, a) + rest
 
 
 def chern_character(e: ChernData) -> GradedClass:
@@ -115,15 +115,12 @@ def chern_character(e: ChernData) -> GradedClass:
 
     ch = rank + c1 + (c1^2 - 2 c2)/2 + (c1^3 - 3 c1 c2 + 3 c3)/6, that is
     e^{c1} with rank in degree 0, c2 taken off degree 4 and
-    (c3 - c1 c2)/2 added to degree 6.  Computed once per record and kept
-    on it as an unannotated attribute, outside `==`, `hash` and `repr`; the
-    class points at the ring, never back at the record, so no cycle forms.
+    (c3 - c1 c2)/2 added to degree 6, all from the record's integer
+    numerators.  Kept on the record as `_ch`, outside `==`, `hash` and
+    `repr`; the class points at the ring, never back at the record, so no
+    cycle forms.
     """
-    ch = vars(e).get("_ch")
-    if ch is None:
-        rest = e.ring.graded(e.rank - 1, None, tuple(-a for a in e.c2), (e.c3 - e.c1_dot_c2()) / 2)
-        ch = vars(e)["_ch"] = e.ring.exp_h2(e.c1) + rest
-    return ch
+    return e._ch
 
 
 def chern_from_character(ring: ThreefoldRing, ch: GradedClass, labels=()) -> ChernData:
@@ -174,7 +171,7 @@ def twist_chern(e: ChernData, L, k: int = 1) -> ChernData:
     """
     _check_power(k)
     ring, r = e.ring, e.rank
-    (v, b), ((n, a), (m, c)) = over_common_denominator(ring._vector(L)), e._numerators
+    (v, b), ((n, a), (m, c)) = over_common_denominator(ring._vector(L)), e._nums
     p, q = e.c3.numerator, e.c3.denominator
     v, d = [k * x for x in v], ring._den
     # c1.l = nv / (D a b) and l^2 = vv / (D b^2), as H^4 functionals.

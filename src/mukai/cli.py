@@ -15,8 +15,8 @@ import os
 import re
 import sys
 from fractions import Fraction
+from collections import namedtuple
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 from . import documents, flags, moduli, pairings, schubert
 from .chern import k3_mukai_vector, mukai_vector, twist_chern
@@ -427,14 +427,9 @@ def _four_lines(args) -> dict:
 # the command table
 
 
-class Command(NamedTuple):
-    """One subcommand: its arguments in order, and a handler or nested commands."""
-
-    name: str
-    help: str
-    args: tuple = ()
-    handler: Callable | None = None  # args -> payload, or (payload, exit code)
-    commands: tuple = ()
+# One subcommand: its arguments in order, and a handler (args -> payload, or
+# (payload, exit code)) or nested commands.
+Command = namedtuple("Command", "name help args handler commands", defaults=((), None, ()))
 
 
 def _arg(name: str, **options):
@@ -551,7 +546,7 @@ COMMANDS = (
 )
 
 
-def _missing(parser: _Parser, metavar: str) -> Callable:
+def _missing(parser: _Parser, metavar: str):
     """Handler of a parser called without its subcommand.
 
     Not `required=True` on the subparsers: argparse would then report a

@@ -195,6 +195,8 @@ def bundle_from_document(doc: dict, manifold, where: str = "bundle") -> ChernDat
     if not isinstance(ring, ThreefoldRing):
         raise TypeError("manifold must be a ThreefoldRing or FlagDescriptor")
     reference = doc.get("manifold")
+    if reference is not None and not isinstance(reference, str):
+        raise DocumentError(f"{where}.manifold: expected a string")
     if reference is not None and reference != ring.name:
         raise LatticeValidationError(
             f"bundle document targets manifold {reference!r} but {ring.name!r} was loaded"
@@ -397,11 +399,17 @@ def load_registry(path, missing_ok: bool = False) -> CDRegistry:
 
 
 def save_registry(path, registry: CDRegistry) -> None:
-    """Write a registry canonically: sorted keys, two-space indent."""
+    """Write a registry canonically (sorted keys, two-space indent) to a temporary
+    file beside it, then `os.replace` it, so a failed write leaves the old file."""
     doc = {"entries": [_entry_to_document(e) for e in registry.entries()]}
+    target = os.path.realpath(path)
+    temporary = os.path.join(os.path.dirname(target), f".registry-{os.getpid()}.tmp")
     try:
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        Path(temporary).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        os.replace(temporary, target)
     except OSError as exc:
+        if os.path.lexists(temporary):
+            os.remove(temporary)
         raise DocumentError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 

@@ -9,16 +9,19 @@ rational either way.  With td fixed per ring, chi(E1, E2) is a bilinear
 form in the two characters: the H^2 parts pair through the ring's integer
 matrix M[j][k] = D sum_i d[i][j][k] td2[i], and every other term is a
 product of scalars or one dot product, so no cup product is formed.
-`chi_split` evaluates both orders in one integer pass: they share the
-denominator and, M being symmetric, the square term.
-`mukai_restrict` multiplies m(E) by e^{-S}, which each flag's K3
-restriction keeps as a fixed factor (see `rings`), so that too costs rho^2.
+`euler_chi_result` and `chi_split` form their `Fraction`s from the same
+integers by `rings._top_linear` and `rings._bilinear`; `chi_split` takes
+both orders in one pass, as they share the denominator and, M being
+symmetric, the square term.  `mukai_restrict` multiplies m(E) by e^{-S},
+which each flag's K3 restriction keeps as a fixed factor (see `rings`),
+so that too costs rho^2, and reads G.v2 off integers too.
 """
 
 from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from operator import mul
 
 from .chern import (
     ChernData, MukaiVector, _check_power, _kept, _todd_factor, chern_character, k3_mukai_vector, mukai_vector,
@@ -28,7 +31,7 @@ from .flags import FlagDescriptor, require_isometry
 from .rational import as_vector, mat_vec
 from .record import Record
 from .rings import (
-    GradedClass, K3Restriction, K3Vector, _bilinear, _times_fixed, _top_linear, _top_times_fixed, star, top_degree,
+    GradedClass, K3Restriction, K3Vector, _bilinear, _starred, _times_fixed, _top_linear, star, top_degree,
 )
 
 __all__ = [
@@ -120,9 +123,8 @@ def euler_chi_result(e1: ChernData, e2: ChernData) -> PairingResult:
     The note is set, and `euler_chi` warns with it, when both inputs have
     integral Chern data but the value is fractional.
     """
-    if e1.ring != e2.ring:
-        raise LatticeValidationError("Euler form needs both types on the same ring")
-    value = _top_times_fixed(chern_character(e2), star(chern_character(e1)), _todd_factor(e1.ring))
+    x, y, (t, rows), d = _euler_terms(e1, e2)
+    value = Fraction(_top_linear(y, _starred(x), t) * d - _bilinear(x[2], rows, y[2]), x[0] * y[0] * t[0] * d)
     note = None
     if value.denominator != 1 and e1.is_integral and e2.is_integral:
         note = (
@@ -130,6 +132,13 @@ def euler_chi_result(e1: ChernData, e2: ChernData) -> PairingResult:
             f"{value} is fractional on integral Chern data"
         )
     return PairingResult._exact(value=value, integrality_note=note)
+
+
+def _euler_terms(e1: ChernData, e2: ChernData) -> tuple:
+    """The characters' `_ints`, td's fixed factor and D: what both Euler form evaluations read."""
+    if e1.ring != e2.ring:
+        raise LatticeValidationError("Euler form needs both types on the same ring")
+    return chern_character(e1)._ints, chern_character(e2)._ints, _todd_factor(e1.ring), e1.ring._den
 
 
 def chi_split(e1: ChernData, e2: ChernData) -> tuple[Fraction, Fraction]:
@@ -146,12 +155,8 @@ def chi_split(e1: ChernData, e2: ChernData) -> tuple[Fraction, Fraction]:
     term -x2^T R y2, since td's rows R are symmetric; only their terms of
     order rho differ.
     """
-    if e1.ring != e2.ring:
-        raise LatticeValidationError("Euler form needs both types on the same ring")
-    (t, rows), d = _todd_factor(e1.ring), e1.ring._den
-    ch1, ch2 = chern_character(e1), chern_character(e2)
-    x, y = ch1._ints, ch2._ints
-    forward, backward = _top_linear(y, star(ch1)._ints, t), _top_linear(x, star(ch2)._ints, t)
+    x, y, (t, rows), d = _euler_terms(e1, e2)
+    forward, backward = _top_linear(y, _starred(x), t), _top_linear(x, _starred(y), t)
     den = 2 * x[0] * y[0] * t[0] * d
     return (
         Fraction((forward + backward) * d - 2 * _bilinear(x[2], rows, y[2]), den),
@@ -221,9 +226,10 @@ def mukai_restrict(flag: FlagDescriptor, e: ChernData) -> RestrictionResult:
     # e^{-S} is made once per flag and kept on its restriction, in integers.
     exp_minus_s = _kept(vars(flag.k3), "_exp_minus_s", lambda: flag.ring._exp([-x for x in s], ds))
     delta = m - _times_fixed(m, exp_minus_s)
-    # Compared in integers, across denominators: delta_2 = rank s and delta_4 = G.v2.
-    den, _, d2, d4, _ = delta._ints
-    gv, dg = flag.k3._times(vector.v2)
+    # Compared in integers, across denominators: delta_2 = rank s and delta_4 = G.v2,
+    # where v2 = n2/dc is ch(E)'s H^2 part, so G.v2 = R.n2/(dc g) for G = R/g.
+    (den, _, d2, d4, _), (dc, _, n2, _, _) = delta._ints, chern_character(e)._ints
+    gv, dg = [sum(map(mul, row, n2)) for row in flag.k3._rows], dc * flag.k3._den
     return RestrictionResult(
         vector=vector,
         delta=delta,

@@ -38,10 +38,11 @@ fixed factor: its integers and the rho^2 rows R[i][j] = D sum_k d[i][j][k]
 y2[k], one rho^3 pass made once.  Multiplying by y then costs rho^2, and so
 does an integral [x . z . y]_6, whose square term is the bilinear form
 x2^T R z2 (d is symmetric).  `ring_multiply` stays the one general product.
-The integral's integer core is two parts, `_top_linear` (the terms of
-order rho) and `_bilinear` (the square term), so a caller that needs two
-integrals sharing one square term, as `pairings.chi_split` does, forms it
-once.
+Such an integral has one integer route, in two parts: `_top_linear` (the
+terms of order rho) and `_bilinear` (the square term).  The Euler form
+(`pairings`) forms its `Fraction` from them, and `chi_split` forms the
+square term once for both orders.  `K3Restriction.dot` is `_bilinear` of
+its Gram rows.
 
 Elements are immutable `GradedClass` values supporting +, -, scalar
 multiplication and the cup product; `star` is the degree involution that
@@ -378,24 +379,14 @@ def _times_fixed(x: GradedClass, fixed: tuple) -> GradedClass:
     return _product(x.ring, x._ints, ints, [sum(map(mul, row, x2)) for row in rows])
 
 
-def _top_times_fixed(x: GradedClass, y: GradedClass, fixed: tuple) -> Fraction:
-    """Degree-6 part of x . y . t for a fixed factor t, without forming x . y.
-
-    [x y t]_6 = (xy)_0 t6 + t0 (xy)_6 + (xy)_2 . t4 + t2 . (xy)_4, and the
-    only rho^3 term of it, t2 . (x2 y2)_4, is the bilinear form x2^T R y2
-    of t's rows R: so the whole integral costs rho^2.  Its integer core is
-    `_top_linear` (the other terms) and `_bilinear` (the form).
-    """
-    t, rows = fixed
-    d, x, y = x.ring._den, x._ints, y._ints
-    return Fraction(_top_linear(x, y, t) * d + _bilinear(x[2], rows, y[2]), x[0] * y[0] * t[0] * d)
-
-
 def _top_linear(x: tuple, y: tuple, t: tuple) -> int:
     """[x y t]_6 less its square term t2 . (x2 y2)_4, as a numerator over dx dy dt.
 
-    x, y and t are `_ints` tuples; every term is a scalar product or a dot
-    product, so this costs rho.
+    x, y and t are `_ints` tuples.  [x y t]_6 = (xy)_0 t6 + t0 (xy)_6 +
+    (xy)_2 . t4 + t2 . (xy)_4, and every term but t2 . (x2 y2)_4 is a
+    scalar product or a dot product, so this costs rho.  That term is
+    x2^T R y2 / (dx dy dt D) for t's rows R (`_bilinear`), so the integral
+    is (`_top_linear` D + `_bilinear`) over dx dy dt D, in rho^2.
     """
     _, x0, x2, x4, x6 = x
     _, y0, y2, y4, y6 = y
@@ -411,7 +402,7 @@ def _top_linear(x: tuple, y: tuple, t: tuple) -> int:
 
 
 def _bilinear(u, rows, v) -> int:
-    """u^T R v for integer rows R: the square term of `_top_times_fixed` when R are t's rows."""
+    """u^T R v for integer rows R: the square term of `_top_linear` when R are t's rows."""
     return sum(map(mul, u, [sum(map(mul, row, v)) for row in rows]))
 
 
@@ -435,8 +426,13 @@ def star(x: GradedClass) -> GradedClass:
     ring automorphism and an involution, and sends the Chern character of
     a sheaf to the Chern character of its dual.
     """
-    den, n0, n2, n4, n6 = x._ints
-    return GradedClass._exact(ring=x.ring, _ints=(den, n0, tuple([-a for a in n2]), n4, -n6))
+    return GradedClass._exact(ring=x.ring, _ints=_starred(x._ints))
+
+
+def _starred(ints: tuple) -> tuple:
+    """`star` on an `_ints` tuple."""
+    den, n0, n2, n4, n6 = ints
+    return den, n0, tuple([-a for a in n2]), n4, -n6
 
 
 class K3Restriction(Record):
@@ -505,11 +501,6 @@ class K3Restriction(Record):
         stacked = [[a * x for x in row] + rn for row, rn in zip(rows, integer_product(rows, nums))]
         return linalg.kernel(stacked)
 
-    def _times(self, v) -> tuple[list[int], int]:
-        """G.v as integer numerators over one denominator."""
-        nums, den = over_common_denominator(v)
-        return [sum(map(mul, row, nums)) for row in self._rows], den * self._den
-
     def dot(self, u, v) -> Fraction:
         """Intersection number u . v on the surface, u and v in the e-basis."""
         u, v = as_vector(u), as_vector(v)
@@ -518,8 +509,8 @@ class K3Restriction(Record):
                 raise LatticeValidationError(
                     f"vector has {len(x)} coordinates, lattice has rank {self.rank}"
                 )
-        (u, du), (gv, dv) = over_common_denominator(u), self._times(v)
-        return Fraction(sum(map(mul, u, gv)), du * dv)
+        (u, du), (v, dv) = over_common_denominator(u), over_common_denominator(v)
+        return Fraction(_bilinear(u, self._rows, v), du * dv * self._den)
 
 
 class K3Vector(Record):

@@ -119,7 +119,7 @@ def test_integrality_matches_the_coefficients():
         before = (hash(e), repr(e))
         integral = all(x.denominator == 1 for x in (*e.c1, *e.c2, e.c3))
         assert e.is_integral == integral == e.is_integral
-        assert "_integral" in vars(e) and (hash(e), repr(e)) == before
+        assert "is_integral" in vars(e) and (hash(e), repr(e)) == before
         m = mukai_vector(e)
         g = m.graded
         assert m.is_integral == all(x.denominator == 1 for x in (g.a0, *g.a2, *g.a4, g.a6))

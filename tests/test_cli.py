@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output shape, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from math import comb
@@ -440,6 +441,23 @@ def test_validation_errors_exit_1(capsys):
     )
     assert code == 1
     assert "validation error" in err
+
+
+@pytest.mark.parametrize("reference", [5, ["quintic"]])
+def test_non_string_manifold_key_is_a_parse_error(capsys, tmp_path, reference):
+    doc = json.loads(builtin_path("quintic-o.json").read_text(encoding="utf-8"))
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(dict(doc, manifold=reference)), encoding="utf-8")
+    code, out, err = run(capsys, "mukai", "--manifold", "quintic.json", "--bundle", str(bundle))
+    assert (code, out, err) == (2, "", f"parse error: {bundle}.manifold: expected a string\n")
+
+
+def test_cli_import_loads_no_typing():
+    # Start-up cost: `typing` alone takes a few ms to import; -S keeps site's imports out.
+    probe = "import sys, mukai.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'typing'))"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=False,
+                          env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def _huge_bundle(tmp_path):

@@ -3,8 +3,11 @@
 import copy
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -233,6 +236,16 @@ def test_bundle_manifold_cross_check():
     doc = {"manifold": "quintic", "rank": 1, "c1": [0], "c2": [0], "c3": 0}
     with pytest.raises(LatticeValidationError, match="targets manifold"):
         bundle_from_document(doc, cp3_quartic_flag())
+
+
+@pytest.mark.parametrize("reference", [5, ["quintic"], {"name": "quintic"}, True])
+def test_bundle_manifold_key_must_be_a_string(reference):
+    doc = {"manifold": reference, "rank": 1, "c1": [0], "c2": [0], "c3": 0}
+    with pytest.raises(DocumentError) as error:
+        bundle_from_document(doc, quintic_ring(), where="b.json")
+    assert str(error.value) == "b.json.manifold: expected a string"
+    # null still means the key is absent.
+    assert bundle_from_document(dict(doc, manifold=None), quintic_ring()).rank == 1
 
 
 def test_bundle_document_needs_a_ring_or_flag():
@@ -573,6 +586,38 @@ def test_registry_save_is_canonical(tmp_path):
     first = path.read_bytes()
     save_registry(path, load_registry(path))
     assert path.read_bytes() == first
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs RLIMIT_FSIZE and SIGXFSZ")
+def test_a_failed_registry_write_leaves_the_old_file(tmp_path):
+    # A child process whose files may not grow past 200 bytes rewrites a
+    # larger registry: the write fails, and the old file must stay as it was.
+    path = tmp_path / "registry.json"
+    save_registry(path, sample_registry())
+    before = path.read_bytes()
+    assert len(before) > 200
+    child = (
+        "import resource, signal, sys\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (200, 200))\n"
+        "from mukai.documents import load_registry, save_registry\n"
+        "registry = load_registry(sys.argv[1])\n"
+        "registry.mark_exceptional('model:open')\n"
+        "save_registry(sys.argv[1], registry)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child, str(path)], capture_output=True, text=True, check=False)
+    assert proc.returncode == 1
+    assert f"DocumentError: cannot write {path}: File too large" in proc.stderr
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["registry.json"]
+
+
+def test_registry_save_replaces_the_target_of_a_symlink(tmp_path):
+    target, link = tmp_path / "registry.json", tmp_path / "link.json"
+    save_registry(target, CDRegistry())
+    link.symlink_to(target)
+    save_registry(link, sample_registry())
+    assert link.is_symlink() and load_registry(target).entries() == sample_registry().entries()
 
 
 def test_registry_missing_ok(tmp_path):

@@ -25,7 +25,7 @@ from mukai import (
     top_degree,
 )
 
-from mukai.rings import _fixed_factor, _times_fixed, _top_times_fixed
+from mukai.rings import _bilinear, _fixed_factor, _times_fixed, _top_linear
 
 from conftest import (
     LETTERS,
@@ -455,6 +455,24 @@ def test_integer_kernel_matches_dense_fraction_reference(rho):
 
 
 @pytest.mark.parametrize("rho", range(1, 9))
+def test_character_makes_no_checked_class(rho, monkeypatch):
+    # ch(E) comes from the record's integer numerators: a fresh bundle's
+    # character runs no `GradedClass.__post_init__`, and equals the dense
+    # Fraction reference on fractional rings and data.
+    rng = random.Random(770 + rho)
+    checked = []
+    original = GradedClass.__post_init__
+    monkeypatch.setattr(GradedClass, "__post_init__", lambda *a: checked.append(a) or original(*a))
+    for _ in range(6):
+        ring = fractional_ring(rng, rho)
+        c1, c2, c3 = fractional_vector(rng, rho), fractional_vector(rng, rho), rng.choice(ENTRIES)
+        rank = rng.randint(1, 4)
+        character = chern_character(ChernData(ring, rank, c1, c2, c3))
+        assert checked == []
+        assert character.components() == dense_character(ring, rank, c1, c2, c3)
+
+
+@pytest.mark.parametrize("rho", range(1, 9))
 def test_fixed_factor_kernels_match_the_cup_product(rho):
     rng = random.Random(750 + rho)
     for _ in range(3):
@@ -464,7 +482,10 @@ def test_fixed_factor_kernels_match_the_cup_product(rho):
             fixed = _fixed_factor(t)
             assert all(type(n) is int for row in fixed[1] for n in row)
             assert _times_fixed(x, fixed) == ring_multiply(x, t)
-            assert _top_times_fixed(x, y, fixed) == top_degree(ring_multiply(x, y), t)
+            # The Euler form's integer core: (_top_linear D + _bilinear) over dx dy dt D.
+            (ts, rows), d, xs, ys = fixed, ring._den, x._ints, y._ints
+            core = Fraction(_top_linear(xs, ys, ts) * d + _bilinear(xs[2], rows, ys[2]), xs[0] * ys[0] * ts[0] * d)
+            assert core == top_degree(ring_multiply(x, y), t)
 
 
 # --------------------------------------------------------------------------
