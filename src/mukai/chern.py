@@ -11,8 +11,9 @@ plus the terms in c2 and c3 as integers over one denominator; no checked
 class is made.  Its inverse is read off e^{c1} too.  A twist forms no
 character: the Whitney formula gives the twisted classes from two rho^3
 squares of integer numerators and dot products.  A `ChernData` keeps
-`is_integral`, the numerators of c1 and c2 and the character as
-`functools.cached_property` values, outside `==`, `hash` and `repr`.
+`is_integral`, the numerators of c1 and c2, the character and the Mukai
+vector m(E) as `functools.cached_property` values, outside `==`, `hash`
+and `repr`, so each is made once per record.
 The twisted and dual types and the Mukai vector are built unchecked
 (`Record._exact`), since the library made their values exact itself;
 `ChernData` and `chern_from_character`, which take caller data, keep
@@ -23,7 +24,7 @@ builds e^{c1}: c1 and c2 over their denominators and the ring's integer
 tensor planes give td's numerators with one rho^3 square and one gcd, and
 `sqrt_series` reads its argument's numerators the same way, so no
 `Fraction` is made until a coefficient is read.  Each flag's K3
-restriction keeps e^{-S} as a fixed factor the same way (see
+restriction keeps 1 - e^{-S} as a fixed factor the same way (see
 `pairings.mukai_restrict`).
 """
 
@@ -108,6 +109,14 @@ class ChernData(Record):
         rest = _reduced(ring, f, (self.rank - 1) * f, [0] * ring.rho, [-2 * a * q * x for x in m],
                         a * b * p - q * sum(map(mul, n, m)))
         return ring._exp(n, a) + rest
+
+    @cached_property
+    def _mukai(self) -> "MukaiVector":
+        """The Mukai vector; see `mukai_vector`."""
+        ring = self.ring
+        sqrt_todd = _kept(ring._cache, "sqrt_todd", lambda: sqrt_series(todd_class(ring)))
+        tag = "cy3-full-todd" if ring.is_calabi_yau else "fano-full-todd"
+        return MukaiVector._exact(graded=_times_fixed(self._ch, sqrt_todd), normalization=tag)
 
 
 def chern_character(e: ChernData) -> GradedClass:
@@ -291,13 +300,11 @@ def mukai_vector(e: ChernData) -> MukaiVector:
     """Mukai vector ch(E) . sqrt(td M) of a topological type.
 
     The result need not be integral (Todd denominators survive); callers
-    that care can consult `is_integral`.
+    that care can consult `is_integral`.  Kept on the record as `_mukai`,
+    outside `==`, `hash` and `repr`, as the character is: one product by
+    the ring's fixed sqrt(td) per record.
     """
-    ring = e.ring
-    sqrt_todd = _kept(ring._cache, "sqrt_todd", lambda: sqrt_series(todd_class(ring)))
-    graded = _times_fixed(chern_character(e), sqrt_todd)
-    tag = "cy3-full-todd" if ring.is_calabi_yau else "fano-full-todd"
-    return MukaiVector._exact(graded=graded, normalization=tag)
+    return e._mukai
 
 
 def k3_mukai_vector(flag, e: ChernData) -> K3Vector:

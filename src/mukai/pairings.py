@@ -12,9 +12,12 @@ product of scalars or one dot product, so no cup product is formed.
 `euler_chi_result` and `chi_split` form their `Fraction`s from the same
 integers by `rings._top_linear` and `rings._bilinear`; `chi_split` takes
 both orders in one pass, as they share the denominator and, M being
-symmetric, the square term.  `mukai_restrict` multiplies m(E) by e^{-S},
-which each flag's K3 restriction keeps as a fixed factor (see `rings`),
-so that too costs rho^2, and reads G.v2 off integers too.
+symmetric, the square term.  `mukai_restrict` forms its diagnostic
+delta = m - m.e^{-S} as one product m.(1 - e^{-S}), the factor
+1 - e^{-S} being made from e^{-S}'s integers once per flag and kept on
+its K3 restriction as a fixed factor (see `rings`), so that too costs
+rho^2; it reads m(E) as the bundle's record keeps it, and G.v2 off
+integers too.
 """
 
 from __future__ import annotations
@@ -24,14 +27,15 @@ from fractions import Fraction
 from operator import mul
 
 from .chern import (
-    ChernData, MukaiVector, _check_power, _kept, _todd_factor, chern_character, k3_mukai_vector, mukai_vector,
+    ChernData, MukaiVector, _check_power, _kept, _todd_factor, chern_character, k3_mukai_vector,
 )
 from .errors import IntegralityWarning, LatticeValidationError
 from .flags import FlagDescriptor, require_isometry
 from .rational import as_vector, mat_vec
 from .record import Record
 from .rings import (
-    GradedClass, K3Restriction, K3Vector, _bilinear, _starred, _times_fixed, _top_linear, star, top_degree,
+    GradedClass, K3Restriction, K3Vector, _bilinear, _reduced, _starred, _times_fixed, _top_linear, star,
+    top_degree,
 )
 
 __all__ = [
@@ -192,7 +196,8 @@ class RestrictionResult(Record):
     """Restriction of a Mukai vector to the K3 member, with diagnostics.
 
     `vector` is the honest restriction.  `delta` is the lattice
-    expression m - m.e^{-S}; its degree-2 part always equals rank times
+    expression m - m.e^{-S}, formed as the one product m.(1 - e^{-S}) by
+    the flag's kept factor; its degree-2 part always equals rank times
     the section class, but its degree-4 part picks up curvature terms
     and agrees with G.v2 only in degenerate cases (for instance when the
     section pairs to zero), and its degree-0 part is structurally 0 and
@@ -221,14 +226,16 @@ def mukai_restrict(flag: FlagDescriptor, e: ChernData) -> RestrictionResult:
     Callers that want only `vector` should call `k3_mukai_vector`.
     """
     vector = k3_mukai_vector(flag, e)
-    m = mukai_vector(e).graded
     s, ds = flag.k3._s
-    # e^{-S} is made once per flag and kept on its restriction, in integers.
-    exp_minus_s = _kept(vars(flag.k3), "_exp_minus_s", lambda: flag.ring._exp([-x for x in s], ds))
-    delta = m - _times_fixed(m, exp_minus_s)
+    # delta = m - m.e^{-S} = m.(1 - e^{-S}): one product by a factor made once per
+    # flag and kept on its restriction, in integers, and m(E) kept on the record.
+    factor = _kept(
+        vars(flag.k3), "_one_minus_exp_minus_s", lambda: _one_minus(flag.ring._exp([-x for x in s], ds))
+    )
+    delta = _times_fixed(e._mukai.graded, factor)
     # Compared in integers, across denominators: delta_2 = rank s and delta_4 = G.v2,
     # where v2 = n2/dc is ch(E)'s H^2 part, so G.v2 = R.n2/(dc g) for G = R/g.
-    (den, _, d2, d4, _), (dc, _, n2, _, _) = delta._ints, chern_character(e)._ints
+    (den, _, d2, d4, _), (dc, _, n2, _, _) = delta._ints, e._ch._ints
     gv, dg = [sum(map(mul, row, n2)) for row in flag.k3._rows], dc * flag.k3._den
     return RestrictionResult(
         vector=vector,
@@ -236,6 +243,12 @@ def mukai_restrict(flag: FlagDescriptor, e: ChernData) -> RestrictionResult:
         degree2_matches=all(a * ds == e.rank * b * den for a, b in zip(d2, s)),
         degree4_matches=all(a * dg == b * den for a, b in zip(d4, gv)),
     )
+
+
+def _one_minus(x: GradedClass) -> GradedClass:
+    """1 - x for a class x with degree-0 part 1, from x's integers: no checked class is made."""
+    den, _, n2, n4, n6 = x._ints
+    return _reduced(x.ring, den, 0, [-a for a in n2], [-a for a in n4], -n6)
 
 
 def gluing_match(restriction: K3Restriction, matrix, v_plus: K3Vector, v_minus: K3Vector) -> bool:

@@ -76,6 +76,12 @@ def as_fraction(value: Rational) -> Fraction:
 
 
 def as_vector(values) -> tuple[Fraction, ...]:
+    """Coerce a sequence of values `as_fraction` accepts to a tuple of Fractions.
+
+    A bare string or bytes value is refused, not read as a sequence of digits.
+    """
+    if isinstance(values, (str, bytes, bytearray)):
+        raise TypeError(f"expected a sequence of rationals, got {type(values).__name__} {values!r}")
     # A Fraction is kept as it is, without the call that would return it unchanged.
     return tuple(v if type(v) is Fraction else as_fraction(v) for v in values)
 

@@ -13,7 +13,8 @@ record checks its fields or coerces them with `vars(self).update(...)`.
 Attributes that are not annotated (caches, derived values) are stored the
 same way and take no part in `==`, `hash`, `repr` or `as_dict()`, which
 maps the fields to their values in declaration order.  Only `GradedClass`
-keeps its own `__init__`, because its fields are properties over integers.
+keeps its own `__init__`, because its fields are made from integers on
+first read.
 
 `Record._exact(**fields)` is the one trusted constructor: it stores the
 given attributes as they are and runs neither `__init__` nor

@@ -29,20 +29,21 @@ A `GradedClass` is kept the same way, as integer numerators over one
 positive denominator in lowest terms.  The cup product, `top_degree`, +,
 -, `scale`, `star` and `exp_h2` go from those integers to integers, with
 the rho^3 loop in `int` and one gcd to reduce; the `Fraction` coefficients
-are made only when they are read.  `K3Restriction` keeps integers over one
+are made only when they are read, each on its first read, and kept on
+the class for every later one.  `K3Restriction` keeps integers over one
 denominator too, so restriction and its dot products are integer sums.
 
-The cup product is one rho^3 loop, the square term of x2 and y2.  When y is
-fixed (td and sqrt(td) per ring, e^{-S} per flag), the library keeps y as a
-fixed factor: its integers and the rho^2 rows R[i][j] = D sum_k d[i][j][k]
-y2[k], one rho^3 pass made once.  Multiplying by y then costs rho^2, and so
-does an integral [x . z . y]_6, whose square term is the bilinear form
-x2^T R z2 (d is symmetric).  `ring_multiply` stays the one general product.
-Such an integral has one integer route, in two parts: `_top_linear` (the
-terms of order rho) and `_bilinear` (the square term).  The Euler form
-(`pairings`) forms its `Fraction` from them, and `chi_split` forms the
-square term once for both orders.  `K3Restriction.dot` is `_bilinear` of
-its Gram rows.
+The cup product is one rho^3 loop, the square term of x2 and y2.  When y
+is fixed (td and sqrt(td) per ring, 1 - e^{-S} per flag), the library
+keeps y as a fixed factor: its integers and the rho^2 rows
+R[i][j] = D sum_k d[i][j][k] y2[k], one rho^3 pass made once.
+Multiplying by y then costs rho^2, and so does an integral [x . z . y]_6,
+whose square term is the bilinear form x2^T R z2 (d is symmetric).
+`ring_multiply` stays the one general product.  Such an integral has one
+integer route, in two parts: `_top_linear` (the terms of order rho) and
+`_bilinear` (the square term).  The Euler form (`pairings`) forms its
+`Fraction` from them, and `chi_split` forms the square term once for both
+orders.  `K3Restriction.dot` is `_bilinear` of its Gram rows.
 
 Elements are immutable `GradedClass` values supporting +, -, scalar
 multiplication and the cup product; `star` is the degree involution that
@@ -235,21 +236,44 @@ class ThreefoldRing(Record):
         return _reduced(self, d, d, n2, n4, sum(map(mul, nums, square)))
 
 
+class _Coefficient:
+    """A `GradedClass` coefficient, made from `_ints` on its first read and kept.
+
+    A non-data descriptor: the value goes into the instance dict under the
+    field's name, where every later read finds it without calling `__get__`.
+    Unlike `functools.cached_property` it takes no lock, which a class read
+    once would pay for; two threads racing on a first read store equal values.
+    """
+
+    def __init__(self, make):
+        self.make = make
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.name] = self.make(obj._ints)
+        return value
+
+
 class GradedClass(Record):
     """An element a0 + a2 + a4 + a6 of a truncated threefold ring.
 
     `a2` holds basis coordinates; `a4` holds the Poincare functionals
     against the same basis; `a0` and `a6` are rational scalars.  They are
     stored as `_ints` = (den, n0, n2, n4, n6), integer numerators (n2, n4
-    tuples of length rho) over one den > 0 coprime to all of them, and made
-    into `Fraction`s on each read; `==`, `hash` and `repr` read the fields.
+    tuples of length rho) over one den > 0 coprime to all of them.  Each
+    coefficient is made into `Fraction`s on its first read and kept in the
+    instance dict (`_Coefficient`); `==`, `hash` and `repr` read the fields.
     """
 
     ring: ThreefoldRing
-    a0: Fraction = property(lambda self: Fraction(self._ints[1], self._ints[0]))
-    a2: tuple[Fraction, ...] = property(lambda self: _fractions(self._ints[2], self._ints[0]))
-    a4: tuple[Fraction, ...] = property(lambda self: _fractions(self._ints[3], self._ints[0]))
-    a6: Fraction = property(lambda self: Fraction(self._ints[4], self._ints[0]))
+    a0: Fraction = _Coefficient(lambda ints: Fraction(ints[1], ints[0]))
+    a2: tuple[Fraction, ...] = _Coefficient(lambda ints: _fractions(ints[2], ints[0]))
+    a4: tuple[Fraction, ...] = _Coefficient(lambda ints: _fractions(ints[3], ints[0]))
+    a6: Fraction = _Coefficient(lambda ints: Fraction(ints[4], ints[0]))
 
     def __init__(self, ring, a0, a2, a4, a6):
         vars(self)["ring"] = ring

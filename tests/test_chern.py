@@ -11,6 +11,7 @@ import pytest
 from mukai import (
     ChernData,
     FlagDescriptor,
+    GradedClass,
     K3Vector,
     LatticeValidationError,
     ThreefoldRing,
@@ -352,7 +353,7 @@ def test_filled_factor_leaves_flag_and_restriction_equality_hash_and_repr_alone(
     flag = FlagDescriptor(ring=ring, s_coords=ring.c1_coords)
     before = (hash(flag), repr(flag), hash(flag.k3), repr(flag.k3))
     mukai_restrict(flag, random_chern(random.Random(45), ring))
-    assert "_exp_minus_s" in vars(flag.k3)
+    assert "_one_minus_exp_minus_s" in vars(flag.k3)
     assert (hash(flag), repr(flag), hash(flag.k3), repr(flag.k3)) == before
     fresh = FlagDescriptor(ring=rebuilt(ring), s_coords=ring.c1_coords)
     assert flag == fresh and fresh == flag and hash(flag) == hash(fresh)
@@ -381,9 +382,9 @@ def test_ring_is_freed_with_its_last_reference():
         # Each kept factor is integers only, never a class: the `_ints`
         # tuple (den, n0, n2, n4, n6) and the rho x rho rows of its H^2 part,
         # which for td are also the matrix of the Euler form's square term.
-        # The flag's restriction keeps e^{-S} the same way.
+        # The flag's restriction keeps 1 - e^{-S} the same way.
         assert set(ring._cache) == {"todd", "sqrt_todd"}
-        for (den, n0, n2, n4, n6), rows in [*ring._cache.values(), vars(k3)["_exp_minus_s"]]:
+        for (den, n0, n2, n4, n6), rows in [*ring._cache.values(), vars(k3)["_one_minus_exp_minus_s"]]:
             assert all(type(n) is int for n in (den, n0, *n2, *n4, n6))
             assert type(rows) is tuple and len(rows) == ring.rho
             assert all(type(row) is tuple and len(row) == ring.rho for row in rows)
@@ -439,6 +440,74 @@ def test_filled_memo_leaves_chern_data_equality_hash_and_repr_alone():
     assert (hash(e), repr(e)) == before
     fresh = ChernData(ring, e.rank, e.c1, e.c2, e.c3)
     assert e == fresh and fresh == e and hash(e) == hash(fresh)
+
+
+def test_mukai_vector_is_computed_once_per_record():
+    e = instanton_type(cp3_ring())
+    assert mukai_vector(e) is mukai_vector(e)
+    assert mukai_vector(ChernData(e.ring, e.rank, e.c1, e.c2, e.c3)) is not mukai_vector(e)
+    # The restriction diagnostic reads the kept vector, and keeps it for later reads.
+    flag = cp3_quartic_flag()
+    e = instanton_type(flag.ring)
+    mukai_restrict(flag, e)
+    m = vars(e)["_mukai"]
+    assert mukai_vector(e) is m
+    mukai_restrict(flag, e)
+    assert vars(e)["_mukai"] is m
+
+
+def test_filled_caches_leave_bundle_vector_and_class_equality_hash_repr_and_fields_alone():
+    ring = with_denominators(random.Random(64), random_fano_ring(random.Random(65), rho=3))
+    e = random_fractional_chern(random.Random(66), ring)
+    # A twin whose caches stay empty until the comparisons below read them.
+    twin = ChernData(ring, e.rank, e.c1, e.c2, e.c3, e.labels)
+    before = (hash(e), repr(e), e.as_dict())
+    m = mukai_vector(e)
+    mukai_restrict(FlagDescriptor(ring=ring, s_coords=ring.c1_coords), e)
+    for x in (m.graded, chern_character(e)):
+        x.components()
+    assert {"_ch", "_mukai"} <= vars(e).keys()
+    assert {"a0", "a2", "a4", "a6"} <= vars(m.graded).keys()
+    assert (hash(e), repr(e), e.as_dict()) == before
+    assert e == twin and twin == e and hash(e) == hash(twin) and repr(e) == repr(twin)
+    fresh = mukai_vector(twin)
+    assert fresh is not m and not vars(fresh.graded).keys() & {"a0", "a2", "a4", "a6"}
+    for kept, made in ((m, fresh), (m.graded, GradedClass._exact(ring=ring, _ints=m.graded._ints))):
+        assert (hash(kept), repr(kept), kept.as_dict()) == (hash(made), repr(made), made.as_dict())
+        assert kept == made and made == kept
+
+
+def test_bundle_with_a_read_vector_and_coefficients_is_freed_with_its_ring():
+    # m(E) and the coefficients kept on it point at the ring, never back, so
+    # plain reference counting frees all of them.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ring = quintic_ring()
+        flag = FlagDescriptor(ring=ring, s_coords=(1,))
+        e = ChernData(ring=ring, rank=2, c1=(Fraction(1, 3),), c2=(Fraction(5, 2),), c3=Fraction(1, 5))
+        m, restricted = mukai_vector(e), mukai_restrict(flag, e)
+        for x in (m.graded, chern_character(e), restricted.delta):
+            x.components()
+        assert vars(e)["_mukai"] is m and "a4" in vars(m.graded)
+        alive = [weakref.ref(x) for x in (ring, flag, e, m, m.graded, chern_character(e), restricted.delta)]
+        del ring, flag, e, m, restricted, x
+        assert [ref() for ref in alive] == [None] * 7
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_bundle_data_and_twist_refuse_a_bare_string():
+    quintic = quintic_ring()
+    for c1, c2 in (("1", "0"), ((1,), "0")):
+        with pytest.raises(TypeError, match="expected a sequence of rationals, got str"):
+            ChernData(quintic, 1, c1, c2, 0)
+    e = ChernData(quintic, 1, ("1",), ("0",), 0)
+    assert e == ChernData(quintic, 1, (1,), (0,), 0)
+    with pytest.raises(TypeError, match="got str '2'"):
+        twist_chern(e, "2")
+    assert twist_chern(e, ("2",)) == twist_chern(e, (2,))
 
 
 def test_ring_and_bundle_are_freed_with_their_last_reference():

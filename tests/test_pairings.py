@@ -43,6 +43,7 @@ from conftest import (
     random_chern,
     random_cy_ring,
     random_fano_ring,
+    random_fraction,
     random_fractional_chern,
     random_graded,
     synthetic_flag,
@@ -371,6 +372,28 @@ def test_mukai_restrict_is_additive():
         e2 = random_chern(rng, flag.ring)
         total = mukai_restrict(flag, chern_sum(e1, e2)).vector
         assert total == mukai_restrict(flag, e1).vector + mukai_restrict(flag, e2).vector
+
+
+def reference_delta(flag, e):
+    """The restriction diagnostic by its defining route: m - m.e^{-S}, with a cup product."""
+    m = mukai_vector(e).graded
+    return m - ring_multiply(m, flag.ring.exp_h2(tuple(-x for x in flag.s_coords)))
+
+
+def test_mukai_restrict_delta_is_the_difference_of_products():
+    rng = random.Random(625)
+    for case in range(240):
+        rho = case % 4 + 1
+        ring = random_cy_ring(rng, rho) if case % 8 < 4 else random_fano_ring(rng, rho)
+        if case % 3:
+            ring = with_denominators(rng, ring)
+        # A quasi-Fano flag's section is c1; on a Calabi-Yau ring any class will do.
+        s = tuple(random_fraction(rng) for _ in range(rho)) if ring.is_calabi_yau else ring.c1_coords
+        flag = FlagDescriptor(ring=ring, s_coords=s)
+        for _ in range(2):  # the second bundle reads the flag's kept factor
+            e = random_fractional_chern(rng, ring)
+            delta, expected = mukai_restrict(flag, e).delta, reference_delta(flag, e)
+            assert delta == expected and delta._ints == expected._ints and repr(delta) == repr(expected)
 
 
 def test_mukai_restrict_ring_mismatch():

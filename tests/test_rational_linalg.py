@@ -1,6 +1,7 @@
 """Exact scalar helpers and the integer Bareiss elimination core."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,16 @@ def test_format_fraction_is_str_of_the_fraction():
     for x in values:
         p, q = x.numerator, x.denominator
         assert format_fraction(x) == str(x) == (f"{p}" if q == 1 else f"{p}/{q}"), x
+
+
+def test_as_vector_refuses_a_bare_string_or_bytes():
+    # Iterated, "12" would read as the digits (1, 2) and b"12" as (49, 50).
+    for value in ("12", "1/2", "", b"12"):
+        with pytest.raises(TypeError, match=f"got {type(value).__name__} {re.escape(repr(value))}$"):
+            as_vector(value)
+    with pytest.raises(TypeError, match="got str '12'"):
+        as_matrix(["12", "34"])
+    assert as_vector(["1", "2/3", 4, Fraction(5)]) == (1, Fraction(2, 3), 4, 5)
 
 
 def test_as_matrix_rejects_ragged_input():

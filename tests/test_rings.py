@@ -276,6 +276,38 @@ def test_restrict_to_k3_needs_a_restriction_of_the_ring_rank():
     assert str(error.value) == "restriction rank does not match the ring"
 
 
+def test_coefficients_are_made_once_per_class():
+    x = random_graded(random.Random(81), synthetic_ring())
+    den, n0, n2, n4, n6 = x._ints
+    assert not vars(x).keys() & {"a0", "a2", "a4", "a6"}
+    assert x.a2 is x.a2 and x.a4 is x.a4 and x.a0 is x.a0 and x.a6 is x.a6
+    assert vars(x).keys() == {"ring", "_ints", "a0", "a2", "a4", "a6"}
+    # The kept values are the ones the integers give.
+    assert x.a0 == Fraction(n0, den) and x.a6 == Fraction(n6, den)
+    assert x.a2 == tuple(Fraction(n, den) for n in n2) and x.a4 == tuple(Fraction(n, den) for n in n4)
+    # A second class with the same integers makes its own.
+    twin = GradedClass._exact(ring=x.ring, _ints=x._ints)
+    assert twin.a2 is not x.a2 and twin.a2 == x.a2
+    assert GradedClass.a2.name == "a2" and GradedClass._fields == ("ring", "a0", "a2", "a4", "a6")
+
+
+def test_kept_coefficients_leave_equality_hash_repr_and_fields_alone():
+    ring = with_denominators(random.Random(82), random_fano_ring(random.Random(83), rho=3))
+    x = random_graded(random.Random(84), ring)
+    den, n0, n2, n4, n6 = x._ints
+    fields = {
+        "ring": ring, "a0": Fraction(n0, den), "a2": tuple(Fraction(n, den) for n in n2),
+        "a4": tuple(Fraction(n, den) for n in n4), "a6": Fraction(n6, den),
+    }
+    text = ", ".join(f"{k}={v!r}" for k, v in fields.items())
+    expected = (hash(tuple(fields.values())), f"GradedClass({text})")
+    x.components()  # fills every coefficient
+    for _ in range(2):
+        assert (hash(x), repr(x), x.as_dict()) == (*expected, fields)
+    twin = GradedClass._exact(ring=ring, _ints=x._ints)
+    assert x == twin and twin == x and hash(twin) == hash(x)
+
+
 def test_k3_vector_arithmetic_and_str():
     u = K3Vector(1, (2,), 3)
     v = K3Vector(1, (0,), -1)
@@ -309,6 +341,21 @@ def test_ring_refuses_a_bare_string_of_labels():
         ThreefoldRing(name="ab", basis_labels="ab", **base, chi_top=0, h12=0)
     assert str(error.value) == "basis labels must be a sequence of strings, got 'ab'"
     assert ThreefoldRing(name="ab", basis_labels=["a", "b"], **base, chi_top=0, h12=0).rho == 2
+
+
+def test_ring_and_k3_vector_refuse_a_bare_string_of_coordinates():
+    # Read as a sequence, "12" would be the coordinates (1, 2).
+    base = dict(
+        name="ab", basis_labels=("a", "b"), triple=(((0, 0), (0, 0)), ((0, 0), (0, 0))), chi_top=0, h12=0
+    )
+    for c1, c2 in (("12", (0, 0)), ((1, 2), "00")):
+        with pytest.raises(TypeError, match="expected a sequence of rationals, got str"):
+            ThreefoldRing(**base, c1_coords=c1, c2_values=c2)
+    assert ThreefoldRing(**base, c1_coords=("1", "2"), c2_values=(0, 0)).c1_coords == (1, 2)
+    with pytest.raises(TypeError, match="got str '12'"):
+        K3Vector(1, "12", 0)
+    with pytest.raises(TypeError, match="got bytes b'12'"):
+        K3Vector(1, b"12", 0)
 
 
 def test_ring_rejects_bool_chi_top_and_h12():
