@@ -12,34 +12,27 @@ class is made.  Its inverse is read off e^{c1} too.  A twist forms no
 character: the Whitney formula gives the twisted classes from two rho^3
 squares of integer numerators and dot products.  A `ChernData` keeps
 `is_integral`, the numerators of c1 and c2, the character and the Mukai
-vector m(E) as `functools.cached_property` values, outside `==`, `hash`
-and `repr`, so each is made once per record.
+vector m(E) as `record.kept` attributes, outside `==`, `hash` and `repr`,
+so each is made once per record.
 The twisted and dual types and the Mukai vector are built unchecked
 (`Record._exact`), since the library made their values exact itself;
 `ChernData` and `chern_from_character`, which take caller data, keep
 every check.
-Each ring keeps td and sqrt(td) once, as fixed factors (see `rings`), so a
-Mukai vector is a rho^2 product.  Both are built from integers, as `_exp`
-builds e^{c1}: c1 and c2 over their denominators and the ring's integer
-tensor planes give td's numerators with one rho^3 square and one gcd, and
-`sqrt_series` reads its argument's numerators the same way, so no
-`Fraction` is made until a coefficient is read.  Each flag's K3
-restriction keeps 1 - e^{-S} as a fixed factor the same way (see
-`pairings.mukai_restrict`).
+Each ring keeps td and sqrt(td) once, as fixed factors (see `rings`, which
+also defines `sqrt_series`), so a Mukai vector is a rho^2 product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 from operator import mul
 
 from .errors import LatticeValidationError
 from .rational import as_fraction, as_vector, dot, over_common_denominator
-from .record import Record
+from .record import Record, kept
 from .rings import (
-    GradedClass, K3Restriction, K3Vector, ThreefoldRing, _fixed_factor, _reduced, _restricted, _times_fixed,
+    GradedClass, K3Restriction, K3Vector, ThreefoldRing, _reduced, _restricted, _times_fixed, sqrt_series,
 )
 
 __all__ = [
@@ -88,18 +81,18 @@ class ChernData(Record):
         if len(self.c1) != self.ring.rho or len(self.c2) != self.ring.rho:
             raise LatticeValidationError("c1/c2 data must have length rho")
 
-    @cached_property
+    @kept
     def is_integral(self) -> bool:
         """Whether c1, c2 and c3 are all integers; decided once per record."""
         return all(x.denominator == 1 for x in (*self.c1, *self.c2, self.c3))
 
-    @cached_property
+    @kept
     def _nums(self) -> tuple:
         """((n, a), (m, b)): c1 = n/a and c2 = m/b over their least common denominators."""
         (n, a), (m, b) = over_common_denominator(self.c1), over_common_denominator(self.c2)
         return (tuple(n), a), (tuple(m), b)
 
-    @cached_property
+    @kept
     def _ch(self) -> GradedClass:
         """The Chern character; see `chern_character`."""
         ring, ((n, a), (m, b)) = self.ring, self._nums
@@ -110,13 +103,11 @@ class ChernData(Record):
                         a * b * p - q * sum(map(mul, n, m)))
         return ring._exp(n, a) + rest
 
-    @cached_property
+    @kept
     def _mukai(self) -> "MukaiVector":
         """The Mukai vector; see `mukai_vector`."""
-        ring = self.ring
-        sqrt_todd = _kept(ring._cache, "sqrt_todd", lambda: sqrt_series(todd_class(ring)))
-        tag = "cy3-full-todd" if ring.is_calabi_yau else "fano-full-todd"
-        return MukaiVector._exact(graded=_times_fixed(self._ch, sqrt_todd), normalization=tag)
+        tag = "cy3-full-todd" if self.ring.is_calabi_yau else "fano-full-todd"
+        return MukaiVector._exact(graded=_times_fixed(self._ch, self.ring._sqrt_td), normalization=tag)
 
 
 def chern_character(e: ChernData) -> GradedClass:
@@ -213,67 +204,9 @@ def chern_sum(e1: ChernData, e2: ChernData) -> ChernData:
     return chern_from_character(e1.ring, total, e1.labels + e2.labels)
 
 
-def _kept(cache: dict, key: str, compute) -> tuple:
-    """The class `compute()`, computed once and kept in `cache` as a fixed factor.
-
-    `cache` is a ring's `_cache` (td, sqrt(td)) or a K3 restriction's
-    attributes (e^{-S}).  Only integers are kept, the class's `_ints` tuple
-    and its rows (see `rings._fixed_factor`), never the class: a class
-    points back at its ring, and kept on the ring that cycle would keep
-    every ring alive until a full GC pass.
-    """
-    fixed = cache.get(key)
-    if fixed is None:
-        fixed = cache[key] = _fixed_factor(compute())
-    return fixed
-
-
-def _todd_factor(ring: ThreefoldRing) -> tuple:
-    """The Todd class of `ring` as a fixed factor, for the Euler form."""
-    return _kept(ring._cache, "todd", lambda: _todd(ring))
-
-
 def todd_class(ring: ThreefoldRing) -> GradedClass:
     """Todd class 1 + c1/2 + (c1^2 + c2)/12 + (c1 c2)/24 of the tangent bundle."""
-    return GradedClass._exact(ring=ring, _ints=_todd_factor(ring)[0])
-
-
-def _todd(ring: ThreefoldRing) -> GradedClass:
-    # With c1 = n/a, c2 = m/b and D the tensor's denominator, `_square(n, n)`
-    # is D a^2 c1^2; over L = 24 a^2 b D the class has numerators
-    # L, 12 a b D n, 2 (b D a^2 c1^2 + a^2 D m) and a D n.m.
-    (n, a), (m, b) = over_common_denominator(ring.c1_coords), over_common_denominator(ring.c2_values)
-    d = ring._den
-    square = ring._square(n, n)
-    n4 = [2 * b * x + 2 * a * a * d * y for x, y in zip(square, m)]
-    den = 24 * a * a * b * d
-    return _reduced(ring, den, den, [12 * a * b * d * x for x in n], n4, a * d * sum(map(mul, n, m)))
-
-
-def sqrt_series(x: GradedClass) -> GradedClass:
-    """Formal square root of a unital graded class, degree by degree.
-
-    Writing y = 1 + y2 + y4 + y6 and matching y^2 = x gives
-
-        y2 = x2 / 2,
-        y4 = (x4 - y2^2) / 2,
-        y6 = (x6 - 2 y2.y4) / 2,
-
-    where y2^2 is an H^4 functional and y2.y4 the Poincare pairing.
-    The degree-0 part of x must be 1.  In x's integers (numerators n over
-    e, D the tensor's denominator, s = `_square(n2, n2)`), y4 is
-    m4 / (8 e^2 D) with m4 = 4 e D n4 - s, and over 16 e^3 D the root has
-    numerators 16 e^3 D, 8 e^2 D n2, 2 e m4 and 8 e^2 D n6 - n2.m4.
-    """
-    e, n0, n2, n4, n6 = x._ints
-    if n0 != e:
-        raise LatticeValidationError(f"square root requires unit degree-0 part, got {x.a0}")
-    ring = x.ring
-    d = ring._den
-    m4 = [4 * e * d * a - b for a, b in zip(n4, ring._square(n2, n2))]
-    f = 8 * e * e * d
-    return _reduced(ring, 2 * e * f, 2 * e * f, [f * a for a in n2], [2 * e * a for a in m4],
-                    f * n6 - sum(map(mul, n2, m4)))
+    return GradedClass._exact(ring=ring, _ints=ring._td[0])
 
 
 class MukaiVector(Record):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import documents, flags, moduli, pairings, schubert
 from .chern import k3_mukai_vector, mukai_vector, twist_chern
-from .errors import DocumentError, LatticeValidationError, MukaiError
+from .errors import DocumentError, LatticeValidationError, MukaiError, _quoted
 from .flags import FlagDescriptor
 from .rational import MAX_DIGITS, as_vector, identity_matrix
 
@@ -158,10 +158,11 @@ def _matrix(text: str, rank: int):
     return documents.load_matrix(text)
 
 
-_DIGITS = rf"(\d{{1,{MAX_DIGITS}}})"
+# ASCII digits only: `\d` would take any Unicode digit, which int() reads too.
+_DIGITS = rf"([0-9]{{1,{MAX_DIGITS}}})"
 _SIGMA_RE = re.compile(rf"^sigma{_DIGITS}(?:,{_DIGITS})?(?:\^{_DIGITS})?$")
-# Longest part of a refused token that its usage error quotes.
-_QUOTED = 40
+# An integer --chi, read as `rational.parse_rational` reads one: a sign and ASCII digits.
+_INTEGER = re.compile(r"[+-]?([0-9]+)")
 
 
 def _schubert_expr(args) -> schubert.SchubertElement:
@@ -170,11 +171,8 @@ def _schubert_expr(args) -> schubert.SchubertElement:
     for token in args.expr.split("*"):
         match = _SIGMA_RE.match(token.strip())
         if not match:
-            quoted = repr(token)
-            if len(token) > _QUOTED:
-                quoted = f"{token[:_QUOTED]!r}... ({len(token)} characters)"
             raise UsageError(
-                f"cannot parse {quoted}: expected sigmaA, sigmaA,B or sigmaA^P (e.g. sigma1^4)"
+                f"cannot parse {_quoted(token)}: expected sigmaA, sigmaA,B or sigmaA^P (e.g. sigma1^4)"
             )
         a = int(match.group(1))
         b = int(match.group(2) or 0)
@@ -385,10 +383,12 @@ def _cd_degeneration(args) -> dict:
     registry = _registry(args, missing_ok=True)
     flag = _flag(args)
     e = _bundle(args, flag)
-    try:
-        chi = int(args.chi)
-    except ValueError:
-        chi = args.chi
+    chi, integer = args.chi, _INTEGER.fullmatch(args.chi)
+    if integer:
+        # As `CDEntry` refuses it, but before int(), which refuses more than 4300 digits itself.
+        if len(integer.group(1)) > MAX_DIGITS:
+            raise LatticeValidationError(f"CD value has more than {MAX_DIGITS} digits")
+        chi = int(chi)
     return _saved_entry(args, registry, moduli.cd_degeneration(registry, flag, e, chi))
 
 

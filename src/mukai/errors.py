@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and how their messages quote input."""
 
 __all__ = ["MukaiError", "LatticeValidationError", "DocumentError", "IntegralityWarning"]
 
@@ -30,3 +30,10 @@ class IntegralityWarning(UserWarning):
     A fractional Euler pairing on integral Chern data signals inconsistent
     intersection numbers in the ring; the value is still returned exactly.
     """
+
+
+def _quoted(value) -> str:
+    """repr(value) for an error message; a string past 40 characters is cut to its first 40."""
+    if isinstance(value, str) and len(value) > 40:
+        return f"{value[:40]!r}... ({len(value)} characters)"
+    return repr(value)

@@ -34,8 +34,8 @@ from .rational import (
     mat_vec,
     rows_over_common_denominator,
 )
-from .record import Record
-from .rings import K3Restriction, ThreefoldRing
+from .record import Record, kept
+from .rings import K3Restriction, ThreefoldRing, _fixed_factor, _reduced
 
 __all__ = [
     "FlagDescriptor",
@@ -80,6 +80,13 @@ class FlagDescriptor(Record):
         # `from_ring` coerces and checks the section class.
         k3 = K3Restriction.from_ring(self.ring, self.s_coords)
         vars(self).update(s_coords=k3.s_coords, k3=k3)
+
+    @kept
+    def _one_minus_exp_minus_s(self) -> tuple:
+        """1 - e^{-S} as a fixed factor (see `rings`), from e^{-S}'s integers."""
+        s, ds = self.k3._s
+        den, _, n2, n4, n6 = self.ring._exp([-x for x in s], ds)._ints
+        return _fixed_factor(_reduced(self.ring, den, 0, [-a for a in n2], [-a for a in n4], -n6))
 
     @property
     def name(self) -> str:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .chern import ChernData, k3_mukai_vector
-from .errors import LatticeValidationError
+from .errors import LatticeValidationError, _quoted
 from .flags import FlagDescriptor
 from .pairings import euler_chi, mukai_pairing_k3
 from .rational import INT_BOUND, MAX_DIGITS, as_vector, dot, over_common_denominator
@@ -420,7 +420,7 @@ def cd_degeneration(
     else:
         raise LatticeValidationError(
             "euler characteristic must be an integer or a symbolic name, "
-            f"got {euler_char_of_moduli!r}"
+            f"got {_quoted(euler_char_of_moduli)}"
         )
     entry = CDEntry(
         key=key,

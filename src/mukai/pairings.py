@@ -13,11 +13,9 @@ product of scalars or one dot product, so no cup product is formed.
 integers by `rings._top_linear` and `rings._bilinear`; `chi_split` takes
 both orders in one pass, as they share the denominator and, M being
 symmetric, the square term.  `mukai_restrict` forms its diagnostic
-delta = m - m.e^{-S} as one product m.(1 - e^{-S}), the factor
-1 - e^{-S} being made from e^{-S}'s integers once per flag and kept on
-its K3 restriction as a fixed factor (see `rings`), so that too costs
-rho^2; it reads m(E) as the bundle's record keeps it, and G.v2 off
-integers too.
+delta = m - m.e^{-S} as one product m.(1 - e^{-S}) by the fixed factor
+each flag keeps (see `rings`), so that too costs rho^2; it reads m(E) as
+the bundle's record keeps it, and G.v2 off integers too.
 """
 
 from __future__ import annotations
@@ -26,16 +24,13 @@ import warnings
 from fractions import Fraction
 from operator import mul
 
-from .chern import (
-    ChernData, MukaiVector, _check_power, _kept, _todd_factor, chern_character, k3_mukai_vector,
-)
+from .chern import ChernData, MukaiVector, _check_power, chern_character, k3_mukai_vector
 from .errors import IntegralityWarning, LatticeValidationError
 from .flags import FlagDescriptor, require_isometry
 from .rational import as_vector, mat_vec
 from .record import Record
 from .rings import (
-    GradedClass, K3Restriction, K3Vector, _bilinear, _reduced, _starred, _times_fixed, _top_linear, star,
-    top_degree,
+    GradedClass, K3Restriction, K3Vector, _bilinear, _starred, _times_fixed, _top_linear, star, top_degree,
 )
 
 __all__ = [
@@ -142,7 +137,7 @@ def _euler_terms(e1: ChernData, e2: ChernData) -> tuple:
     """The characters' `_ints`, td's fixed factor and D: what both Euler form evaluations read."""
     if e1.ring != e2.ring:
         raise LatticeValidationError("Euler form needs both types on the same ring")
-    return chern_character(e1)._ints, chern_character(e2)._ints, _todd_factor(e1.ring), e1.ring._den
+    return chern_character(e1)._ints, chern_character(e2)._ints, e1.ring._td, e1.ring._den
 
 
 def chi_split(e1: ChernData, e2: ChernData) -> tuple[Fraction, Fraction]:
@@ -197,7 +192,7 @@ class RestrictionResult(Record):
 
     `vector` is the honest restriction.  `delta` is the lattice
     expression m - m.e^{-S}, formed as the one product m.(1 - e^{-S}) by
-    the flag's kept factor; its degree-2 part always equals rank times
+    the factor the flag keeps; its degree-2 part always equals rank times
     the section class, but its degree-4 part picks up curvature terms
     and agrees with G.v2 only in degenerate cases (for instance when the
     section pairs to zero), and its degree-0 part is structurally 0 and
@@ -227,12 +222,8 @@ def mukai_restrict(flag: FlagDescriptor, e: ChernData) -> RestrictionResult:
     """
     vector = k3_mukai_vector(flag, e)
     s, ds = flag.k3._s
-    # delta = m - m.e^{-S} = m.(1 - e^{-S}): one product by a factor made once per
-    # flag and kept on its restriction, in integers, and m(E) kept on the record.
-    factor = _kept(
-        vars(flag.k3), "_one_minus_exp_minus_s", lambda: _one_minus(flag.ring._exp([-x for x in s], ds))
-    )
-    delta = _times_fixed(e._mukai.graded, factor)
+    # delta = m - m.e^{-S} = m.(1 - e^{-S}), in integers, from what flag and record keep.
+    delta = _times_fixed(e._mukai.graded, flag._one_minus_exp_minus_s)
     # Compared in integers, across denominators: delta_2 = rank s and delta_4 = G.v2,
     # where v2 = n2/dc is ch(E)'s H^2 part, so G.v2 = R.n2/(dc g) for G = R/g.
     (den, _, d2, d4, _), (dc, _, n2, _, _) = delta._ints, e._ch._ints
@@ -243,12 +234,6 @@ def mukai_restrict(flag: FlagDescriptor, e: ChernData) -> RestrictionResult:
         degree2_matches=all(a * ds == e.rank * b * den for a, b in zip(d2, s)),
         degree4_matches=all(a * dg == b * den for a, b in zip(d4, gv)),
     )
-
-
-def _one_minus(x: GradedClass) -> GradedClass:
-    """1 - x for a class x with degree-0 part 1, from x's integers: no checked class is made."""
-    den, _, n2, n4, n6 = x._ints
-    return _reduced(x.ring, den, 0, [-a for a in n2], [-a for a in n4], -n6)
 
 
 def gluing_match(restriction: K3Restriction, matrix, v_plus: K3Vector, v_minus: K3Vector) -> bool:

@@ -10,11 +10,12 @@ creation, so defining a record costs no more than defining a class.
 
 The constructor stores the values, then calls `__post_init__`, where a
 record checks its fields or coerces them with `vars(self).update(...)`.
-Attributes that are not annotated (caches, derived values) are stored the
-same way and take no part in `==`, `hash`, `repr` or `as_dict()`, which
-maps the fields to their values in declaration order.  Only `GradedClass`
-keeps its own `__init__`, because its fields are made from integers on
-first read.
+Attributes that are not annotated are stored the same way and take no
+part in `==`, `hash`, `repr` or `as_dict()`, which maps the fields to their
+values in declaration order.  A value derived from a record, made on its
+first read and then kept, is a `kept` attribute of its class: the one
+keep-once mechanism of the package.  Only `GradedClass` keeps its own
+`__init__`, because its fields are made from integers on first read.
 
 `Record._exact(**fields)` is the one trusted constructor: it stores the
 given attributes as they are and runs neither `__init__` nor
@@ -27,6 +28,7 @@ Anything that comes from a caller goes through the public constructor.
 >>> class Interval(Record):
 ...     low: int
 ...     high: int = 0
+...     width = kept(lambda i: i.high - i.low)
 ...     def __post_init__(self):
 ...         if self.low > self.high:
 ...             raise ValueError("empty interval")
@@ -35,11 +37,14 @@ Anything that comes from a caller goes through the public constructor.
 >>> Interval(1)
 Traceback (most recent call last):
 ValueError: empty interval
+>>> i = Interval(1, 4)
+>>> i.width, "width" in vars(i), i == Interval(1, 4), i.as_dict()
+(3, True, True, {'low': 1, 'high': 4})
 """
 
 from __future__ import annotations
 
-__all__ = ["Record"]
+__all__ = ["Record", "kept"]
 
 
 class Record:
@@ -108,3 +113,24 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class kept:
+    """`make(record)`, made on the first read and kept in the instance dict.
+
+    A non-data descriptor: later reads find the value there without calling
+    `__get__`.  It takes no lock, unlike a cached property, which a record
+    read once would pay for; threads racing on a first read store equal values.
+    """
+
+    def __init__(self, make):
+        self.make, self.__doc__ = make, make.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.name] = self.make(obj)
+        return value

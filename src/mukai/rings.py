@@ -30,13 +30,14 @@ positive denominator in lowest terms.  The cup product, `top_degree`, +,
 -, `scale`, `star` and `exp_h2` go from those integers to integers, with
 the rho^3 loop in `int` and one gcd to reduce; the `Fraction` coefficients
 are made only when they are read, each on its first read, and kept on
-the class for every later one.  `K3Restriction` keeps integers over one
+the class (`record.kept`).  `K3Restriction` keeps integers over one
 denominator too, so restriction and its dot products are integer sums.
 
 The cup product is one rho^3 loop, the square term of x2 and y2.  When y
-is fixed (td and sqrt(td) per ring, 1 - e^{-S} per flag), the library
-keeps y as a fixed factor: its integers and the rho^2 rows
-R[i][j] = D sum_k d[i][j][k] y2[k], one rho^3 pass made once.
+is fixed (td and sqrt(td) per ring, 1 - e^{-S} per flag), its owner keeps
+y as a fixed factor: y's integers and the rho^2 rows
+R[i][j] = D sum_k d[i][j][k] y2[k], one rho^3 pass made once.  Never the
+class, which points at its ring: kept on the ring, it would form a cycle.
 Multiplying by y then costs rho^2, and so does an integral [x . z . y]_6,
 whose square term is the bilinear form x2^T R z2 (d is symmetric).
 `ring_multiply` stays the one general product.  Such an integral has one
@@ -77,7 +78,7 @@ from .rational import (
     over_common_denominator,
     rows_over_common_denominator,
 )
-from .record import Record
+from .record import Record, kept
 
 __all__ = [
     "ThreefoldRing",
@@ -159,9 +160,6 @@ class ThreefoldRing(Record):
             # The kernel's copy of `triple`: integer planes over the denominator _den.
             _planes=tuple(tuple(flat[i * rho * rho:(i + 1) * rho * rho]) for i in range(rho)),
             _den=den,
-            # Values `chern` derives once per ring (the Todd class and its
-            # square root), as coefficient tuples; see `chern._kept`.
-            _cache={},
             # Decided once here: the Euler check below and every Mukai vector's tag read it.
             is_calabi_yau=all(c == 0 for c in c1_coords),
         )
@@ -174,6 +172,26 @@ class ThreefoldRing(Record):
     @property
     def rho(self) -> int:
         return len(self.basis_labels)
+
+    @kept
+    def _td(self) -> tuple:
+        """The Todd class 1 + c1/2 + (c1^2 + c2)/12 + c1 c2/24 as a fixed factor.
+
+        With c1 = n/a, c2 = m/b and D the tensor's denominator, `_square(n, n)`
+        is D a^2 c1^2; over L = 24 a^2 b D the class has numerators L,
+        12 a b D n, 2 (b D a^2 c1^2 + a^2 D m) and a D n.m.
+        """
+        (n, a), (m, b) = over_common_denominator(self.c1_coords), over_common_denominator(self.c2_values)
+        d = self._den
+        n4 = [2 * b * x + 2 * a * a * d * y for x, y in zip(self._square(n, n), m)]
+        den = 24 * a * a * b * d
+        return _fixed_factor(_reduced(self, den, den, [12 * a * b * d * x for x in n], n4,
+                                      a * d * sum(map(mul, n, m))))
+
+    @kept
+    def _sqrt_td(self) -> tuple:
+        """sqrt(td) as a fixed factor."""
+        return _fixed_factor(sqrt_series(GradedClass._exact(ring=self, _ints=self._td[0])))
 
     # --- element constructors -------------------------------------------
 
@@ -236,28 +254,6 @@ class ThreefoldRing(Record):
         return _reduced(self, d, d, n2, n4, sum(map(mul, nums, square)))
 
 
-class _Coefficient:
-    """A `GradedClass` coefficient, made from `_ints` on its first read and kept.
-
-    A non-data descriptor: the value goes into the instance dict under the
-    field's name, where every later read finds it without calling `__get__`.
-    Unlike `functools.cached_property` it takes no lock, which a class read
-    once would pay for; two threads racing on a first read store equal values.
-    """
-
-    def __init__(self, make):
-        self.make = make
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = vars(obj)[self.name] = self.make(obj._ints)
-        return value
-
-
 class GradedClass(Record):
     """An element a0 + a2 + a4 + a6 of a truncated threefold ring.
 
@@ -266,14 +262,14 @@ class GradedClass(Record):
     stored as `_ints` = (den, n0, n2, n4, n6), integer numerators (n2, n4
     tuples of length rho) over one den > 0 coprime to all of them.  Each
     coefficient is made into `Fraction`s on its first read and kept in the
-    instance dict (`_Coefficient`); `==`, `hash` and `repr` read the fields.
+    instance dict (`record.kept`); `==`, `hash` and `repr` read the fields.
     """
 
     ring: ThreefoldRing
-    a0: Fraction = _Coefficient(lambda ints: Fraction(ints[1], ints[0]))
-    a2: tuple[Fraction, ...] = _Coefficient(lambda ints: _fractions(ints[2], ints[0]))
-    a4: tuple[Fraction, ...] = _Coefficient(lambda ints: _fractions(ints[3], ints[0]))
-    a6: Fraction = _Coefficient(lambda ints: Fraction(ints[4], ints[0]))
+    a0: Fraction = kept(lambda x: Fraction(x._ints[1], x._ints[0]))
+    a2: tuple[Fraction, ...] = kept(lambda x: _fractions(x._ints[2], x._ints[0]))
+    a4: tuple[Fraction, ...] = kept(lambda x: _fractions(x._ints[3], x._ints[0]))
+    a6: Fraction = kept(lambda x: Fraction(x._ints[4], x._ints[0]))
 
     def __init__(self, ring, a0, a2, a4, a6):
         vars(self)["ring"] = ring
@@ -401,6 +397,32 @@ def _times_fixed(x: GradedClass, fixed: tuple) -> GradedClass:
     ints, rows = fixed
     x2 = x._ints[2]
     return _product(x.ring, x._ints, ints, [sum(map(mul, row, x2)) for row in rows])
+
+
+def sqrt_series(x: GradedClass) -> GradedClass:
+    """Formal square root of a unital graded class, degree by degree.
+
+    Writing y = 1 + y2 + y4 + y6 and matching y^2 = x gives
+
+        y2 = x2 / 2,
+        y4 = (x4 - y2^2) / 2,
+        y6 = (x6 - 2 y2.y4) / 2,
+
+    where y2^2 is an H^4 functional and y2.y4 the Poincare pairing.
+    The degree-0 part of x must be 1.  In x's integers (numerators n over
+    e, D the tensor's denominator, s = `_square(n2, n2)`), y4 is
+    m4 / (8 e^2 D) with m4 = 4 e D n4 - s, and over 16 e^3 D the root has
+    numerators 16 e^3 D, 8 e^2 D n2, 2 e m4 and 8 e^2 D n6 - n2.m4.
+    """
+    e, n0, n2, n4, n6 = x._ints
+    if n0 != e:
+        raise LatticeValidationError(f"square root requires unit degree-0 part, got {x.a0}")
+    ring = x.ring
+    d = ring._den
+    m4 = [4 * e * d * a - b for a, b in zip(n4, ring._square(n2, n2))]
+    f = 8 * e * e * d
+    return _reduced(ring, 2 * e * f, 2 * e * f, [f * a for a in n2], [2 * e * a for a in m4],
+                    f * n6 - sum(map(mul, n2, m4)))
 
 
 def _top_linear(x: tuple, y: tuple, t: tuple) -> int:

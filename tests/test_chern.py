@@ -353,7 +353,7 @@ def test_filled_factor_leaves_flag_and_restriction_equality_hash_and_repr_alone(
     flag = FlagDescriptor(ring=ring, s_coords=ring.c1_coords)
     before = (hash(flag), repr(flag), hash(flag.k3), repr(flag.k3))
     mukai_restrict(flag, random_chern(random.Random(45), ring))
-    assert "_one_minus_exp_minus_s" in vars(flag.k3)
+    assert "_one_minus_exp_minus_s" in vars(flag)
     assert (hash(flag), repr(flag), hash(flag.k3), repr(flag.k3)) == before
     fresh = FlagDescriptor(ring=rebuilt(ring), s_coords=ring.c1_coords)
     assert flag == fresh and fresh == flag and hash(flag) == hash(fresh)
@@ -382,9 +382,10 @@ def test_ring_is_freed_with_its_last_reference():
         # Each kept factor is integers only, never a class: the `_ints`
         # tuple (den, n0, n2, n4, n6) and the rho x rho rows of its H^2 part,
         # which for td are also the matrix of the Euler form's square term.
-        # The flag's restriction keeps 1 - e^{-S} the same way.
-        assert set(ring._cache) == {"todd", "sqrt_todd"}
-        for (den, n0, n2, n4, n6), rows in [*ring._cache.values(), vars(k3)["_one_minus_exp_minus_s"]]:
+        # The flag keeps 1 - e^{-S} the same way.
+        assert {"_td", "_sqrt_td"} <= vars(ring).keys()
+        kept = [vars(ring)["_td"], vars(ring)["_sqrt_td"], vars(flag)["_one_minus_exp_minus_s"]]
+        for (den, n0, n2, n4, n6), rows in kept:
             assert all(type(n) is int for n in (den, n0, *n2, *n4, n6))
             assert type(rows) is tuple and len(rows) == ring.rho
             assert all(type(row) is tuple and len(row) == ring.rho for row in rows)

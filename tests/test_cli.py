@@ -514,6 +514,37 @@ def test_a_cd_value_past_1000_digits_is_refused_and_not_saved(capsys, tmp_path, 
         assert not registry.exists()
 
 
+@pytest.mark.parametrize(
+    "chi, message",
+    [
+        ("8" * 5000, "CD value has more than 1000 digits"),
+        ("-" + "0" * 1001, "CD value has more than 1000 digits"),
+        ("\u0666", "euler characteristic must be an integer or a symbolic name, got '\u0666'"),
+        ("5_000", "euler characteristic must be an integer or a symbolic name, got '5_000'"),
+        (" 6", "euler characteristic must be an integer or a symbolic name, got ' 6'"),
+        ("6 ", "euler characteristic must be an integer or a symbolic name, got '6 '"),
+        ("#" * 5000, f"euler characteristic must be an integer or a symbolic name, got {'#' * 40!r}... "
+                     "(5000 characters)"),
+    ],
+    ids=["5000-digits", "1001-zeros", "arabic-indic-6", "underscore", "leading-space", "trailing-space",
+         "5000-characters"],
+)
+def test_cd_degeneration_takes_a_sign_and_ascii_digits_as_an_integer(capsys, tmp_path, chi, message):
+    registry = tmp_path / "registry.json"
+    argv = ["--flag", "cp3-quartic.json", "--bundle", "instanton1.json", "--chi", chi]
+    code, out, err = run(capsys, "cd", "degeneration", "--registry", str(registry), *argv)
+    assert (code, out, err) == (1, "", f"validation error: {message}\n")
+    assert not registry.exists()
+
+
+@pytest.mark.parametrize("chi, value", [("+6", 6), ("-6", 6), ("0" * 1000, 0)])
+def test_cd_degeneration_reads_a_signed_integer(capsys, tmp_path, chi, value):
+    registry = str(tmp_path / "registry.json")
+    argv = ["--flag", "cp3-quartic.json", "--bundle", "instanton1.json", "--chi", chi, "--json"]
+    code, out, err = run(capsys, "cd", "degeneration", "--registry", registry, *argv)
+    assert (code, err) == (0, "") and json.loads(out)["value"] == value
+
+
 def test_usage_errors_exit_64(capsys):
     assert run(capsys, "no-such-command")[0] == 64
     assert run(capsys)[0] == 64
@@ -532,6 +563,8 @@ def test_usage_errors_print_one_line(capsys):
         # Past 1000 digits a token is refused before int() sees it.
         (["schubert", "integrate", "sigma1^" + "9" * 5000, "--n", "5"], "cannot parse 'sigma1^9"),
         (["schubert", "integrate", "sigma" + "1" * 1001, "--n", "5"], "cannot parse 'sigma11"),
+        # Only ASCII digits: int() would read these Arabic-Indic ones as 1 and 4.
+        (["schubert", "integrate", "sigma\u0661^\u0664", "--n", "4"], "cannot parse 'sigma\u0661^\u0664'"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (64, ""), argv

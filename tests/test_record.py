@@ -1,21 +1,26 @@
 """Immutable records (`mukai.record.Record`) and a cold-import guard."""
 
+import functools
+import importlib
 import inspect
 import os
+import pkgutil
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import mukai
 from mukai import (
     ChernData, FlagDescriptor, K3Vector, ThreefoldRing, chern, flags, moduli, pairings, rings, schubert,
 )
 from mukai.documents import builtin_path, load_manifold
 from mukai.pairings import PairingResult
-from mukai.record import Record
+from mukai.record import Record, kept
 
 from conftest import (
     quintic_ring, random_cy_ring, random_fano_ring, random_fraction, random_fractional_chern, with_denominators,
@@ -219,12 +224,19 @@ def test_fields_cannot_be_assigned_or_deleted(name):
 def test_derived_attributes_are_frozen_too():
     ring = quintic_ring()
     flag = load_manifold(builtin_path("cp3-quartic.json"))
-    derived = [(ring, "_cache"), (ring, "_den"), (flag, "k3"), (PairingResult(1), "value")]
+    e = ChernData(ring, 1, (1,), (0,), 0)
+    derived = [
+        (ring, "_td"), (ring, "_den"), (e, "_ch"), (flag, "k3"), (flag, "_one_minus_exp_minus_s"),
+        (PairingResult(1), "value"),
+    ]
     for record, name in derived:
+        value = getattr(record, name)  # a kept value is made here, on its first read
+        assert name in vars(record)
         with pytest.raises(AttributeError):
             setattr(record, name, None)
         with pytest.raises(AttributeError):
             delattr(record, name)
+        assert vars(record)[name] is value
 
 
 def test_repr_is_the_dataclass_text():
@@ -246,3 +258,69 @@ def test_ring_kernel_attributes_are_not_fields():
     assert ThreefoldRing._fields == (
         "name", "basis_labels", "triple", "c1_coords", "c2_values", "chi_top", "h12",
     )
+
+
+# --------------------------------------------------------------------------
+# `kept`: the one keep-once mechanism
+
+
+def test_kept_makes_its_value_once_per_instance_outside_the_fields():
+    calls = []
+
+    class Span(Record):
+        low: int
+        high: int
+
+        @kept
+        def width(self):
+            calls.append(self)
+            return self.high - self.low
+
+    span = Span(1, 4)
+    before = (hash(span), repr(span), span.as_dict())
+    assert "width" not in vars(span)
+    assert span.width == 3 and span.width == 3 and len(calls) == 1
+    assert vars(span)["width"] == 3 and Span._fields == ("low", "high")
+    assert (hash(span), repr(span), span.as_dict()) == before
+    assert repr(span).endswith("Span(low=1, high=4)") and span.as_dict() == {"low": 1, "high": 4}
+    # One record with the value kept and one without are still equal.
+    assert span == Span(1, 4) and Span(1, 4) == span and hash(span) == hash(Span(1, 4))
+    assert isinstance(Span.width, kept) and Span.width.name == "width"
+    assert Span(2, 5).width == 3 and len(calls) == 2
+
+
+def test_threads_racing_on_a_first_read_of_a_kept_factor_get_equal_values():
+    ring = random_fano_ring(random.Random(91), rho=4)
+    barrier = threading.Barrier(4)
+    values = [None] * 4
+
+    def first_read(i):
+        barrier.wait()
+        values[i] = ring._sqrt_td
+
+    threads = [threading.Thread(target=first_read, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    fresh = ThreefoldRing(**ring.as_dict())
+    assert all(value == fresh._sqrt_td for value in values)
+    assert vars(ring)["_sqrt_td"] == fresh._sqrt_td
+
+
+def test_no_class_keeps_a_value_by_functools_cached_property():
+    # `record.kept` is the one keep-once mechanism; a second one must not come back.
+    modules = [importlib.import_module(f"mukai.{info.name}") for info in pkgutil.iter_modules(mukai.__path__)]
+    assert {"chern", "rings", "record", "cli"} <= {module.__name__.split(".")[1] for module in modules}
+    for module in modules:
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                for name, value in vars(cls).items():
+                    assert not isinstance(value, functools.cached_property), f"{cls.__qualname__}.{name}"
+
