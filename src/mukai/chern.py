@@ -9,11 +9,11 @@ survives as exactly that.  A character has one route: the ring's
 truncated exponential e^{c1} from c1's integer numerators (`ring._exp`),
 plus the terms in c2 and c3 as integers over one denominator; no checked
 class is made.  Its inverse is read off e^{c1} too.  A twist forms no
-character: the Whitney formula gives the twisted classes from two rho^3
-squares of integer numerators and dot products.  A `ChernData` keeps
-`is_integral`, the numerators of c1 and c2, the character and the Mukai
-vector m(E) as `record.kept` attributes, outside `==`, `hash` and `repr`,
-so each is made once per record.
+character: the Whitney formula gives the twisted classes from one `_rows`
+pass over the packed tensor, rho^2 contractions and dot products.  A
+`ChernData` keeps `is_integral`, the numerators of c1 and c2, the
+character and the Mukai vector m(E) as `record.kept` attributes, outside
+`==`, `hash` and `repr`, so each is made once per record.
 The twisted and dual types and the Mukai vector are built unchecked
 (`Record._exact`), since the library made their values exact itself;
 `ChernData` and `chern_from_character`, which take caller data, keep
@@ -156,11 +156,11 @@ def twist_chern(e: ChernData, L, k: int = 1) -> ChernData:
 
     which holds for any rank r >= 1 and any rational data, as the
     character identity ch(E x L^k) = ch(E) e^{kL} does.  With c1 = n/a and
-    l = v/b, the squares c1.l and l^2 are two `_square` passes over the
-    integer numerators; every other term is a dot product.  The numerators
-    of c1 and c2 are the ones `e` keeps, and the result is built unchecked
-    (`Record._exact`), as its values are exact by construction.  `k` must
-    be an `int`.
+    l = v/b, the squares c1.l and l^2 are two rho^2 contractions of the
+    integer numerators with one `_rows(v)`; every other term is a dot
+    product.  The numerators of c1 and c2 are the ones `e` keeps, and the
+    result is built unchecked (`Record._exact`), as its values are exact
+    by construction.  `k` must be an `int`.
 
     The instanton (2, 0, 1, 0) on P^3 twisted by O(1):
 
@@ -171,11 +171,12 @@ def twist_chern(e: ChernData, L, k: int = 1) -> ChernData:
     """
     _check_power(k)
     ring, r = e.ring, e.rank
-    (v, b), ((n, a), (m, c)) = over_common_denominator(ring._vector(L)), e._nums
+    (v, b), ((n, a), (m, c)) = ring._numerators(L), e._nums
     p, q = e.c3.numerator, e.c3.denominator
     v, d = [k * x for x in v], ring._den
     # c1.l = nv / (D a b) and l^2 = vv / (D b^2), as H^4 functionals.
-    nv, vv = ring._square(n, v), ring._square(v, v)
+    rows = ring._rows(v)
+    nv, vv = [sum(map(mul, row, n)) for row in rows], [sum(map(mul, row, v)) for row in rows]
     c1 = [Fraction(x * b + r * a * y, a * b) for x, y in zip(n, v)]
     # c2' over c D a b^2, and c3' over q c D a b^3.
     f, g, h = d * a * b * b, (r - 1) * c * b, comb(r, 2) * c * a

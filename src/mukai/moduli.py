@@ -155,12 +155,12 @@ def bogomolov_check(e: ChernData, H) -> BogomolovReport:
     reported as not applicable rather than stable or unstable.
     """
     ring = e.ring
-    h_coords = ring._vector(H)
+    h, dh = ring._numerators(H)
     c1_sq = ring.square_to_h4(e.c1, e.c1)
     factor = Fraction(e.rank - 1, 2 * e.rank)
     delta_functional = tuple(c2 - factor * sq for c2, sq in zip(e.c2, c1_sq))
     delta = ring.graded(a4=delta_functional)
-    value = dot(h_coords, delta_functional)
+    value = dot(h, delta_functional) / dh
     note = "rank-1 input: discriminant vanishes identically, not applicable" if e.rank == 1 else None
     return BogomolovReport(delta=delta, value=value, positive=value > 0, note=note)
 
@@ -227,7 +227,8 @@ class CDEntry(Record):
     assertion that the class is realized by exceptional stable bundles,
     which is what licenses the multiplicative closure rule; `parents`
     records the closure ancestry so products can be re-derived.  Each
-    field must pass its rule in `CD_FIELD_RULES`.
+    field must pass its rule in `CD_FIELD_RULES`; `symbol` has at most
+    `MAX_DIGITS` characters, as `value` has at most that many digits.
     """
 
     key: str
@@ -255,6 +256,8 @@ class CDEntry(Record):
             raise LatticeValidationError("exactly one of value/symbol must be set")
         if value is not None and not -INT_BOUND < value < INT_BOUND:
             raise LatticeValidationError(f"CD value has more than {MAX_DIGITS} digits")
+        if self.symbol is not None:
+            _bounded(self.symbol, "CD symbol")
         if provenance == "degeneration" and value is not None and value < 0:
             raise LatticeValidationError(
                 "degeneration entries are absolute Euler characteristics and cannot be negative"
@@ -344,6 +347,12 @@ def cd_seed(registry: CDRegistry, ring: ThreefoldRing, kind: str) -> CDEntry:
     return registry.add(entry)
 
 
+def _bounded(text: str, what: str) -> str:
+    if len(text) > MAX_DIGITS:
+        raise LatticeValidationError(f"{what} has more than {MAX_DIGITS} characters, got {_quoted(text)}")
+    return text
+
+
 _SYMBOL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_+()\[\],^ .*-]*$")
 
 
@@ -371,7 +380,7 @@ def cd_closure(
                 f"parent {parent.key!r} lacks the exceptional-realization assertion"
             )
     coords = ", ".join(map(str, as_vector(L)))
-    k = str(k)
+    k = _bounded(str(k), "twist level k")
     key = f"{entry_m.manifold}:reflect({entry_m.key}|twist^{k}[{coords}]({entry_mp.key}))"
     if entry_m.value is not None and entry_mp.value is not None:
         value, symbol = entry_m.value * entry_mp.value, None

@@ -18,25 +18,24 @@ are scalars (H^6 is identified with Q by the fundamental class).  With
 that encoding every cup product reduces to exact rational arithmetic in
 the d tensor, and no choice of H^4 basis is ever needed.
 
-The ring keeps the tensor twice.  The public `triple` attribute is the
-`Fraction` tensor that documents and users read.  The kernel reads a copy
-made once at construction: the tensor times one common denominator D (the
-lcm of its entries' denominators), as rho integer planes, plane i being
-D d[i][.][.] flattened.  The symmetry check at construction reads the same
-integer copy.
+The public `triple` attribute is the `Fraction` tensor that documents and
+users read.  The kernel reads one integer copy, made in the pass that
+checks symmetry: the tensor times one common denominator D (the lcm of its
+entries' denominators), packed as rho planes, plane i holding D d[i][j][k]
+for j <= k.  So `_square` and `_rows` each read rho^2 (rho+1)/2 integers.
 
 A `GradedClass` is kept the same way, as integer numerators over one
 positive denominator in lowest terms.  The cup product, `top_degree`, +,
 -, `scale`, `star` and `exp_h2` go from those integers to integers, with
-the rho^3 loop in `int` and one gcd to reduce; the `Fraction` coefficients
+the packed pass in `int` and one gcd to reduce; the `Fraction` coefficients
 are made only when they are read, each on its first read, and kept on
 the class (`record.kept`).  `K3Restriction` keeps integers over one
 denominator too, so restriction and its dot products are integer sums.
 
-The cup product is one rho^3 loop, the square term of x2 and y2.  When y
+The cup product is one packed pass, the square term of x2 and y2.  When y
 is fixed (td and sqrt(td) per ring, 1 - e^{-S} per flag), its owner keeps
 y as a fixed factor: y's integers and the rho^2 rows
-R[i][j] = D sum_k d[i][j][k] y2[k], one rho^3 pass made once.  Never the
+R[i][j] = D sum_k d[i][j][k] y2[k], one packed pass made once.  Never the
 class, which points at its ring: kept on the ring, it would form a cycle.
 Multiplying by y then costs rho^2, and so does an integral [x . z . y]_6,
 whose square term is the bilinear form x2^T R z2 (d is symmetric).
@@ -64,8 +63,9 @@ decides once, at construction, whether it is Calabi-Yau.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, itemgetter, mul
 
 from . import linalg
 from .errors import LatticeValidationError
@@ -92,14 +92,33 @@ __all__ = [
 ]
 
 
-def _check_symmetric(flat: list[int], rho: int) -> None:
-    """Raise at the first (i,j,k) where the flattened rho^3 tensor is not symmetric."""
+def _packed_planes(flat: list[int], rho: int) -> tuple[tuple[int, ...], ...]:
+    """Plane i of the flat rho^3 tensor as d[i][j][k], j <= k; raise at the first asymmetric (i,j,k)."""
+    planes = [[] for _ in range(rho)]
     for i in range(rho):
         for j in range(rho):
+            row = (i * rho + j) * rho
             for k in range(rho):
-                x = flat[(i * rho + j) * rho + k]
+                x = flat[row + k]
                 if x != flat[(j * rho + i) * rho + k] or x != flat[(i * rho + k) * rho + j]:
                     raise LatticeValidationError(f"triple tensor not symmetric at ({i},{j},{k})")
+            planes[i] += flat[row + j:row + rho]
+    return tuple(map(tuple, planes))
+
+
+@cache
+def _packing(rho: int) -> tuple:
+    """Three index getters for rho >= 2, made once per rho.
+
+    Over the rho^2 products u_j v_k and an appended 0, the first picks
+    (j, k) and the second (k, j), or the 0 when j = k, for each packed pair
+    j <= k; the third reads R row by row off its packed half.
+    """
+    pairs = [(j, k) for j in range(rho) for k in range(j, rho)]
+    at = {pair: p for p, pair in enumerate(pairs)}
+    return (itemgetter(*[j * rho + k for j, k in pairs]),
+            itemgetter(*[k * rho + j if j < k else -1 for j, k in pairs]),
+            itemgetter(*[at[min(i, j), max(i, j)] for i in range(rho) for j in range(rho)]))
 
 
 class ThreefoldRing(Record):
@@ -146,7 +165,7 @@ class ThreefoldRing(Record):
         if len(triple) != rho or any(len(p) != rho or any(len(r) != rho for r in p) for p in triple):
             raise LatticeValidationError(f"triple intersection tensor must be {rho}x{rho}x{rho}")
         flat, den = over_common_denominator([x for plane in triple for row in plane for x in row])
-        _check_symmetric(flat, rho)
+        packed = _packed_planes(flat, rho)
         c1_coords, c2_values = as_vector(self.c1_coords), as_vector(self.c2_values)
         if len(c1_coords) != rho or len(c2_values) != rho:
             raise LatticeValidationError("c1/c2 data must have length rho")
@@ -157,8 +176,8 @@ class ThreefoldRing(Record):
             triple=triple,
             c1_coords=c1_coords,
             c2_values=c2_values,
-            # The kernel's copy of `triple`: integer planes over the denominator _den.
-            _planes=tuple(tuple(flat[i * rho * rho:(i + 1) * rho * rho]) for i in range(rho)),
+            # The kernel's copy of `triple`: packed integer planes over the denominator _den.
+            _packed=packed,
             _den=den,
             # Decided once here: the Euler check below and every Mukai vector's tag read it.
             is_calabi_yau=all(c == 0 for c in c1_coords),
@@ -201,36 +220,43 @@ class ThreefoldRing(Record):
 
     # --- intersection form ----------------------------------------------
 
-    def _vector(self, coords) -> tuple[Fraction, ...]:
-        """A degree-2 coordinate vector, coerced and checked against rho."""
-        coords = as_vector(coords)
-        if len(coords) != self.rho:
-            raise LatticeValidationError(
-                f"vector has {len(coords)} coordinates, ring has rho={self.rho}"
-            )
-        return coords
+    def _numerators(self, coords) -> tuple[list[int], int]:
+        """Integer numerators over one denominator of rho coordinates; an int makes no `Fraction`."""
+        if isinstance(coords, (str, bytes, bytearray)):
+            as_vector(coords)  # refused there, with the message of `as_vector`, as is any bad coordinate
+        exact = [x if type(x) in (int, Fraction) else as_fraction(x) for x in coords]
+        nums, den = over_common_denominator(exact)
+        if len(nums) != self.rho:
+            raise LatticeValidationError(f"vector has {len(nums)} coordinates, ring has rho={self.rho}")
+        return nums, den
 
     def _square(self, u: list[int], v: list[int]) -> list[int]:
-        """D times sum_{j,k} u[j] v[k] d[j][k][i] for each i, in integers."""
+        """D times sum_{j,k} u[j] v[k] d[j][k][i] for each i: plane i against weights u_j v_k + u_k v_j."""
+        if len(u) == 1:  # one weight, one product: the gathers below would cost more than they save
+            return [u[0] * v[0] * self._packed[0][0]]
+        upper, lower, _ = _packing(len(u))
         outer = [a * b for a in u for b in v]
-        return [sum(map(mul, outer, plane)) for plane in self._planes]
+        outer.append(0)
+        weights = list(map(add, upper(outer), lower(outer)))
+        return [sum(map(mul, weights, plane)) for plane in self._packed]
 
     def _rows(self, v: list[int]) -> tuple[tuple[int, ...], ...]:
         """The rho^2 integers R[i][j] = D sum_k d[i][j][k] v[k] of a fixed H^2 vector v.
 
         Row i dotted with u is `_square(u, v)[i]`, so a product by v costs
-        rho^2 once R is kept.  As d is symmetric, R is also the matrix of
+        rho^2 once R is kept.  As d is symmetric, so is R = D sum_k v[k] d[k]:
+        the planes summed against v, then mirrored.  R is also the matrix of
         the form (u, w) -> D sum_i v[i] (u w)_4[i].
         """
         rho = len(v)
-        return tuple([
-            tuple([sum(map(mul, plane[j:j + rho], v)) for j in range(0, rho * rho, rho)])
-            for plane in self._planes
-        ])
+        if rho == 1:  # as in `_square`
+            return ((v[0] * self._packed[0][0],),)
+        full = _packing(rho)[2]([sum(map(mul, column, v)) for column in zip(*self._packed)])
+        return tuple([full[i:i + rho] for i in range(0, rho * rho, rho)])
 
     def cubic(self, u, v, w) -> Fraction:
         """Triple intersection number of three degree-2 coordinate vectors."""
-        (u, du), (v, dv), (w, dw) = (over_common_denominator(self._vector(x)) for x in (u, v, w))
+        (u, du), (v, dv), (w, dw) = map(self._numerators, (u, v, w))
         return Fraction(sum(map(mul, w, self._square(u, v))), du * dv * dw * self._den)
 
     def square_to_h4(self, u, v) -> tuple[Fraction, ...]:
@@ -238,13 +264,13 @@ class ThreefoldRing(Record):
 
         Component i is the integral of u . v . e_i.
         """
-        (u, du), (v, dv) = (over_common_denominator(self._vector(x)) for x in (u, v))
+        (u, du), (v, dv) = map(self._numerators, (u, v))
         den = du * dv * self._den
         return tuple(Fraction(n, den) for n in self._square(u, v))
 
     def exp_h2(self, coords) -> "GradedClass":
         """Truncated exponential 1 + L + L^2/2 + L^3/6 of a degree-2 class."""
-        return self._exp(*over_common_denominator(self._vector(coords)))
+        return self._exp(*self._numerators(coords))
 
     def _exp(self, nums, den: int) -> "GradedClass":
         """`exp_h2` of the class with integer coordinates `nums` over `den`."""
@@ -387,7 +413,7 @@ def _product(ring: ThreefoldRing, x: tuple, y: tuple, square: list[int]) -> Grad
 def _fixed_factor(y: GradedClass) -> tuple:
     """A class kept for repeated products: (y._ints, the `_rows` of y2), integers only.
 
-    One rho^3 pass; each product by y, or integral against it, then costs rho^2.
+    One packed pass; each product by y, or integral against it, then costs rho^2.
     """
     return y._ints, y.ring._rows(y._ints[2])
 

@@ -168,6 +168,33 @@ def test_twist_checks_the_length_of_the_line_bundle():
     assert str(error.value) == "vector has 2 coordinates, ring has rho=1"
 
 
+def test_twist_reads_the_line_bundle_as_integers_fractions_or_strings_alike():
+    # L goes through the ring's one checked route to integer numerators: an
+    # int makes no Fraction, and every refusal of `as_vector` stays as it was.
+    rng = random.Random(73)
+    ring = with_denominators(rng, random_fano_ring(rng, 3))
+    e = random_fractional_chern(rng, ring, labels=("E",))
+    for numbers, fractions, strings in (
+        ((2, -1, 0), (Fraction(4, 2), Fraction(-1), Fraction(0)), ("2", "-1", "0/5")),
+        ((Fraction(1, 2), 0, -3), (Fraction(1, 2), Fraction(0), Fraction(-3)), ("1/2", "0", "-6/2")),
+    ):
+        for k in (-2, 1, 3):
+            twisted = twist_chern(e, numbers, k)
+            assert twisted == twist_chern(e, fractions, k) == twist_chern(e, strings, k)
+            assert twisted == reference_twist(e, fractions, k)
+    for L, error, message in (
+        ((True, 0, 0), TypeError, "expected a rational number, got bool True"),
+        ((1.0, 0, 0), TypeError, "expected int, Fraction or 'p/q' string, got float"),
+        (("1.5", 0, 0), ValueError, "expected an integer or 'p/q' string, got '1.5'"),
+        ((1, 0), LatticeValidationError, "vector has 2 coordinates, ring has rho=3"),
+        ("120", TypeError, "expected a sequence of rationals, got str '120'"),
+        (b"120", TypeError, "expected a sequence of rationals, got bytes b'120'"),
+    ):
+        with pytest.raises(error) as info:
+            twist_chern(e, L)
+        assert str(info.value) == message
+
+
 def test_twist_chern_group_action():
     rng = random.Random(31)
     for _ in range(300):

@@ -545,6 +545,38 @@ def test_cd_degeneration_reads_a_signed_integer(capsys, tmp_path, chi, value):
     assert (code, err) == (0, "") and json.loads(out)["value"] == value
 
 
+@pytest.mark.parametrize("length", [1000, 1001])
+@pytest.mark.parametrize("command", ["degeneration", "closure"])
+def test_registry_strings_are_bounded_at_1000_characters(capsys, tmp_path, command, length):
+    # The symbol of `cd degeneration --chi` and the twist level of `cd closure --k`.
+    registry = tmp_path / "registry.json"
+    if command == "degeneration":
+        text, what = "x" * length, "CD symbol"
+        argv = ["--flag", "cp3-quartic.json", "--bundle", "instanton1.json", "--chi", text]
+    else:
+        run(capsys, "cd", "seed", "--registry", str(registry), "--manifold", "quintic.json", "--kind", "line-bundle")
+        text, what = "k" * length, "twist level k"
+        argv = ["--parent", "quintic:line-bundle", "--parent2", "quintic:line-bundle", "--L", "1", "--k", text]
+    before = registry.read_bytes() if registry.exists() else None
+    code, out, err = run(capsys, "cd", command, "--registry", str(registry), *argv)
+    if length == 1000:
+        assert (code, err) == (0, "") and text in registry.read_text(encoding="utf-8")
+        return
+    quoted = f"{text[:40]!r}... (1001 characters)"
+    assert (code, out, err) == (1, "", f"validation error: {what} has more than 1000 characters, got {quoted}\n")
+    assert (registry.read_bytes() if registry.exists() else None) == before
+
+
+def test_the_registry_loader_refuses_a_symbol_past_the_bound(capsys, tmp_path):
+    registry = tmp_path / "registry.json"
+    entry = {"key": "a", "manifold": "quintic", "vector": "m(L)", "provenance": "degeneration",
+             "value": None, "symbol": "s" * 1001}
+    registry.write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+    code, out, err = run(capsys, "cd", "list", "--registry", str(registry))
+    quoted = f"{'s' * 40!r}... (1001 characters)"
+    assert (code, out, err) == (1, "", f"validation error: CD symbol has more than 1000 characters, got {quoted}\n")
+
+
 def test_usage_errors_exit_64(capsys):
     assert run(capsys, "no-such-command")[0] == 64
     assert run(capsys)[0] == 64
