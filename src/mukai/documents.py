@@ -7,6 +7,9 @@ manifold document describes a `ThreefoldRing` (kind "cy3") or a flag
 class); a bundle document describes `ChernData` against a named
 manifold; a gluing document inlines its two flags.
 
+A JSON integer stays an `int` until a record reads it as a `Fraction` (see
+`rings`), and a location such as `triple[1][0][1]` is formatted only to refuse.
+
 Parsing problems (bad JSON, missing or ill-typed keys) raise
 `DocumentError` with a line/column when the decoder provides one;
 semantic problems (violated lattice invariants) raise
@@ -51,35 +54,36 @@ __all__ = [
 # rational-aware JSON scalars
 
 
-def _capped(value: int, where: str) -> int:
-    if not -INT_BOUND < value < INT_BOUND:
-        raise DocumentError(f"{where}: integer has more than {MAX_DIGITS} digits")
-    return value
-
-
-def _scalar(value, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise DocumentError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(_capped(value, where))
+def _scalar(value, where: str, index=None) -> int | Fraction:
+    """A JSON integer as the `int` itself, a 'p/q' string as a `Fraction`; `where[index]` locates a refusal."""
+    if isinstance(value, int) and not isinstance(value, bool) and -INT_BOUND < value < INT_BOUND:
+        return value
     if isinstance(value, str):
         try:
             return parse_rational(value)
         except (ValueError, ZeroDivisionError):
-            raise DocumentError(f"{where}: cannot read rational from {value!r}") from None
-    raise DocumentError(f"{where}: expected an integer or 'p/q' string, got {type(value).__name__}")
+            pass
+    where = where if index is None else f"{where}[{index}]"  # only refusals are left
+    if isinstance(value, str):
+        raise DocumentError(f"{where}: cannot read rational from {value!r}")
+    if isinstance(value, int) and not isinstance(value, bool):
+        return _int(value, where)  # refused there: it has too many digits
+    got = repr(value) if isinstance(value, (bool, float)) else type(value).__name__
+    raise DocumentError(f"{where}: expected an integer or 'p/q' string, got {got}")
 
 
-def _vector(value, where: str) -> tuple[Fraction, ...]:
+def _vector(value, where: str) -> tuple[int | Fraction, ...]:
     if not isinstance(value, list):
         raise DocumentError(f"{where}: expected an array")
-    return tuple(_scalar(v, f"{where}[{i}]") for i, v in enumerate(value))
+    # An integer within the bound is kept as it is, without the call that would return it.
+    return tuple([x if type(x) is int and -INT_BOUND < x < INT_BOUND else _scalar(x, where, i)
+                  for i, x in enumerate(value)])
 
 
-def _matrix(value, where: str) -> tuple[tuple[Fraction, ...], ...]:
+def _matrix(value, where: str) -> tuple[tuple[int | Fraction, ...], ...]:
     if not isinstance(value, list):
         raise DocumentError(f"{where}: expected an array of arrays")
-    rows = tuple(_vector(row, f"{where}[{i}]") for i, row in enumerate(value))
+    rows = tuple([_vector(row, f"{where}[{i}]") for i, row in enumerate(value)])
     for i, row in enumerate(rows):
         if len(row) != len(rows[0]):
             raise DocumentError(f"{where}[{i}]: row length {len(row)} differs from row 0's {len(rows[0])}")
@@ -95,7 +99,9 @@ def _require(doc: dict, key: str, where: str):
 def _int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise DocumentError(f"{where}: expected an integer, got {value!r}")
-    return _capped(value, where)
+    if not -INT_BOUND < value < INT_BOUND:
+        raise DocumentError(f"{where}: integer has more than {MAX_DIGITS} digits")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -120,10 +126,8 @@ def _ring_from_document(doc: dict, where: str) -> ThreefoldRing:
     triple_doc = _require(doc, "triple", where)
     if not isinstance(triple_doc, list):
         raise DocumentError(f"{where}.triple: expected a rho^3 nested array")
-    triple = tuple(_matrix(plane, f"{where}.triple[{i}]") for i, plane in enumerate(triple_doc))
-    if len(triple) != rho or any(len(p) != rho for p in triple) or any(
-        len(r) != rho for p in triple for r in p
-    ):
+    triple = tuple([_matrix(plane, f"{where}.triple[{i}]") for i, plane in enumerate(triple_doc)])
+    if len(triple) != rho or any(len(p) != rho or any(len(r) != rho for r in p) for p in triple):
         raise DocumentError(f"{where}.triple: expected a {rho}x{rho}x{rho} array")
     return ThreefoldRing(
         name=name,
@@ -219,14 +223,22 @@ def bundle_from_document(doc: dict, manifold, where: str = "bundle") -> ChernDat
 
 
 def _identical(a, b) -> bool:
-    """Equal JSON values with the same type at every node (1, 1.0 and true differ)."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_identical(v, b[k]) for k, v in a.items())
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(_identical, a, b))
-    return a == b
+    """Equal JSON values with the same type at every node (1, 1.0 and true differ), at any depth."""
+    pending = [(a, b)]
+    for a, b in pending:  # a loop over a list that grows as it is read, not a recursion
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, dict):
+            if a.keys() != b.keys():
+                return False
+            pending += [(v, b[k]) for k, v in a.items()]
+        elif isinstance(a, list):
+            if len(a) != len(b):
+                return False
+            pending += zip(a, b)
+        elif a != b:
+            return False
+    return True
 
 
 def gluing_from_document(doc: dict, where: str = "gluing") -> GluingDescriptor:
@@ -284,29 +296,32 @@ def flag_to_document(flag: FlagDescriptor) -> dict:
     return doc
 
 
+# The types `jsonable` has a rule for; a subclass takes the rule of the first it is an instance of.
+_KINDS = (Fraction, K3Vector, KernelResult, GradedClass, dict, list, tuple, type(None), bool, int, str)
+_EXACT = frozenset(_KINDS)
+
+
 def jsonable(obj):
     """Recursively convert domain values to JSON-serializable data.
 
     Fractions become integers when integral and "p/q" strings otherwise,
     so emitted documents re-parse to the exact same values.
     """
-    if isinstance(obj, Fraction):
+    kind = type(obj)
+    if kind not in _EXACT:
+        kind = next((rule for rule in _KINDS if isinstance(obj, rule)), kind)
+    if kind is Fraction:
         return obj.numerator if obj.denominator == 1 else str(obj)
-    if isinstance(obj, (K3Vector, KernelResult)):
-        return {name: jsonable(value) for name, value in obj.as_dict().items()}
-    if isinstance(obj, GradedClass):
-        return {
-            "a0": jsonable(obj.a0),
-            "a2": jsonable(obj.a2),
-            "a4": jsonable(obj.a4),
-            "a6": jsonable(obj.a6),
-        }
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if kind is list or kind is tuple:
         return [jsonable(v) for v in obj]
-    if obj is None or isinstance(obj, (bool, int, str)):
+    if kind in (int, str, bool) or obj is None:
         return obj
+    if kind is dict:
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if kind is GradedClass:
+        return {name: jsonable(getattr(obj, name)) for name in ("a0", "a2", "a4", "a6")}
+    if kind is K3Vector or kind is KernelResult:
+        return {name: jsonable(value) for name, value in obj.as_dict().items()}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -380,7 +395,7 @@ def _entry_from_document(doc: dict, where: str) -> CDEntry:
         if not allowed(value):
             raise DocumentError(f"{where}.{key}: {phrase}")
         if name == "value" and value is not None:
-            _capped(value, f"{where}.value")
+            _int(value, f"{where}.value")
     return CDEntry(**fields)
 
 

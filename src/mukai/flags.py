@@ -15,8 +15,9 @@ linear algebra on the Gram matrices below.
 That algebra runs in integers.  The rank and both kernels are taken by
 each `K3Restriction` on its integer Gram rows, through the one
 elimination core of `linalg`; the isometry check A^T G A = G is made as
-N^T R N = a^2 R, with G = R/g and A = N/a.  `Fraction`s are made only for
-results and error messages.
+N^T R N = a^2 R, with G = R/g and A = N/a.  A gluing compares its Gram
+matrices and checks its matrix on those integer rows.  `Fraction`s are
+made only for results and error messages.
 """
 
 from __future__ import annotations
@@ -201,20 +202,19 @@ class GluingDescriptor(Record):
     section_class_d: tuple[Fraction, ...]
 
     def __post_init__(self):
-        g_plus = self.flag_plus.k3.gram
-        g_minus = self.flag_minus.k3.gram
-        if g_plus != g_minus:
+        (r, g), (q, h) = ((flag.k3._rows, flag.k3._den) for flag in (self.flag_plus, self.flag_minus))
+        if len(r) != len(q) or any(a * h != b * g for x, y in zip(r, q) for a, b in zip(x, y)):  # r/g != q/h
             raise LatticeValidationError(
                 "gluing requires both flags to restrict to the same gram matrix; "
-                f"got {g_plus} and {g_minus}"
+                f"got {self.flag_plus.k3.gram} and {self.flag_minus.k3.gram}"
             )
-        matrix = require_isometry(self.matrix, g_plus, "gluing matrix")
+        matrix = _isometry(self.matrix, r, "gluing matrix", (r, g))
         d = self.section_class_d
         if d is None:
             transported = mat_vec(matrix, self.flag_minus.s_coords)
             d = tuple(a + b for a, b in zip(self.flag_plus.s_coords, transported))
         vars(self).update(matrix=matrix, section_class_d=as_vector(d))
-        if len(self.section_class_d) != len(g_plus):
+        if len(self.section_class_d) != len(r):
             raise LatticeValidationError("section class length must match the lattice rank")
 
     def d_square(self) -> Fraction:
@@ -290,7 +290,7 @@ def deformation_dims(
     h12_minus: int,
     h0_sections=None,
 ) -> DeformationDims:
-    """Dimension of the deformation space of the smoothed total space.
+    """A deformation count of the smoothed total space; not its h^{1,2}.
 
     With D = 0 the smoothing is unobstructed and the count is
 
@@ -302,7 +302,10 @@ def deformation_dims(
         h12(Y+) + h12(Y-) + h0(D) - 1,
 
     where h0(D) defaults to the Riemann-Roch value 2 + D^2/2 under a
-    declared vanishing assumption, or may be supplied directly.
+    declared vanishing assumption, or may be supplied directly.  That
+    default is h^{1,2} of the smoothing less 21 - r, r = rank [G | G A], on
+    the Tyurin degenerations of `tests/test_degeneration.py`: it leaves out
+    the 20 - r moduli of the lattice-polarized K3 and one smoothing direction.
     """
     if smooth_total_space(gluing):
         value = Fraction(h12_plus + h12_minus + 1)
@@ -359,17 +362,22 @@ def require_isometry(matrix, gram, what: str = "matrix") -> tuple[tuple[Fraction
     `Fraction`s are made only for the error.  `what` names the matrix in
     the error raised when either check fails.
     """
+    return _isometry(matrix, gram, what)
+
+
+def _isometry(matrix, gram, what: str, exact=None) -> tuple[tuple[Fraction, ...], ...]:
+    """`require_isometry`, on the integer rows R over g of G when `exact` = (R, g) is given."""
     a = as_matrix(matrix)
     n = len(gram)
     if len(a) != n or any(len(row) != n for row in a):
         raise LatticeValidationError(f"{what} size must match the restricted lattice rank")
-    gram = as_matrix(gram)
-    rows, g = rows_over_common_denominator(gram)
+    rows, g = exact or rows_over_common_denominator(as_matrix(gram))
     nums, den = rows_over_common_denominator(a)
     conjugated = integer_product(list(zip(*nums)), integer_product(rows, nums))
     scale = den * den
     if any(x != scale * y for row_c, row in zip(conjugated, rows) for x, y in zip(row_c, row)):
         conjugated = tuple(tuple(Fraction(x, scale * g) for x in row) for row in conjugated)
+        gram = tuple(tuple(Fraction(x, g) for x in row) for row in rows)
         raise LatticeValidationError(
             f"{what} is not an isometry of the restricted lattice: A^T G A = {conjugated} != {gram}"
         )

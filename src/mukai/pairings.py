@@ -94,7 +94,7 @@ def mukai_pairing_3fold(u, v) -> Fraction:
 
 def mukai_pairing_k3(restriction: K3Restriction, u: K3Vector, v: K3Vector) -> Fraction:
     """Symmetric K3 pairing u2.G.v2 - u0 v4 - u4 v0."""
-    return restriction.dot(u.v2, v.v2) - u.v0 * v.v4 - u.v4 * v.v0
+    return restriction._pair(u.v2, v.v2) - u.v0 * v.v4 - u.v4 * v.v0
 
 
 def euler_chi(e1: ChernData, e2: ChernData) -> Fraction:

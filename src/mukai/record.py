@@ -14,7 +14,8 @@ Attributes that are not annotated are stored the same way and take no
 part in `==`, `hash`, `repr` or `as_dict()`, which maps the fields to their
 values in declaration order.  A value derived from a record, made on its
 first read and then kept, is a `kept` attribute of its class: the one
-keep-once mechanism of the package.  Only `GradedClass` keeps its own
+keep-once mechanism of the package; a `kept` field, made when `_exact`
+leaves it out, is no default.  Only `GradedClass` keeps its own
 `__init__`, because its fields are made from integers on first read.
 
 `Record._exact(**fields)` is the one trusted constructor: it stores the
@@ -73,7 +74,7 @@ class Record:
             # A missing field takes its default, the class attribute of the same name.
             for name in fields:
                 if name not in values:
-                    if not hasattr(cls, name):
+                    if not hasattr(cls, name) or isinstance(getattr(cls, name), kept):
                         raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
                     values[name] = getattr(cls, name)
         vars(self).update(values)

@@ -18,11 +18,13 @@ are scalars (H^6 is identified with Q by the fundamental class).  With
 that encoding every cup product reduces to exact rational arithmetic in
 the d tensor, and no choice of H^4 basis is ever needed.
 
-The public `triple` attribute is the `Fraction` tensor that documents and
-users read.  The kernel reads one integer copy, made in the pass that
-checks symmetry: the tensor times one common denominator D (the lcm of its
-entries' denominators), packed as rho planes, plane i holding D d[i][j][k]
-for j <= k.  So `_square` and `_rows` each read rho^2 (rho+1)/2 integers.
+A ring keeps its tensor once, in integers, made in the pass that checks
+symmetry: the tensor times one common denominator D (the lcm of its
+entries' denominators; 1, with no lcm taken, for the `int`s documents
+give), packed as rho planes, plane i holding D d[i][j][k] for j <= k.  So
+`_square` and `_rows` each read rho^2 (rho+1)/2 integers.  The public
+`triple`, the `Fraction` tensor users read, is made from those planes on
+its first read (`record.kept`), as is `gram` of a `K3Restriction.from_ring`.
 
 A `GradedClass` is kept the same way, as integer numerators over one
 positive denominator in lowest terms.  The cup product, `top_degree`, +,
@@ -121,6 +123,19 @@ def _packing(rho: int) -> tuple:
             itemgetter(*[at[min(i, j), max(i, j)] for i in range(rho) for j in range(rho)]))
 
 
+def _exact_values(values) -> list:
+    """An `int` or `Fraction` as it is, any other value through `as_fraction`: `as_vector`'s refusals."""
+    if isinstance(values, (str, bytes, bytearray)):
+        as_vector(values)  # refused there, with the message of `as_vector`
+    return [x if type(x) in (int, Fraction) else as_fraction(x) for x in values]
+
+
+def _unpacked(ring) -> tuple:
+    """The `Fraction` tensor `triple`: plane i is `_rows` of the i-th basis vector, over D."""
+    units = [[int(i == j) for j in range(ring.rho)] for i in range(ring.rho)]
+    return tuple([tuple([_fractions(row, ring._den) for row in ring._rows(e)]) for e in units])
+
+
 class ThreefoldRing(Record):
     """Intersection data of a threefold: the exact skeleton of H^even.
 
@@ -145,7 +160,7 @@ class ThreefoldRing(Record):
 
     name: str
     basis_labels: tuple[str, ...]
-    triple: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    triple: tuple[tuple[tuple[Fraction, ...], ...], ...] = kept(_unpacked)
     c1_coords: tuple[Fraction, ...]
     c2_values: tuple[Fraction, ...]
     chi_top: int
@@ -161,19 +176,20 @@ class ThreefoldRing(Record):
         if len(set(labels)) != len(labels):
             raise LatticeValidationError("basis labels must be distinct")
         rho = len(labels)
-        triple = tuple(tuple(as_vector(row) for row in plane) for plane in self.triple)
+        triple = [[_exact_values(row) for row in plane] for plane in self.triple]
         if len(triple) != rho or any(len(p) != rho or any(len(r) != rho for r in p) for p in triple):
             raise LatticeValidationError(f"triple intersection tensor must be {rho}x{rho}x{rho}")
-        flat, den = over_common_denominator([x for plane in triple for row in plane for x in row])
+        flat = [x for plane in triple for row in plane for x in row]
+        flat, den = (flat, 1) if all(type(x) is int for x in flat) else over_common_denominator(flat)
         packed = _packed_planes(flat, rho)
         c1_coords, c2_values = as_vector(self.c1_coords), as_vector(self.c2_values)
         if len(c1_coords) != rho or len(c2_values) != rho:
             raise LatticeValidationError("c1/c2 data must have length rho")
         if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.chi_top, self.h12)):
             raise LatticeValidationError("chi_top and h12 must be integers")
+        del vars(self)["triple"]  # made from the packed planes on its first read
         vars(self).update(
             basis_labels=labels,
-            triple=triple,
             c1_coords=c1_coords,
             c2_values=c2_values,
             # The kernel's copy of `triple`: packed integer planes over the denominator _den.
@@ -222,10 +238,7 @@ class ThreefoldRing(Record):
 
     def _numerators(self, coords) -> tuple[list[int], int]:
         """Integer numerators over one denominator of rho coordinates; an int makes no `Fraction`."""
-        if isinstance(coords, (str, bytes, bytearray)):
-            as_vector(coords)  # refused there, with the message of `as_vector`, as is any bad coordinate
-        exact = [x if type(x) in (int, Fraction) else as_fraction(x) for x in coords]
-        nums, den = over_common_denominator(exact)
+        nums, den = over_common_denominator(_exact_values(coords))
         if len(nums) != self.rho:
             raise LatticeValidationError(f"vector has {len(nums)} coordinates, ring has rho={self.rho}")
         return nums, den
@@ -517,10 +530,11 @@ class K3Restriction(Record):
 
     which is all the quadratic data the K3 Mukai pairing needs.  For integer
     dot products it also keeps `_rows`, the Gram rows as integers over `_den`,
-    and `_s`, the section's integer numerators and their denominator.
+    and `_s`, the section's integer numerators and their denominator; `gram`
+    is made from `_rows` on its first read when `from_ring` built the lattice.
     """
 
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[tuple[Fraction, ...], ...] = kept(lambda k: tuple([_fractions(r, k._den) for r in k._rows]))
     s_coords: tuple[Fraction, ...]
 
     def __post_init__(self):
@@ -545,14 +559,11 @@ class K3Restriction(Record):
         if len(s) != ring.rho:
             raise LatticeValidationError("section class length must match rho")
         nums, s_den = over_common_denominator(s)
-        den = s_den * ring._den
-        rows = ring._rows(nums)
-        gram = tuple(tuple(Fraction(n, den) for n in row) for row in rows)
-        return cls._exact(gram=gram, s_coords=s, _rows=rows, _den=den, _s=(nums, s_den))
+        return cls._exact(s_coords=s, _rows=ring._rows(nums), _den=s_den * ring._den, _s=(nums, s_den))
 
     @property
     def rank(self) -> int:
-        return len(self.gram)
+        return len(self._rows)
 
     def _rank(self) -> int:
         """The rank of G, read off the integer rows."""
@@ -575,7 +586,10 @@ class K3Restriction(Record):
 
     def dot(self, u, v) -> Fraction:
         """Intersection number u . v on the surface, u and v in the e-basis."""
-        u, v = as_vector(u), as_vector(v)
+        return self._pair(as_vector(u), as_vector(v))
+
+    def _pair(self, u, v) -> Fraction:
+        """`dot` of exact vectors, such as a `K3Vector`'s v2: the one integer route of the pairing."""
         for x in (u, v):
             if len(x) != self.rank:
                 raise LatticeValidationError(

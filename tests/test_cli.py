@@ -672,6 +672,17 @@ def test_a_bad_gluing_matrix_is_one_error_line(capsys, tmp_path, change, code, f
     assert err.startswith(first) and err.count("\n") == 1 and err.endswith("\n"), err
 
 
+def test_a_gluing_whose_flags_share_a_deeply_nested_key_is_checked(capsys, tmp_path):
+    doc = json.loads(builtin_path("cp3-double.json").read_text(encoding="utf-8"))
+    expected = run(capsys, "glue-check", "--gluing", "cp3-double.json", "--bundle", "instanton1.json")
+    assert expected[0] == 0
+    for side in ("flag_plus", "flag_minus"):
+        doc[side]["extra"] = json.loads("[" * 600 + "]" * 600)
+    path = tmp_path / "gluing.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, "glue-check", "--gluing", str(path), "--bundle", "instanton1.json") == expected
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "mukai", "schubert", "lines-quintic"],

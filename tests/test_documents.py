@@ -220,6 +220,90 @@ def test_rational_strings_parse_exactly():
 
 
 # --------------------------------------------------------------------------
+# the scalar reader: every location refuses every bad scalar with one message
+
+
+BAD_SCALARS = [
+    (1.5, "expected an integer or 'p/q' string, got 1.5"),
+    (True, "expected an integer or 'p/q' string, got True"),
+    ("0.5", "cannot read rational from '0.5'"),
+    ("1/0", "cannot read rational from '1/0'"),
+    (None, "expected an integer or 'p/q' string, got NoneType"),
+    (10**1000, "integer has more than 1000 digits"),  # 1001 digits
+]
+
+
+def rho2_document():
+    return json.loads(builtin_path("synthetic-rho2.json").read_text(encoding="utf-8"))
+
+
+def _manifold_at(path):
+    def read(bad):
+        doc = rho2_document()
+        *keys, last = path
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[last] = bad
+        return flag_from_document(doc)
+    return read
+
+
+def _bundle_at(key, index=None):
+    def read(bad):
+        doc = {"manifold": "synthetic-rho2", "rank": 1, "c1": [0, 0], "c2": [0, 0], "c3": 0}
+        if index is None:
+            doc[key] = bad
+        else:
+            doc[key][index] = bad
+        return bundle_from_document(doc, flag_from_document(rho2_document()))
+    return read
+
+
+def _gluing_with(key, value):
+    def read(bad):
+        flag_doc = rho2_document()
+        doc = {"kind": "gluing", "flag_plus": flag_doc, "flag_minus": flag_doc, key: value(bad)}
+        return gluing_from_document(doc)
+    return read
+
+
+SCALAR_LOCATIONS = [
+    ("manifold.triple[1][0][1]", _manifold_at(["triple", 1, 0, 1])),
+    ("manifold.triple[0][1][0]", _manifold_at(["triple", 0, 1, 0])),
+    ("manifold.c1[1]", _manifold_at(["c1", 1])),
+    ("manifold.c2_values[0]", _manifold_at(["c2_values", 0])),
+    ("manifold.s_coords[1]", _manifold_at(["s_coords", 1])),
+    ("bundle.c1[1]", _bundle_at("c1", 1)),
+    ("bundle.c2[0]", _bundle_at("c2", 0)),
+    ("bundle.c3", _bundle_at("c3")),
+    ("gluing.matrix[1][0]", _gluing_with("matrix", lambda bad: [[1, 0], [bad, 1]])),
+    ("gluing.section_class[1]", _gluing_with("section_class", lambda bad: [0, bad])),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_SCALARS, ids=["float", "bool", "decimal", "zero-den", "null", "long"])
+@pytest.mark.parametrize("where, read", SCALAR_LOCATIONS, ids=[where for where, _ in SCALAR_LOCATIONS])
+def test_every_scalar_location_refuses_with_one_full_message(where, read, bad, message):
+    with pytest.raises(DocumentError) as error:
+        read(bad)
+    assert str(error.value) == f"{where}: {message}"
+
+
+def test_every_scalar_location_reads_integers_and_rationals_exactly():
+    # The same locations, fed good values, read them as the exact numbers they spell.
+    assert flag_from_document(rho2_document()).ring.triple[0][1][0] == 2
+    doc = dict(rho2_document(), c2_values=["48/2", 10], s_coords=[1, "0/5"])
+    flag = flag_from_document(doc)
+    assert flag.ring.c2_values == (24, 10) and flag.s_coords == (1, 0)
+    bundle = _bundle_at("c3")("-3/6")
+    assert bundle.c3 == Fraction(-1, 2) and type(bundle.c3) is Fraction
+    gluing = _gluing_with("matrix", lambda x: [[1, 0], [x, 1]])(0)
+    assert gluing.matrix == ((1, 0), (0, 1))
+    assert all(type(x) is Fraction for row in gluing.matrix for x in row)
+
+
+# --------------------------------------------------------------------------
 # bundle and gluing documents
 
 
@@ -284,6 +368,26 @@ def test_gluing_document_needs_two_flags():
     }
     with pytest.raises(DocumentError, match="fano3"):
         gluing_from_document(doc)
+
+
+def _nested(depth, leaf=0):
+    value = leaf
+    for level in range(depth):
+        value = {"x": value} if level % 2 else [value]
+    return value
+
+
+@pytest.mark.parametrize("depth", [600, 20000])
+def test_flags_that_share_a_deeply_nested_key_compare_without_recursion(depth):
+    def gluing(plus_leaf, minus_leaf):
+        plus, minus = (dict(CP3_FLAG_DOCUMENT, extra=_nested(depth, leaf)) for leaf in (plus_leaf, minus_leaf))
+        return gluing_from_document({"kind": "gluing", "flag_plus": plus, "flag_minus": minus})
+
+    same = gluing(1, 1)
+    assert same.flag_plus is same.flag_minus
+    # One leaf of another type (1.0 for 1) still makes the minus flag a document of its own.
+    other = gluing(1, 1.0)
+    assert other.flag_plus is not other.flag_minus and other.flag_plus == other.flag_minus
 
 
 @pytest.fixture

@@ -108,6 +108,20 @@ def test_k3_pairing_is_symmetric():
         assert mukai_pairing_k3(flag.k3, u, v) == mukai_pairing_k3(flag.k3, v, u)
 
 
+def test_k3_pairing_equals_the_restriction_dot_on_every_input_form():
+    rng = random.Random(2027)
+    k3 = FlagDescriptor(ring=with_denominators(rng, synthetic_flag().ring), s_coords=(1, "1/3")).k3
+    for _ in range(100):
+        u0, u4, v0, v4 = (random_fraction(rng) for _ in range(4))
+        u2, v2 = (tuple(random_fraction(rng) for _ in range(2)) for _ in range(2))
+        expected = k3.dot(u2, v2) - u0 * v4 - u4 * v0
+        for form in (Fraction, str, lambda x: int(x) if x.denominator == 1 else x):
+            u = K3Vector(form(u0), tuple(map(form, u2)), form(u4))
+            v = K3Vector(form(v0), tuple(map(form, v2)), form(v4))
+            assert k3.dot(tuple(map(form, u2)), tuple(map(form, v2))) == k3.dot(u.v2, v.v2)
+            assert mukai_pairing_k3(k3, u, v) == expected
+
+
 def test_k3_pairing_rank_mismatch():
     k3 = cp3_quartic_flag().k3
     for u, v, size in (((0, 0), (0,), 2), ((0,), (), 0)):

@@ -338,6 +338,69 @@ def test_graded_class_wrong_length_rejected():
         assert str(error.value) == message
 
 
+SYNTHETIC_TRIPLE = (((4, 2), (2, 1)), ((2, 1), (1, 0)))
+HALVES_TRIPLE = (((Fraction(1, 2), 2), (2, Fraction(-3, 2))), ((2, Fraction(-3, 2)), (Fraction(-3, 2), 7)))
+
+
+def _tensor(triple, entry, kind=tuple):
+    return kind(kind(kind(entry(x) for x in row) for row in plane) for plane in triple)
+
+
+def _fraction_tuples(value, depth):
+    """Whether `value` is tuples nested `depth` deep, of `Fraction`s."""
+    if depth == 0:
+        return type(value) is Fraction
+    return type(value) is tuple and all(_fraction_tuples(x, depth - 1) for x in value)
+
+
+def _ratio(x):
+    x = Fraction(x)
+    return f"{3 * x.numerator}/{3 * x.denominator}"
+
+
+@pytest.mark.parametrize("triple", [SYNTHETIC_TRIPLE, HALVES_TRIPLE], ids=["integral", "halves"])
+def test_a_ring_from_ints_fractions_or_strings_is_one_ring(triple):
+    forms = [_tensor(triple, Fraction), _tensor(triple, _ratio), _tensor(triple, _ratio, list)]
+    if all(Fraction(x).denominator == 1 for plane in triple for row in plane for x in row):
+        forms += [_tensor(triple, int), _tensor(triple, int, list)]
+    rings = [ThreefoldRing("t", ("A", "B"), form, (1, 0), (24, 10), 0, 0) for form in forms]
+    reference = _tensor(triple, Fraction)
+    for ring in rings:
+        assert ring == rings[0] and hash(ring) == hash(rings[0]) and repr(ring) == repr(rings[0])
+        assert _fraction_tuples(ring.triple, 3) and ring.triple == reference
+        assert ring.as_dict()["triple"] == reference
+        k3 = K3Restriction.from_ring(ring, (1, "1/2"))
+        assert k3 == K3Restriction.from_ring(rings[0], (1, Fraction(1, 2)))
+        assert _fraction_tuples(k3.gram, 2)
+        public = K3Restriction(gram=k3.gram, s_coords=k3.s_coords)
+        assert k3 == public and hash(k3) == hash(public) and repr(k3) == repr(public)
+        assert k3.rank == public.rank == 2
+
+
+def test_the_integral_ring_prints_its_tensor_as_fractions():
+    ring = synthetic_ring()
+    assert repr(ring) == (
+        "ThreefoldRing(name='synthetic-rho2', basis_labels=('A', 'B'), triple=((("
+        "Fraction(4, 1), Fraction(2, 1)), (Fraction(2, 1), Fraction(1, 1))), "
+        "((Fraction(2, 1), Fraction(1, 1)), (Fraction(1, 1), Fraction(0, 1)))), "
+        "c1_coords=(Fraction(1, 1), Fraction(0, 1)), c2_values=(Fraction(24, 1), Fraction(10, 1)), "
+        "chi_top=0, h12=0)"
+    )
+    assert hash(ring) == hash(("synthetic-rho2", ("A", "B"), _tensor(SYNTHETIC_TRIPLE, Fraction),
+                               (Fraction(1), Fraction(0)), (Fraction(24), Fraction(10)), 0, 0))
+    gram = K3Restriction.from_ring(ring, (1, 0)).gram
+    assert repr(gram) == "((Fraction(4, 1), Fraction(2, 1)), (Fraction(2, 1), Fraction(1, 1)))"
+
+
+def test_a_missing_tensor_or_gram_matrix_is_a_missing_argument():
+    with pytest.raises(TypeError) as error:
+        ThreefoldRing(name="t", basis_labels=("A",), c1_coords=(1,), c2_values=(24,), chi_top=0, h12=0)
+    assert str(error.value) == "ThreefoldRing() missing required argument 'triple'"
+    with pytest.raises(TypeError) as error:
+        K3Restriction(s_coords=(1,))
+    assert str(error.value) == "K3Restriction() missing required argument 'gram'"
+
+
 def test_ring_refuses_a_bare_string_of_labels():
     base = dict(triple=(((0, 0), (0, 0)), ((0, 0), (0, 0))), c1_coords=(1, 0), c2_values=(0, 0))
     with pytest.raises(LatticeValidationError) as error:
