@@ -14,10 +14,10 @@ linear algebra on the Gram matrices below.
 
 That algebra runs in integers.  The rank and both kernels are taken by
 each `K3Restriction` on its integer Gram rows, through the one
-elimination core of `linalg`; the isometry check A^T G A = G is made as
-N^T R N = a^2 R, with G = R/g and A = N/a.  A gluing compares its Gram
-matrices and checks its matrix on those integer rows.  `Fraction`s are
-made only for results and error messages.
+elimination core of `linalg`.  A matrix A is checked once, on those
+rows: A^T G A = G is N^T R N = a^2 R for G = R/g and A = N/a, and the
+N/a the check returns is reused, by the joint kernel of a gluing and by
+the involution check.  `Fraction`s are made only for results and errors.
 """
 
 from __future__ import annotations
@@ -191,9 +191,10 @@ class GluingDescriptor(Record):
     """Two flags glued along their K3 members through a lattice isometry.
 
     `matrix` transports the minus-side restricted lattice to the plus
-    side and must be an isometry of the shared Gram matrix; the section
-    class `section_class_d` of the gluing defaults to s+ + A s- and is
-    the obstruction to the total space smoothing without extra geometry.
+    side and must be an isometry of the shared Gram matrix (`_ints` keeps
+    it as integer rows N over a); the section class `section_class_d`
+    defaults to s+ + A s- and is the obstruction to the total space
+    smoothing without extra geometry.
     """
 
     flag_plus: FlagDescriptor
@@ -208,12 +209,12 @@ class GluingDescriptor(Record):
                 "gluing requires both flags to restrict to the same gram matrix; "
                 f"got {self.flag_plus.k3.gram} and {self.flag_minus.k3.gram}"
             )
-        matrix = _isometry(self.matrix, r, "gluing matrix", (r, g))
+        matrix, nums, den = _isometry(self.matrix, r, g, "gluing matrix")
         d = self.section_class_d
         if d is None:
             transported = mat_vec(matrix, self.flag_minus.s_coords)
             d = tuple(a + b for a, b in zip(self.flag_plus.s_coords, transported))
-        vars(self).update(matrix=matrix, section_class_d=as_vector(d))
+        vars(self).update(matrix=matrix, section_class_d=as_vector(d), _ints=(nums, den))
         if len(self.section_class_d) != len(r):
             raise LatticeValidationError("section class length must match the lattice rank")
 
@@ -266,7 +267,7 @@ def joint_obstruction_kernel(gluing: GluingDescriptor) -> KernelResult:
     matrix [G | G A] consists of the pairs restricting to zero, i.e. the
     directions in which the glued polarization degenerates.
     """
-    basis = gluing.flag_plus.k3._joint_kernel(gluing.matrix)
+    basis = gluing.flag_plus.k3._joint_kernel(*gluing._ints)
     return KernelResult(dimension=len(basis), basis=tuple(basis))
 
 
@@ -346,9 +347,8 @@ def twisted_double_smoothable(flag: FlagDescriptor, involution) -> bool:
     The twisted double smooths to a Calabi-Yau exactly when A fixes the
     restricted anticanonical class.
     """
-    a = require_isometry(involution, flag.k3.gram, "involution matrix")
+    a, nums, den = _isometry(involution, flag.k3._rows, flag.k3._den, "involution matrix")
     # With A = N/a, A^2 = I is N N = a^2 I, checked in integers.
-    nums, den = rows_over_common_denominator(a)
     n = len(a)
     if integer_product(nums, nums) != [[den * den * (i == j) for j in range(n)] for i in range(n)]:
         raise LatticeValidationError("matrix is not an involution (A^2 != I)")
@@ -358,20 +358,20 @@ def twisted_double_smoothable(flag: FlagDescriptor, involution) -> bool:
 def require_isometry(matrix, gram, what: str = "matrix") -> tuple[tuple[Fraction, ...], ...]:
     """Coerce a square matrix A of the Gram matrix's size and check A^T G A = G.
 
-    With G = R/g and A = N/a in integers the check is N^T R N = a^2 R, so
-    `Fraction`s are made only for the error.  `what` names the matrix in
-    the error raised when either check fails.
+    The one place a caller's G is written as integer rows, for `_isometry`;
+    `what` names the matrix in the error raised when either check fails.
     """
-    return _isometry(matrix, gram, what)
+    if any(len(row) != len(gram) for row in gram):
+        raise LatticeValidationError("gram matrix must be square")
+    return _isometry(matrix, *rows_over_common_denominator(as_matrix(gram)), what)[0]
 
 
-def _isometry(matrix, gram, what: str, exact=None) -> tuple[tuple[Fraction, ...], ...]:
-    """`require_isometry`, on the integer rows R over g of G when `exact` = (R, g) is given."""
-    a = as_matrix(matrix)
-    n = len(gram)
-    if len(a) != n or any(len(row) != n for row in a):
+def _isometry(matrix, rows, g: int, what: str) -> tuple:
+    """Check A^T G A = G as N^T R N = a^2 R, for G = R/g and A = N/a; return A, N and a."""
+    n = len(rows)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
         raise LatticeValidationError(f"{what} size must match the restricted lattice rank")
-    rows, g = exact or rows_over_common_denominator(as_matrix(gram))
+    a = as_matrix(matrix)
     nums, den = rows_over_common_denominator(a)
     conjugated = integer_product(list(zip(*nums)), integer_product(rows, nums))
     scale = den * den
@@ -381,4 +381,4 @@ def _isometry(matrix, gram, what: str, exact=None) -> tuple[tuple[Fraction, ...]
         raise LatticeValidationError(
             f"{what} is not an isometry of the restricted lattice: A^T G A = {conjugated} != {gram}"
         )
-    return a
+    return a, nums, den

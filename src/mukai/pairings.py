@@ -26,7 +26,7 @@ from operator import mul
 
 from .chern import ChernData, MukaiVector, _check_power, chern_character, k3_mukai_vector
 from .errors import IntegralityWarning, LatticeValidationError
-from .flags import FlagDescriptor, require_isometry
+from .flags import FlagDescriptor, _isometry
 from .rational import as_vector, mat_vec
 from .record import Record
 from .rings import (
@@ -243,6 +243,7 @@ def gluing_match(restriction: K3Restriction, matrix, v_plus: K3Vector, v_minus: 
     v_plus = (v_minus.v0, A v_minus.v2, v_minus.v4), which is the
     lattice-level condition for bundles on the two components to glue.
     """
-    a = require_isometry(matrix, restriction.gram)
+    a = _isometry(matrix, restriction._rows, restriction._den, "matrix")[0]
+    restriction._require_rank(v_minus.v2)
     transported = K3Vector(v_minus.v0, mat_vec(a, v_minus.v2), v_minus.v4)
     return v_plus == transported

@@ -15,8 +15,7 @@ part in `==`, `hash`, `repr` or `as_dict()`, which maps the fields to their
 values in declaration order.  A value derived from a record, made on its
 first read and then kept, is a `kept` attribute of its class: the one
 keep-once mechanism of the package; a `kept` field, made when `_exact`
-leaves it out, is no default.  Only `GradedClass` keeps its own
-`__init__`, because its fields are made from integers on first read.
+leaves it out, is no default.
 
 `Record._exact(**fields)` is the one trusted constructor: it stores the
 given attributes as they are and runs neither `__init__` nor

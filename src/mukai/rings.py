@@ -54,7 +54,8 @@ an anticanonical K3 member, and `restrict_to_k3` projects a graded class
 to the associated Mukai lattice H^0 + H^2 + H^4 of that surface.  The
 restriction also keeps G as integer rows R over one denominator g
 (G = R/g); its rank and kernels, which `flags` reads, are taken on R by
-the integer elimination core of `linalg`.
+the integer elimination core of `linalg`.  A gluing or involution matrix
+is checked once, on R, and the joint kernel reuses the N/a of that check.
 
 Values the kernel computes from checked records are built unchecked with
 `Record._exact`: classes from their integers, the restriction of a ring to
@@ -310,13 +311,9 @@ class GradedClass(Record):
     a4: tuple[Fraction, ...] = kept(lambda x: _fractions(x._ints[3], x._ints[0]))
     a6: Fraction = kept(lambda x: Fraction(x._ints[4], x._ints[0]))
 
-    def __init__(self, ring, a0, a2, a4, a6):
-        vars(self)["ring"] = ring
-        self.__post_init__(a0, a2, a4, a6)
-
-    def __post_init__(self, a0, a2, a4, a6):
-        # Separate from `__init__` because bench/tracing.py counts checked
-        # constructions through this name; `Record._exact` skips both.
+    def __post_init__(self):
+        # Popped, so that each coefficient is made from `_ints` on its first read.
+        a0, a2, a4, a6 = map(vars(self).pop, ("a0", "a2", "a4", "a6"))
         a2, a4 = as_vector(a2), as_vector(a4)
         rho = self.ring.rho
         if len(a2) != rho or len(a4) != rho:
@@ -538,9 +535,9 @@ class K3Restriction(Record):
     s_coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        gram = as_matrix(self.gram)
-        if any(len(row) != len(gram) for row in gram):
+        if any(len(row) != len(self.gram) for row in self.gram):
             raise LatticeValidationError("gram matrix must be square")
+        gram = as_matrix(self.gram)
         for i in range(len(gram)):
             for j in range(len(gram)):
                 if gram[i][j] != gram[j][i]:
@@ -573,13 +570,12 @@ class K3Restriction(Record):
         """The primitive kernel basis of G, from the integer rows."""
         return linalg.kernel(self._rows)
 
-    def _joint_kernel(self, matrix) -> list[tuple[Fraction, ...]]:
-        """The primitive kernel basis of [G | G A] for an exact square matrix A.
+    def _joint_kernel(self, nums, a: int) -> list[tuple[Fraction, ...]]:
+        """The primitive kernel basis of [G | G A] for A = N/a, checked square.
 
-        With G = R/g and A = N/a that matrix is [a R | R N] / (g a), so the
-        kernel is read off the integer matrix [a R | R N].
+        With G = R/g that matrix is [a R | R N] / (g a), so the kernel is
+        read off the integer matrix [a R | R N].
         """
-        nums, a = rows_over_common_denominator(matrix)
         rows = self._rows
         stacked = [[a * x for x in row] + rn for row, rn in zip(rows, integer_product(rows, nums))]
         return linalg.kernel(stacked)
@@ -590,13 +586,15 @@ class K3Restriction(Record):
 
     def _pair(self, u, v) -> Fraction:
         """`dot` of exact vectors, such as a `K3Vector`'s v2: the one integer route of the pairing."""
-        for x in (u, v):
-            if len(x) != self.rank:
-                raise LatticeValidationError(
-                    f"vector has {len(x)} coordinates, lattice has rank {self.rank}"
-                )
+        self._require_rank(u, v)
         (u, du), (v, dv) = over_common_denominator(u), over_common_denominator(v)
         return Fraction(_bilinear(u, self._rows, v), du * dv * self._den)
+
+    def _require_rank(self, *vectors):
+        """Refuse a coordinate vector whose length is not the lattice rank."""
+        for x in vectors:
+            if len(x) != self.rank:
+                raise LatticeValidationError(f"vector has {len(x)} coordinates, lattice has rank {self.rank}")
 
 
 class K3Vector(Record):

@@ -247,6 +247,7 @@ def test_validate_flag_exit_codes(capsys, tmp_path):
     code, out, _ = run(capsys, "validate-flag", "cp3-quartic.json")
     assert code == 0
     assert "valid             true" in out
+    assert "gram              ((4))" in out
     path = tmp_path / "broken.json"
     doc = flag_to_document(cp3_quartic_flag())
     doc["c2_values"] = [0]

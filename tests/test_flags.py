@@ -7,10 +7,13 @@ import pytest
 
 from mukai import (
     FlagDescriptor,
+    K3Restriction,
+    K3Vector,
     LatticeValidationError,
     ThreefoldRing,
     build_double,
     deformation_dims,
+    gluing_match,
     joint_obstruction_kernel,
     make_gluing,
     obstruction_kernel,
@@ -18,8 +21,9 @@ from mukai import (
     twisted_double_smoothable,
     validate_flag,
 )
+from mukai.documents import builtin_path, load_manifold
 from mukai.flags import GluingDescriptor, require_isometry
-from mukai.rational import as_matrix
+from mukai.rational import as_matrix, identity_matrix
 
 from conftest import (
     cp3_quartic_flag,
@@ -241,6 +245,39 @@ def test_require_isometry_takes_a_bare_gram_matrix():
         require_isometry([[1, 1], [0, 1]], gram, "shear")
     with pytest.raises(LatticeValidationError, match="size"):
         require_isometry([[1]], gram)
+
+
+@pytest.mark.parametrize("name", ["cp3-quartic.json", "synthetic-rho2.json"])
+def test_isometry_checks_and_the_joint_kernel_leave_the_gram_unmade(name):
+    # They read the restriction's integer rows; `gram` is made only when read.
+    flag = load_manifold(builtin_path(name))
+    identity = identity_matrix(flag.ring.rho)
+    v = K3Vector(1, (0,) * flag.ring.rho, 0)
+    assert gluing_match(flag.k3, identity, v, v)
+    assert twisted_double_smoothable(flag, identity)
+    assert joint_obstruction_kernel(build_double(flag)).dimension >= flag.ring.rho
+    assert "gram" not in vars(flag.k3)
+
+
+def _refusals():
+    flag = swap_symmetric_flag()
+    k3, ragged, v = flag.k3, [[1, 0], [0]], K3Vector(1, (0, 0), 0)
+    rank = "size must match the restricted lattice rank"
+    yield "require_isometry", lambda: require_isometry(ragged, k3.gram), f"matrix {rank}"
+    yield "require_isometry-gram", lambda: require_isometry(ragged, ragged), "gram matrix must be square"
+    yield "gluing_match", lambda: gluing_match(k3, ragged, v, v), f"matrix {rank}"
+    yield "twisted_double", lambda: twisted_double_smoothable(flag, ragged), f"involution matrix {rank}"
+    yield "K3Restriction", lambda: K3Restriction(gram=ragged, s_coords=[1, 1]), "gram matrix must be square"
+    yield "gluing_match-rank", lambda: gluing_match(k3, identity_matrix(2), v, K3Vector(1, (0,), 0)), (
+        "vector has 1 coordinates, lattice has rank 2"
+    )
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(*case[1:], id=case[0]) for case in _refusals()])
+def test_ragged_or_wrong_rank_input_is_a_lattice_error(call, message):
+    with pytest.raises(LatticeValidationError) as error:
+        call()
+    assert str(error.value) == message
 
 
 def test_joint_kernel_vectors_restrict_to_zero():

@@ -2,7 +2,6 @@
 
 import functools
 import importlib
-import inspect
 import os
 import pkgutil
 import random
@@ -27,9 +26,6 @@ from conftest import (
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-# The one record whose fields are properties over integers, so it binds them itself.
-OWN_INIT = {"GradedClass"}
 
 
 def all_records():
@@ -65,12 +61,9 @@ def test_the_package_defines_21_records():
 
 @pytest.mark.parametrize("cls", all_records(), ids=lambda cls: cls.__name__)
 def test_constructor_parameters_are_the_fields_in_order(cls):
-    if cls.__name__ in OWN_INIT:
-        assert tuple(inspect.signature(cls).parameters) == cls._fields
-    else:
-        # `Record.__init__` binds positional arguments to `_fields` in order.
-        assert "__init__" not in vars(cls) and cls.__init__ is Record.__init__
-        assert cls._fields == tuple(cls.__annotations__)
+    # `Record.__init__` binds positional arguments to `_fields` in order.
+    assert "__init__" not in vars(cls) and cls.__init__ is Record.__init__
+    assert cls._fields == tuple(cls.__annotations__)
 
 
 def test_record_init_binds_fields():
