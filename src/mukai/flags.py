@@ -12,27 +12,31 @@ count are controlled by the section class D of the gluing and by the
 kernels of the restriction maps, all of which reduce to exact rational
 linear algebra on the Gram matrices below.
 
-That algebra runs in integers.  The rank and both kernels are taken by
-each `K3Restriction` on its integer Gram rows, through the one
-elimination core of `linalg`.  A matrix A is checked once, on those
-rows: A^T G A = G is N^T R N = a^2 R for G = R/g and A = N/a, and the
-N/a the check returns is reused, by the joint kernel of a gluing and by
-the involution check.  `Fraction`s are made only for results and errors.
+That algebra runs in integers, and this module alone reads a
+`K3Restriction`'s integer Gram rows R (G = R/g) for it: the rank and both
+kernels through the one elimination core of `linalg`, and the check of a
+matrix A, once, as N^T R N = a^2 R for A = N/a.  The joint kernel, the
+involution check and each transport by A (D = s+ + A s-, A v2 in
+`pairings.gluing_match`, A s = s) read that N/a.  `Fraction`s are made
+only for results and errors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
+from . import linalg
 from .chern import structure_sheaf_chi
-from .errors import LatticeValidationError
+from .errors import LatticeValidationError, _quoted
 from .rational import (
+    INT_BOUND,
+    MAX_DIGITS,
     as_fraction,
     as_matrix,
     as_vector,
     identity_matrix,
     integer_product,
-    mat_vec,
     rows_over_common_denominator,
 )
 from .record import Record, kept
@@ -67,7 +71,9 @@ class FlagDescriptor(Record):
     `h1_ty` and `h0_normal` are optional cohomology sizes the lattice
     cannot compute itself; `first_obstruction_vanishes` is a user
     assertion that the one-extension obstruction of the flag is zero
-    (again not computable from intersection data).
+    (again not computable from intersection data).  Each is None or what
+    a flag document holds: an `int` of at most `MAX_DIGITS` digits, not a
+    `bool`, for the sizes, and a `bool` for the assertion.
     """
 
     ring: ThreefoldRing
@@ -77,6 +83,16 @@ class FlagDescriptor(Record):
     first_obstruction_vanishes: bool | None = None
 
     def __post_init__(self):
+        for name in ("h1_ty", "h0_normal"):
+            value = vars(self)[name]
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise LatticeValidationError(f"flag {name}: expected an integer or None, got {_quoted(value)}")
+            if value is not None and not -INT_BOUND < value < INT_BOUND:
+                raise LatticeValidationError(f"flag {name}: integer has more than {MAX_DIGITS} digits")
+        assertion = self.first_obstruction_vanishes
+        if type(assertion) not in (bool, type(None)):
+            phrase = f"expected a bool or None, got {_quoted(assertion)}"
+            raise LatticeValidationError(f"flag first_obstruction_vanishes: {phrase}")
         # `k3` is derived: not a field, so not in ==, hash or repr.
         # `from_ring` coerces and checks the section class.
         k3 = K3Restriction.from_ring(self.ring, self.s_coords)
@@ -144,7 +160,7 @@ def validate_flag(flag: FlagDescriptor) -> FlagReport:
         )
     )
 
-    gram_rank = flag.k3._rank()
+    gram_rank = len(linalg.echelon(flag.k3._rows)[1])
     checks.append(
         FlagCheck(
             "restricted-lattice-rank",
@@ -183,7 +199,7 @@ def obstruction_kernel(flag: FlagDescriptor) -> KernelResult:
     A degree-2 class x is invisible on the K3 member exactly when
     G x = 0; the kernel measures polarizations killed by restriction.
     """
-    basis = flag.k3._kernel()
+    basis = linalg.kernel(flag.k3._rows)
     return KernelResult(dimension=len(basis), basis=tuple(basis))
 
 
@@ -212,7 +228,7 @@ class GluingDescriptor(Record):
         matrix, nums, den = _isometry(self.matrix, r, g, "gluing matrix")
         d = self.section_class_d
         if d is None:
-            transported = mat_vec(matrix, self.flag_minus.s_coords)
+            transported = _transport(nums, den, *self.flag_minus.k3._s)
             d = tuple(a + b for a, b in zip(self.flag_plus.s_coords, transported))
         vars(self).update(matrix=matrix, section_class_d=as_vector(d), _ints=(nums, den))
         if len(self.section_class_d) != len(r):
@@ -265,9 +281,12 @@ def joint_obstruction_kernel(gluing: GluingDescriptor) -> KernelResult:
     A pair (x+, x-) of degree-2 classes glues to a class on the total
     space when the two restrictions agree; the kernel of the stacked
     matrix [G | G A] consists of the pairs restricting to zero, i.e. the
-    directions in which the glued polarization degenerates.
+    directions in which the glued polarization degenerates.  With G = R/g
+    and A = N/a that matrix is [a R | R N] / (g a), so the kernel is read
+    off the integer matrix [a R | R N].
     """
-    basis = gluing.flag_plus.k3._joint_kernel(*gluing._ints)
+    (nums, a), rows = gluing._ints, gluing.flag_plus.k3._rows
+    basis = linalg.kernel([[a * x for x in row] + rn for row, rn in zip(rows, integer_product(rows, nums))])
     return KernelResult(dimension=len(basis), basis=tuple(basis))
 
 
@@ -307,7 +326,11 @@ def deformation_dims(
     default is h^{1,2} of the smoothing less 21 - r, r = rank [G | G A], on
     the Tyurin degenerations of `tests/test_degeneration.py`: it leaves out
     the 20 - r moduli of the lattice-polarized K3 and one smoothing direction.
+    Each h12 must be an `int`, not a `bool`.
     """
+    for name, h12 in (("h12_plus", h12_plus), ("h12_minus", h12_minus)):
+        if isinstance(h12, bool) or not isinstance(h12, int):
+            raise LatticeValidationError(f"{name} must be an integer, got {_quoted(h12)}")
     if smooth_total_space(gluing):
         value = Fraction(h12_plus + h12_minus + 1)
         return DeformationDims(
@@ -347,12 +370,13 @@ def twisted_double_smoothable(flag: FlagDescriptor, involution) -> bool:
     The twisted double smooths to a Calabi-Yau exactly when A fixes the
     restricted anticanonical class.
     """
-    a, nums, den = _isometry(involution, flag.k3._rows, flag.k3._den, "involution matrix")
-    # With A = N/a, A^2 = I is N N = a^2 I, checked in integers.
-    n = len(a)
+    _, nums, den = _isometry(involution, flag.k3._rows, flag.k3._den, "involution matrix")
+    # With A = N/a, A^2 = I is N N = a^2 I and A s = s is N s = a s, on s's numerators.
+    n = len(nums)
     if integer_product(nums, nums) != [[den * den * (i == j) for j in range(n)] for i in range(n)]:
         raise LatticeValidationError("matrix is not an involution (A^2 != I)")
-    return mat_vec(a, flag.s_coords) == tuple(flag.s_coords)
+    s = flag.k3._s[0]
+    return all(sum(map(mul, row, s)) == den * x for row, x in zip(nums, s))
 
 
 def require_isometry(matrix, gram, what: str = "matrix") -> tuple[tuple[Fraction, ...], ...]:
@@ -382,3 +406,8 @@ def _isometry(matrix, rows, g: int, what: str) -> tuple:
             f"{what} is not an isometry of the restricted lattice: A^T G A = {conjugated} != {gram}"
         )
     return a, nums, den
+
+
+def _transport(nums, a: int, x, dx: int) -> tuple[Fraction, ...]:
+    """A x for A = N/a and x = X/dx, from the integers N, a, X and dx: one `Fraction` per entry."""
+    return tuple(Fraction(sum(map(mul, row, x)), a * dx) for row in nums)

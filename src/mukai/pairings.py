@@ -26,8 +26,8 @@ from operator import mul
 
 from .chern import ChernData, MukaiVector, _check_power, chern_character, k3_mukai_vector
 from .errors import IntegralityWarning, LatticeValidationError
-from .flags import FlagDescriptor, _isometry
-from .rational import as_vector, mat_vec
+from .flags import FlagDescriptor, _isometry, _transport
+from .rational import as_vector, over_common_denominator
 from .record import Record
 from .rings import (
     GradedClass, K3Restriction, K3Vector, _bilinear, _starred, _times_fixed, _top_linear, star, top_degree,
@@ -243,7 +243,7 @@ def gluing_match(restriction: K3Restriction, matrix, v_plus: K3Vector, v_minus: 
     v_plus = (v_minus.v0, A v_minus.v2, v_minus.v4), which is the
     lattice-level condition for bundles on the two components to glue.
     """
-    a = _isometry(matrix, restriction._rows, restriction._den, "matrix")[0]
+    _, nums, den = _isometry(matrix, restriction._rows, restriction._den, "matrix")
     restriction._require_rank(v_minus.v2)
-    transported = K3Vector(v_minus.v0, mat_vec(a, v_minus.v2), v_minus.v4)
-    return v_plus == transported
+    v2 = _transport(nums, den, *over_common_denominator(v_minus.v2))
+    return v_plus == K3Vector._exact(v0=v_minus.v0, v2=v2, v4=v_minus.v4)

@@ -11,9 +11,9 @@ The arithmetic runs on integers.  `over_common_denominator` and
 over one least common denominator, and `integer_product` multiplies
 integer matrices.  `dot` is the one exact sum of products: every Poincare
 pairing of H^2 coordinates against H^4 functionals goes through it.  It
-and `mat_vec` sum in `int` and make one `Fraction` per result, numerator
-over the product of the denominators.  `Fraction(n, d)` reduces that to
-lowest terms, so the results equal the `Fraction` sums exactly.
+sums in `int` and makes one `Fraction`, numerator over the product of the
+denominators.  `Fraction(n, d)` reduces that to lowest terms, so the
+result equals the `Fraction` sum exactly.
 
 The library prints its `Fraction`s with `str`; `format_fraction` is the
 same for any value `as_fraction` accepts.
@@ -43,7 +43,6 @@ __all__ = [
     "as_matrix",
     "format_fraction",
     "identity_matrix",
-    "mat_vec",
 ]
 
 
@@ -127,13 +126,3 @@ def dot(u, v) -> Fraction:
     """Exact sum of u[i] * v[i], summed in integers over common denominators."""
     (u_nums, u_den), (v_nums, v_den) = over_common_denominator(u), over_common_denominator(v)
     return Fraction(sum(map(mul, u_nums, v_nums)), u_den * v_den)
-
-
-def mat_vec(matrix, vector) -> tuple[Fraction, ...]:
-    if matrix and len(matrix[0]) != len(vector):
-        raise ValueError("matrix/vector size mismatch")
-    nums, den = over_common_denominator(vector)
-    return tuple(
-        Fraction(sum(map(mul, row_nums, nums)), row_den * den)
-        for row_nums, row_den in map(over_common_denominator, matrix)
-    )

@@ -53,9 +53,8 @@ negates H^2 and H^6.  `K3Restriction` carries the rank-rho Gram matrix of
 an anticanonical K3 member, and `restrict_to_k3` projects a graded class
 to the associated Mukai lattice H^0 + H^2 + H^4 of that surface.  The
 restriction also keeps G as integer rows R over one denominator g
-(G = R/g); its rank and kernels, which `flags` reads, are taken on R by
-the integer elimination core of `linalg`.  A gluing or involution matrix
-is checked once, on R, and the joint kernel reuses the N/a of that check.
+(G = R/g).  `flags` takes the rank, both kernels and the isometry check
+of a gluing or involution matrix on R.
 
 Values the kernel computes from checked records are built unchecked with
 `Record._exact`: classes from their integers, the restriction of a ring to
@@ -70,14 +69,12 @@ from functools import cache
 from math import gcd, lcm
 from operator import add, itemgetter, mul
 
-from . import linalg
 from .errors import LatticeValidationError
 from .rational import (
     Rational,
     as_fraction,
     as_matrix,
     as_vector,
-    integer_product,
     over_common_denominator,
     rows_over_common_denominator,
 )
@@ -561,24 +558,6 @@ class K3Restriction(Record):
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    def _rank(self) -> int:
-        """The rank of G, read off the integer rows."""
-        return len(linalg.echelon(self._rows)[1])
-
-    def _kernel(self) -> list[tuple[Fraction, ...]]:
-        """The primitive kernel basis of G, from the integer rows."""
-        return linalg.kernel(self._rows)
-
-    def _joint_kernel(self, nums, a: int) -> list[tuple[Fraction, ...]]:
-        """The primitive kernel basis of [G | G A] for A = N/a, checked square.
-
-        With G = R/g that matrix is [a R | R N] / (g a), so the kernel is
-        read off the integer matrix [a R | R N].
-        """
-        rows = self._rows
-        stacked = [[a * x for x in row] + rn for row, rn in zip(rows, integer_product(rows, nums))]
-        return linalg.kernel(stacked)
 
     def dot(self, u, v) -> Fraction:
         """Intersection number u . v on the surface, u and v in the e-basis."""

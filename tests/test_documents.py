@@ -129,8 +129,8 @@ def test_documents_round_trip_through_json_on_random_rings_and_flags():
         flag = FlagDescriptor(
             ring=ring,
             s_coords=tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 7))) for _ in range(ring.rho)),
-            h1_ty=rng.choice((None, 0, 5)),
-            h0_normal=rng.choice((None, 0, 12)),
+            h1_ty=rng.choice((None, 0, 5, 10**1000 - 1)),
+            h0_normal=rng.choice((None, 0, 12, -3)),
             first_obstruction_vanishes=rng.choice((None, True, False)),
         )
         assert flag_from_document(through_json(flag_to_document(flag))) == flag

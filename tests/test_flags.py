@@ -201,6 +201,47 @@ def test_deformation_dims_rejects_negative_section_count():
         deformation_dims(steep, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "h12", [1.5, Fraction(3, 2), True, "1", None], ids=["float", "fraction", "bool", "string", "none"]
+)
+def test_deformation_dims_takes_only_integer_h12(h12):
+    double = build_double(cp3_quartic_flag())
+    smooth = make_gluing(cp3_quartic_flag(), cp3_quartic_flag(), section_class=(0,))
+    for gluing in (double, smooth):
+        for args, name in (((h12, 0), "h12_plus"), ((0, h12), "h12_minus")):
+            with pytest.raises(LatticeValidationError) as error:
+                deformation_dims(gluing, *args)
+            assert str(error.value) == f"{name} must be an integer, got {h12!r}"
+    assert type(deformation_dims(double, 1, 0).value) is Fraction
+    assert type(deformation_dims(smooth, 1, 0).value) is Fraction
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        pytest.param("h1_ty", 1.5, "flag h1_ty: expected an integer or None, got 1.5", id="h1_ty-float"),
+        pytest.param("h1_ty", "3", "flag h1_ty: expected an integer or None, got '3'", id="h1_ty-string"),
+        pytest.param("h1_ty", 10**1000, "flag h1_ty: integer has more than 1000 digits", id="h1_ty-1001-digits"),
+        pytest.param(
+            "h0_normal", -(10**1000), "flag h0_normal: integer has more than 1000 digits", id="h0_normal-1001-digits"
+        ),
+        pytest.param("h0_normal", True, "flag h0_normal: expected an integer or None, got True", id="h0_normal-bool"),
+        pytest.param(
+            "first_obstruction_vanishes", "yes",
+            "flag first_obstruction_vanishes: expected a bool or None, got 'yes'", id="assertion-string",
+        ),
+        pytest.param(
+            "first_obstruction_vanishes", 1,
+            "flag first_obstruction_vanishes: expected a bool or None, got 1", id="assertion-int",
+        ),
+    ],
+)
+def test_flag_fields_a_document_cannot_hold_are_refused(field, value, message):
+    with pytest.raises(LatticeValidationError) as error:
+        FlagDescriptor(ring=cp3_quartic_flag().ring, s_coords=(4,), **{field: value})
+    assert str(error.value) == message
+
+
 def test_twisted_double_swap_involution():
     flag = swap_symmetric_flag()
     swap = ((0, 1), (1, 0))
@@ -282,8 +323,6 @@ def test_ragged_or_wrong_rank_input_is_a_lattice_error(call, message):
 
 def test_joint_kernel_vectors_restrict_to_zero():
     """Joint-kernel vectors satisfy G x+ + G A x- = 0 on every test flag."""
-    from mukai.rational import mat_vec
-
     for flag in (cp3_quartic_flag(), synthetic_flag(), swap_symmetric_flag()):
         double = build_double(flag)
         kernel = joint_obstruction_kernel(double)
@@ -293,8 +332,8 @@ def test_joint_kernel_vectors_restrict_to_zero():
         assert kernel.dimension >= rho  # rho rows cannot cut 2 rho columns to zero
         for vec in kernel.basis:
             x_plus, x_minus = vec[:rho], vec[rho:]
-            lhs = mat_vec(gram, x_plus)
-            rhs = mat_vec(ga, x_minus)
+            lhs = _fraction_mat_vec(gram, x_plus)
+            rhs = _fraction_mat_vec(ga, x_minus)
             assert all(a + b == 0 for a, b in zip(lhs, rhs))
 
 
@@ -324,6 +363,10 @@ def test_random_chern_restricts_consistently_on_swap_flag():
 
 def _fraction_product(a, b):
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def _fraction_mat_vec(matrix, vector):
+    return tuple(sum((x * y for x, y in zip(row, vector)), Fraction(0)) for row in matrix)
 
 
 def reference_nullspace(matrix):
@@ -416,13 +459,17 @@ def _matrices(rng, gram, kind):
 
 
 def test_the_integer_gram_algebra_matches_the_fraction_references():
-    """Rank text, both kernels and the isometry check on 300 flags, rho 1-8.
+    """Rank text, both kernels, the isometry check and the transports on 300 flags, rho 1-8.
 
     Each runs on the integer Gram rows a `K3Restriction` keeps; each
     reference is a `Fraction` loop over the Gram matrix itself.  Two of
-    each flag's candidate matrices are checked.
+    each flag's candidate matrices are checked, and on each isometry the
+    three transports by A: D = s + A s, `gluing_match` on (v0, A v2, v4)
+    and `twisted_double_smoothable`.
     """
     rng = random.Random(20261019)
+    # The transports draw their vectors from a second stream, so `rng` picks the same flags and matrices.
+    vectors = random.Random(20261022)
     seen = set()
     for i in range(300):
         rho = 1 + i % 8
@@ -445,7 +492,28 @@ def test_the_integer_gram_algebra_matches_the_fraction_references():
                 continue
             seen.add("fractional isometry" if any(x.denominator > 1 for row in got for x in row) else "isometry")
             stacked = [list(g) + row for g, row in zip(gram, _fraction_product(gram, got))]
-            joint = joint_obstruction_kernel(make_gluing(flag, flag, matrix=matrix))
+            gluing = make_gluing(flag, flag, matrix=matrix)
+            joint = joint_obstruction_kernel(gluing)
             assert joint.basis == tuple(reference_nullspace(stacked)), (flag, matrix)
-    assert seen == {"degenerate", "nondegenerate", "size", "not an isometry", "fractional isometry", "isometry"}
+            s = flag.s_coords
+            a_s = _fraction_mat_vec(got, s)
+            assert gluing.section_class_d == tuple(x + y for x, y in zip(s, a_s)), (flag, matrix)
+            v2 = tuple(Fraction(vectors.randint(-5, 5), vectors.choice((1, 2, 3))) for _ in range(rho))
+            v_minus = K3Vector(vectors.randint(-3, 3), v2, Fraction(vectors.randint(-5, 5), 2))
+            v_plus = K3Vector(v_minus.v0, _fraction_mat_vec(got, v2), v_minus.v4)
+            assert gluing_match(flag.k3, matrix, v_plus, v_minus), (flag, matrix, v2)
+            bent = list(v_plus.v2)
+            bent[vectors.randrange(rho)] += Fraction(1, 3)
+            assert not gluing_match(flag.k3, matrix, K3Vector(v_plus.v0, bent, v_plus.v4), v_minus)
+            if _fraction_product(got, got) == [[int(r == c) for c in range(rho)] for r in range(rho)]:
+                assert twisted_double_smoothable(flag, matrix) == (a_s == s), (flag, matrix)
+                seen.add("involution")
+            else:
+                refusal = _outcome(twisted_double_smoothable, flag, matrix)
+                assert refusal == "matrix is not an involution (A^2 != I)", (flag, matrix)
+                seen.add("not an involution")
+    assert seen == {
+        "degenerate", "nondegenerate", "size", "not an isometry", "fractional isometry", "isometry",
+        "involution", "not an involution",
+    }
 

@@ -16,7 +16,6 @@ from mukai.rational import (
     format_fraction,
     identity_matrix,
     integer_product,
-    mat_vec,
     over_common_denominator,
     parse_rational,
 )
@@ -96,8 +95,6 @@ def test_as_matrix_rejects_ragged_input():
 
 
 def test_matrix_helpers_against_hand_values():
-    m = as_matrix([[1, 2], [3, 4]])
-    assert mat_vec(m, (1, 1)) == (3, 7)
     assert identity_matrix(2) == ((1, 0), (0, 1))
 
 
@@ -149,7 +146,7 @@ def test_nullspace_vectors_are_in_the_kernel():
     for _ in range(300):
         m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
         for vec in kernel(_integer_rows(m)):
-            assert all(x == 0 for x in mat_vec(m, vec))
+            assert all(x == 0 for x in _fraction_mat_vec(m, vec))
 
 
 # --------------------------------------------------------------------------
@@ -195,7 +192,7 @@ def test_rref_matches_the_fraction_reference():
         m = next(shapes)
         assert _reduced(m) == reference_rref(m), m
         for vec in kernel(_integer_rows(m)):
-            assert all(x == 0 for x in mat_vec(m, vec)), (m, vec)
+            assert all(x == 0 for x in _fraction_mat_vec(m, vec)), (m, vec)
     assert echelon([]) == ([], [], 1) and kernel([]) == []
     assert echelon([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [], 1)
     assert kernel([[0, 0], [0, 0]]) == [(1, 0), (0, 1)]
@@ -217,21 +214,9 @@ def test_integer_products_match_fraction_loops():
     rng = random.Random(11)
     for _ in range(500):
         rows, inner, cols = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
-        a = tuple(tuple(_entry(rng) for _ in range(inner)) for _ in range(rows))
-        b = tuple(tuple(_entry(rng) for _ in range(cols)) for _ in range(inner))
-        v = tuple(_entry(rng) for _ in range(inner))
-        product = mat_vec(a, v)
-        assert product == _fraction_mat_vec(a, v)
-        assert all(type(x) is Fraction for x in product)
         ints_a = [[rng.randint(-9, 9) for _ in range(inner)] for _ in range(rows)]
         ints_b = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(inner)]
         assert integer_product(ints_a, ints_b) == [list(row) for row in _fraction_mat_mul(ints_a, ints_b)]
-    # Empty and 1 x n shapes, and integer (not Fraction) entries.
-    assert mat_vec((), ()) == ()
-    assert mat_vec(((),), ()) == (Fraction(0),)
-    assert mat_vec(((1, 2, 3),), (Fraction(1, 2), 0, 1)) == (Fraction(7, 2),)
-    with pytest.raises(ValueError):
-        mat_vec(((1, 2),), (1,))
 
 
 def _dot_entry(rng):
