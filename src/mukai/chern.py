@@ -68,7 +68,7 @@ class ChernData(Record):
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if isinstance(self.rank, bool) or not isinstance(self.rank, int) or self.rank < 1:
+        if type(self.rank) is not int or self.rank < 1:
             raise LatticeValidationError(f"rank must be a positive integer, got {self.rank!r}")
         if isinstance(self.labels, str):
             raise LatticeValidationError(f"labels must be a sequence of strings, got {self.labels!r}")
@@ -192,8 +192,8 @@ def twist_chern(e: ChernData, L, k: int = 1) -> ChernData:
 
 
 def _check_power(k) -> None:
-    """Refuse a twist power that is not an `int` (a `bool` included)."""
-    if isinstance(k, bool) or not isinstance(k, int):
+    """Refuse a twist power whose type is not `int`, so a `bool` or `IntEnum` too; k has no digit bound."""
+    if type(k) is not int:
         raise LatticeValidationError(f"twist power k must be an integer, got {k!r}")
 
 

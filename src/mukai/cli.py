@@ -279,8 +279,7 @@ def _reflect(args) -> dict:
     e1, e2 = _bundles(args, _manifold(args))
     m, mp = mukai_vector(e1).graded, mukai_vector(e2).graded
     if args.h is not None:
-        declaration = pairings.HDeclaration(e1=e1, e2=e2, value=args.h)
-        mode, value = "h-declared", Fraction(declaration.value)
+        mode, value = "h-declared", Fraction(args.h)
     else:
         mode, value = "chi", pairings.euler_chi_result(e1, e2).value
     reflected = pairings.spherical_reflect(m, mp, value)

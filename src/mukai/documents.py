@@ -56,7 +56,7 @@ __all__ = [
 
 def _scalar(value, where: str, index=None) -> int | Fraction:
     """A JSON integer as the `int` itself, a 'p/q' string as a `Fraction`; `where[index]` locates a refusal."""
-    if isinstance(value, int) and not isinstance(value, bool) and -INT_BOUND < value < INT_BOUND:
+    if type(value) is int and -INT_BOUND < value < INT_BOUND:
         return value
     if isinstance(value, str):
         try:
@@ -66,9 +66,9 @@ def _scalar(value, where: str, index=None) -> int | Fraction:
     where = where if index is None else f"{where}[{index}]"  # only refusals are left
     if isinstance(value, str):
         raise DocumentError(f"{where}: cannot read rational from {value!r}")
-    if isinstance(value, int) and not isinstance(value, bool):
+    if type(value) is int:
         return _int(value, where)  # refused there: it has too many digits
-    got = repr(value) if isinstance(value, (bool, float)) else type(value).__name__
+    got = repr(value) if type(value) in (bool, float) else type(value).__name__
     raise DocumentError(f"{where}: expected an integer or 'p/q' string, got {got}")
 
 
@@ -97,7 +97,7 @@ def _require(doc: dict, key: str, where: str):
 
 
 def _int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise DocumentError(f"{where}: expected an integer, got {value!r}")
     if not -INT_BOUND < value < INT_BOUND:
         raise DocumentError(f"{where}: integer has more than {MAX_DIGITS} digits")

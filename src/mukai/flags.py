@@ -72,8 +72,9 @@ class FlagDescriptor(Record):
     cannot compute itself; `first_obstruction_vanishes` is a user
     assertion that the one-extension obstruction of the flag is zero
     (again not computable from intersection data).  Each is None or what
-    a flag document holds: an `int` of at most `MAX_DIGITS` digits, not a
-    `bool`, for the sizes, and a `bool` for the assertion.
+    a flag document holds: for the sizes a count >= 0 of type `int` (so
+    not a `bool`) with at most `MAX_DIGITS` digits, and for the assertion
+    a `bool`.
     """
 
     ring: ThreefoldRing
@@ -85,10 +86,12 @@ class FlagDescriptor(Record):
     def __post_init__(self):
         for name in ("h1_ty", "h0_normal"):
             value = vars(self)[name]
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            if value is not None and type(value) is not int:
                 raise LatticeValidationError(f"flag {name}: expected an integer or None, got {_quoted(value)}")
             if value is not None and not -INT_BOUND < value < INT_BOUND:
                 raise LatticeValidationError(f"flag {name}: integer has more than {MAX_DIGITS} digits")
+            if value is not None and value < 0:
+                raise LatticeValidationError(f"flag {name}: expected a count >= 0, got {value}")
         assertion = self.first_obstruction_vanishes
         if type(assertion) not in (bool, type(None)):
             phrase = f"expected a bool or None, got {_quoted(assertion)}"
@@ -326,11 +329,13 @@ def deformation_dims(
     default is h^{1,2} of the smoothing less 21 - r, r = rank [G | G A], on
     the Tyurin degenerations of `tests/test_degeneration.py`: it leaves out
     the 20 - r moduli of the lattice-polarized K3 and one smoothing direction.
-    Each h12 must be an `int`, not a `bool`.
+    Each h12 is a count >= 0 of type `int`, so not a `bool`; it has no digit bound.
     """
     for name, h12 in (("h12_plus", h12_plus), ("h12_minus", h12_minus)):
-        if isinstance(h12, bool) or not isinstance(h12, int):
+        if type(h12) is not int:
             raise LatticeValidationError(f"{name} must be an integer, got {_quoted(h12)}")
+        if h12 < 0:
+            raise LatticeValidationError(f"{name} must be a count >= 0")  # unbounded, so not formatted
     if smooth_total_space(gluing):
         value = Fraction(h12_plus + h12_minus + 1)
         return DeformationDims(

@@ -35,7 +35,6 @@ from .rings import (
 
 __all__ = [
     "PairingResult",
-    "HDeclaration",
     "RestrictionResult",
     "mukai_pairing_3fold",
     "mukai_pairing_k3",
@@ -54,23 +53,6 @@ class PairingResult(Record):
 
     value: Fraction
     integrality_note: str | None = None
-
-
-class HDeclaration(Record):
-    """A declared value of the holomorphic form h(E1, E2).
-
-    h counts rk H^1 - rk H^0 of Hom(E1, E2) and is not determined by
-    topological data, so it can only ever be asserted by the caller;
-    nothing in this package computes it.
-    """
-
-    e1: ChernData
-    e2: ChernData
-    value: int
-
-    def __post_init__(self):
-        if isinstance(self.value, bool) or not isinstance(self.value, int):
-            raise LatticeValidationError("a declared h value must be an integer")
 
 
 def _as_graded(u) -> GradedClass:
@@ -179,9 +161,11 @@ def spherical_reflect(m: GradedClass, mp: GradedClass, pairing_value) -> GradedC
     """Lattice reflection -m' - <m, m'> m through the class m.
 
     `pairing_value` is the declared coupling <m, m'>: either the Euler
-    form chi(m, m') computed by the caller, or an `HDeclaration.value`
-    when the non-topological form h is intended.  It is never computed
-    implicitly here.
+    form chi(m, m') computed by the caller, or a declared value of the
+    holomorphic form h(E1, E2) when that is intended.  h counts
+    rk H^1 - rk H^0 of Hom(E1, E2) and is not determined by topological
+    data, so it can only ever be asserted by the caller; nothing in this
+    package computes it, and it is never computed implicitly here.
     """
     m, mp = _as_graded(m), _as_graded(mp)
     return -mp - m.scale(pairing_value)

@@ -71,6 +71,8 @@ from operator import add, itemgetter, mul
 
 from .errors import LatticeValidationError
 from .rational import (
+    INT_BOUND,
+    MAX_DIGITS,
     Rational,
     as_fraction,
     as_matrix,
@@ -151,9 +153,9 @@ class ThreefoldRing(Record):
     c2_values:
         The linear form e_i -> integral of c_2(TM) . e_i.
     chi_top:
-        Topological Euler number.
+        Topological Euler number, an `int` of at most `MAX_DIGITS` digits.
     h12:
-        Hodge number h^{1,2}(M).
+        Hodge number h^{1,2}(M), an `int` count >= 0 of at most `MAX_DIGITS` digits.
     """
 
     name: str
@@ -183,8 +185,12 @@ class ThreefoldRing(Record):
         c1_coords, c2_values = as_vector(self.c1_coords), as_vector(self.c2_values)
         if len(c1_coords) != rho or len(c2_values) != rho:
             raise LatticeValidationError("c1/c2 data must have length rho")
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.chi_top, self.h12)):
+        if type(self.chi_top) is not int or type(self.h12) is not int:
             raise LatticeValidationError("chi_top and h12 must be integers")
+        if not (-INT_BOUND < self.chi_top < INT_BOUND and -INT_BOUND < self.h12 < INT_BOUND):
+            raise LatticeValidationError(f"chi_top and h12: integer has more than {MAX_DIGITS} digits")
+        if self.h12 < 0:
+            raise LatticeValidationError(f"h12 must be a count >= 0, got {self.h12}")
         del vars(self)["triple"]  # made from the packed planes on its first read
         vars(self).update(
             basis_labels=labels,

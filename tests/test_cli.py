@@ -277,6 +277,30 @@ def test_double_and_deform_dims(capsys):
     assert "dims         129" in out
 
 
+@pytest.mark.parametrize(
+    "plus, minus, message",
+    [("-100", "0", "h12_plus must be a count >= 0"), ("0", "-1", "h12_minus must be a count >= 0")],
+)
+def test_deform_dims_refuses_a_negative_h12(capsys, plus, minus, message):
+    argv = ["--flag", "cp3-quartic.json", "--h12-plus", plus, "--h12-minus", minus]
+    assert run(capsys, "deform-dims", *argv) == (1, "", f"validation error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("h12", -5, "h12 must be a count >= 0, got -5"),
+        ("h1_TY", -3, "flag h1_ty: expected a count >= 0, got -3"),
+        ("h0_N", -7, "flag h0_normal: expected a count >= 0, got -7"),
+    ],
+)
+def test_a_document_with_a_negative_count_is_one_validation_error(capsys, tmp_path, key, value, message):
+    path = tmp_path / "flag.json"
+    doc = json.loads(builtin_path("cp3-quartic.json").read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**doc, key: value}), encoding="utf-8")
+    assert run(capsys, "validate-flag", str(path)) == (1, "", f"validation error: {message}\n")
+
+
 def test_glue_check_paths(capsys):
     code, out, _ = run(
         capsys, "glue-check", "--gluing", "cp3-double.json", "--bundle", "instanton1.json"

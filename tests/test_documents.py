@@ -130,11 +130,23 @@ def test_documents_round_trip_through_json_on_random_rings_and_flags():
             ring=ring,
             s_coords=tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 7))) for _ in range(ring.rho)),
             h1_ty=rng.choice((None, 0, 5, 10**1000 - 1)),
-            h0_normal=rng.choice((None, 0, 12, -3)),
+            h0_normal=rng.choice((None, 0, 12)),
             first_obstruction_vanishes=rng.choice((None, True, False)),
         )
         assert flag_from_document(through_json(flag_to_document(flag))) == flag
     assert seen == {"cy3", "valid fano3"}
+
+
+@pytest.mark.parametrize("field", ["chi_top", "h12"])
+def test_a_ring_holds_only_integers_its_document_can_hold(field):
+    fields = cp3_quartic_flag().ring.as_dict()
+    ring = ThreefoldRing(**{**fields, field: 10**1000 - 1})
+    doc = through_json(ring_to_document(ring))
+    assert manifold_from_document(doc).ring == ring
+    for value in (10**1000, -(10**1000), 10**5000):
+        with pytest.raises(LatticeValidationError) as error:
+            ThreefoldRing(**{**fields, field: value})
+        assert str(error.value) == "chi_top and h12: integer has more than 1000 digits"
 
 
 def test_flag_section_defaults_to_anticanonical():

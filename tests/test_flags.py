@@ -226,6 +226,8 @@ def test_deformation_dims_takes_only_integer_h12(h12):
             "h0_normal", -(10**1000), "flag h0_normal: integer has more than 1000 digits", id="h0_normal-1001-digits"
         ),
         pytest.param("h0_normal", True, "flag h0_normal: expected an integer or None, got True", id="h0_normal-bool"),
+        pytest.param("h1_ty", -3, "flag h1_ty: expected a count >= 0, got -3", id="h1_ty-negative"),
+        pytest.param("h0_normal", -1, "flag h0_normal: expected a count >= 0, got -1", id="h0_normal-negative"),
         pytest.param(
             "first_obstruction_vanishes", "yes",
             "flag first_obstruction_vanishes: expected a bool or None, got 'yes'", id="assertion-string",
@@ -240,6 +242,18 @@ def test_flag_fields_a_document_cannot_hold_are_refused(field, value, message):
     with pytest.raises(LatticeValidationError) as error:
         FlagDescriptor(ring=cp3_quartic_flag().ring, s_coords=(4,), **{field: value})
     assert str(error.value) == message
+
+
+@pytest.mark.parametrize("h12", [-1, -100, -(10**5000)], ids=["minus-one", "minus-100", "5001-digits"])
+def test_deformation_dims_refuses_a_negative_h12(h12):
+    double = build_double(cp3_quartic_flag())
+    smooth = make_gluing(cp3_quartic_flag(), cp3_quartic_flag(), section_class=(0,))
+    for gluing in (double, smooth):
+        for args, name in (((h12, 0), "h12_plus"), ((0, h12), "h12_minus")):
+            with pytest.raises(LatticeValidationError) as error:
+                deformation_dims(gluing, *args)
+            assert str(error.value) == f"{name} must be a count >= 0"
+    assert deformation_dims(smooth, 0, 0).value == 1
 
 
 def test_twisted_double_swap_involution():

@@ -9,7 +9,6 @@ import pytest
 from mukai import (
     ChernData,
     FlagDescriptor,
-    HDeclaration,
     IntegralityWarning,
     K3Vector,
     LatticeValidationError,
@@ -336,19 +335,6 @@ def test_reflection_kills_the_root_pairing():
         reflected = spherical_reflect(m, mp, scale * h(m, mp))
         assert scale * h(m, reflected) == 0
         cases += 1
-
-
-def test_h_declaration_validates_integer():
-    e = instanton_type()
-    assert HDeclaration(e1=e, e2=e, value=-1).value == -1
-    with pytest.raises(LatticeValidationError):
-        HDeclaration(e1=e, e2=e, value=Fraction(1, 2))
-
-
-def test_h_declaration_rejects_bool():
-    e = instanton_type()
-    with pytest.raises(LatticeValidationError):
-        HDeclaration(e1=e, e2=e, value=True)
 
 
 # --------------------------------------------------------------------------

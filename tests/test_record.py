@@ -5,9 +5,11 @@ import importlib
 import os
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 import threading
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,13 +17,15 @@ import pytest
 
 import mukai
 from mukai import (
-    ChernData, FlagDescriptor, K3Vector, ThreefoldRing, chern, flags, moduli, pairings, rings, schubert,
+    CDEntry, ChernData, FlagDescriptor, K3Vector, LatticeValidationError, ThreefoldRing, chern, flags, moduli,
+    pairings, rings, schubert,
 )
 from mukai.documents import builtin_path, load_manifold
 from mukai.pairings import PairingResult
 from mukai.record import Record, kept
 
 from conftest import (
+    cp3_quartic_flag,
     quintic_ring, random_cy_ring, random_fano_ring, random_fraction, random_fractional_chern, with_denominators,
 )
 
@@ -55,8 +59,8 @@ def test_importing_the_cli_loads_no_code_introspection_modules():
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "\n")
 
 
-def test_the_package_defines_21_records():
-    assert len(all_records()) == 21
+def test_the_package_defines_20_records():
+    assert len(all_records()) == 20
 
 
 @pytest.mark.parametrize("cls", all_records(), ids=lambda cls: cls.__name__)
@@ -317,3 +321,52 @@ def test_no_class_keeps_a_value_by_functools_cached_property():
                 for name, value in vars(cls).items():
                     assert not isinstance(value, functools.cached_property), f"{cls.__qualname__}.{name}"
 
+
+class Count(IntEnum):
+    ONE = 1
+
+
+def _ring_with(**fields):
+    return ThreefoldRing(**{**cp3_quartic_flag().ring.as_dict(), **fields})
+
+
+def _flag_with(**fields):
+    return FlagDescriptor(ring=cp3_quartic_flag().ring, s_coords=(4,), **fields)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ChernData(ring=quintic_ring(), rank=Count.ONE, c1=(0,), c2=(0,), c3=0),
+         "rank must be a positive integer, got <Count.ONE: 1>"),
+        (lambda: _flag_with(h1_ty=Count.ONE), "flag h1_ty: expected an integer or None, got <Count.ONE: 1>"),
+        (lambda: _flag_with(h0_normal=Count.ONE), "flag h0_normal: expected an integer or None, got <Count.ONE: 1>"),
+        (lambda: _ring_with(chi_top=Count.ONE), "chi_top and h12 must be integers"),
+        (lambda: _ring_with(h12=Count.ONE), "chi_top and h12 must be integers"),
+        (lambda: CDEntry(key="x", manifold="x", vector_desc="x", provenance="closure", value=Count.ONE),
+         "CD entry value: expected an integer or null, got <Count.ONE: 1>"),
+        (lambda: chern.twist_chern(ChernData(quintic_ring(), 1, (0,), (0,), 0), (1,), Count.ONE),
+         "twist power k must be an integer, got <Count.ONE: 1>"),
+        (lambda: flags.deformation_dims(flags.build_double(cp3_quartic_flag()), Count.ONE, 0),
+         "h12_plus must be an integer, got <Count.ONE: 1>"),
+    ],
+    ids=["ChernData.rank", "FlagDescriptor.h1_ty", "FlagDescriptor.h0_normal", "ThreefoldRing.chi_top",
+         "ThreefoldRing.h12", "CDEntry.value", "twist_chern.k", "deformation_dims.h12_plus"],
+)
+def test_an_int_subclass_is_refused_where_an_int_is_asked_for(build, message):
+    # An integer is `type(v) is int`: a `bool` or an `IntEnum` member is not one.
+    with pytest.raises(LatticeValidationError) as error:
+        build()
+    assert str(error.value) == message
+
+
+def test_the_integer_rule_is_spelled_type_is_int():
+    # `type(v) is int` is the one spelling of "an integer, not a bool"; the two-clause forms must not come back.
+    two_clauses = re.compile(
+        r"isinstance\(\s*([^,()]+),\s*bool\s*\)\s+or\s+not\s+isinstance\(\s*\1,\s*int\s*\)"
+        r"|isinstance\(\s*([^,()]+),\s*int\s*\)\s+and\s+not\s+isinstance\(\s*\2,\s*bool\s*\)"
+    )
+    sources = sorted((SRC / "mukai").glob("*.py"))
+    assert {"chern.py", "documents.py", "flags.py", "rings.py"} <= {path.name for path in sources}
+    for path in sources:
+        assert not two_clauses.search(path.read_text(encoding="utf-8")), path.name

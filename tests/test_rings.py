@@ -434,6 +434,18 @@ def test_ring_rejects_bool_chi_top_and_h12():
         ThreefoldRing(**base, chi_top=0, h12=False)
 
 
+def test_ring_h12_is_a_count_at_least_zero():
+    # c1 != 0, so no Euler check reads h12: only the floor refuses it.
+    base = dict(name="q", basis_labels=("h",), triple=(((2,),),), c1_coords=(3,), c2_values=(8,), chi_top=4)
+    for h12 in (-1, -5, -(10**999)):
+        with pytest.raises(LatticeValidationError) as error:
+            ThreefoldRing(**base, h12=h12)
+        assert str(error.value) == f"h12 must be a count >= 0, got {h12}"
+    with pytest.raises(LatticeValidationError, match="more than 1000 digits"):
+        ThreefoldRing(**base, h12=-(10**1000))
+    assert ThreefoldRing(**base, h12=0).h12 == 0
+
+
 # --------------------------------------------------------------------------
 # The integer kernel against a dense Fraction reference: rings whose tensor
 # has fractional entries, so the common-denominator path is exercised.
