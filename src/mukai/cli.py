@@ -444,8 +444,8 @@ _BUNDLE = _req("--bundle")
 _BUNDLES = (_BUNDLE, _req("--bundle2"))
 _REGISTRY = _req("--registry")
 # Largest n the schubert commands accept.  At the cap the slowest request, `integrate
-# sigma1^124`, takes about 24 ms (Python 3.11, one core), growing about as n^2.2; ctop(64, 123)
-# is a Catalan sum and takes under 1 ms.
+# sigma1^124`, takes 13-22 ms (Python 3.11, one core of a shared host), growing about as n^2.2
+# to n^2.6; ctop(64, 123) is a Catalan sum and takes under 1 ms.
 MAX_N = 64
 
 

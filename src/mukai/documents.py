@@ -96,11 +96,13 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _int(value, where: str) -> int:
+def _int(value, where: str, count: bool = False) -> int:
     if type(value) is not int:
         raise DocumentError(f"{where}: expected an integer, got {value!r}")
     if not -INT_BOUND < value < INT_BOUND:
         raise DocumentError(f"{where}: integer has more than {MAX_DIGITS} digits")
+    if count and value < 0:  # a well-formed value the domain refuses: a validation error
+        raise LatticeValidationError(f"{where}: expected a count >= 0, got {value}")
     return value
 
 
@@ -136,15 +138,15 @@ def _ring_from_document(doc: dict, where: str) -> ThreefoldRing:
         c1_coords=_vector(_require(doc, "c1", where), f"{where}.c1"),
         c2_values=_vector(_require(doc, "c2_values", where), f"{where}.c2_values"),
         chi_top=_int(_require(doc, "chi_top", where), f"{where}.chi_top"),
-        h12=_int(_require(doc, "h12", where), f"{where}.h12"),
+        h12=_int(_require(doc, "h12", where), f"{where}.h12", count=True),
     )
 
 
 def _flag_on_ring(ring: ThreefoldRing, doc: dict, where: str) -> FlagDescriptor:
     """The flag data of a manifold document, on its already parsed ring."""
     s_coords = _vector(doc["s_coords"], f"{where}.s_coords") if "s_coords" in doc else ring.c1_coords
-    h1_ty = None if doc.get("h1_TY") is None else _int(doc["h1_TY"], f"{where}.h1_TY")
-    h0_normal = None if doc.get("h0_N") is None else _int(doc["h0_N"], f"{where}.h0_N")
+    h1_ty = None if doc.get("h1_TY") is None else _int(doc["h1_TY"], f"{where}.h1_TY", count=True)
+    h0_normal = None if doc.get("h0_N") is None else _int(doc["h0_N"], f"{where}.h0_N", count=True)
     assertion = doc.get("first_obstruction_vanishes")
     if assertion is not None and not isinstance(assertion, bool):
         raise DocumentError(f"{where}.first_obstruction_vanishes: expected a boolean")
@@ -178,6 +180,8 @@ def manifold_from_document(doc: dict, where: str = "manifold") -> ThreefoldRing 
     if _require(doc, "kind", where) == "cy3":
         if "s_coords" in doc:
             raise DocumentError(f"{where}: a cy3 document cannot carry flag data (s_coords)")
+        if not ring.is_calabi_yau:
+            raise DocumentError(f"{where}: a cy3 document must have c1 = 0")
         return ring
     flag = _flag_on_ring(ring, doc, where)
     report = validate_flag(flag)

@@ -12,13 +12,13 @@ count are controlled by the section class D of the gluing and by the
 kernels of the restriction maps, all of which reduce to exact rational
 linear algebra on the Gram matrices below.
 
-That algebra runs in integers, and this module alone reads a
-`K3Restriction`'s integer Gram rows R (G = R/g) for it: the rank and both
-kernels through the one elimination core of `linalg`, and the check of a
-matrix A, once, as N^T R N = a^2 R for A = N/a.  The joint kernel, the
-involution check and each transport by A (D = s+ + A s-, A v2 in
-`pairings.gluing_match`, A s = s) read that N/a.  `Fraction`s are made
-only for results and errors.
+That algebra runs in integers on a `K3Restriction`'s integer Gram rows R
+(G = R/g), which this module reads for the rank and both kernels (through
+the one elimination core of `linalg`) and for the check of a matrix A,
+once, as N^T R N = a^2 R for A = N/a; `pairings` reads them too.  The
+joint kernel, the involution check and each transport by A (D = s+ + A s-,
+A v2 in `pairings.gluing_match`, A s = s) read that N/a.  `Fraction`s are
+made only for results and errors.
 """
 
 from __future__ import annotations

@@ -147,36 +147,28 @@ def sigma(n: int, a: int, b: int = 0) -> SchubertElement:
 
 
 def pieri_mult(x: SchubertElement, k: int) -> SchubertElement:
-    """Multiply by the special class sigma_k via horizontal strips.
-
-    Each term sigma_(l1,l2) spreads to all partitions (m1,m2) in the box
-    with m1 >= l1 >= m2 >= l2 and m1 + m2 = l1 + l2 + k: the strip adds
-    at most one box per column, so it cannot wrap to a third row.
-    """
+    """Multiply by the special class sigma_k: multiply(x, sigma(x.n, k))."""
     if type(k) is not int or not (0 <= k <= x.n - 2):
         raise LatticeValidationError(f"sigma_k needs 0 <= k <= {x.n - 2} on G(2,{x.n}), got {k}")
-    out: dict[tuple[int, int], int] = {}
-    for (l1, l2), coeff in x.terms.items():
-        for m2 in range(l2, l1 + 1):
-            m1 = l1 + l2 + k - m2
-            if m1 < max(l1, m2) or m1 > x.n - 2:
-                continue
-            out[(m1, m2)] = out.get((m1, m2), 0) + coeff
-    return SchubertElement(x.n, out)
+    return multiply(x, sigma(x.n, k))
 
 
 def multiply(x: SchubertElement, y: SchubertElement) -> SchubertElement:
-    """Full product, via sigma_(a,b) = sigma_(1,1)^b . sigma_(a-b)."""
+    """Full product: for each term sigma_(a,b) of y, sigma_(1,1)^b shifts each term
+    sigma_(l1,l2) of x to sigma_(l1+b,l2+b), and sigma_(a-b) spreads that over all (m1,m2)
+    in the box with m1 >= l1+b >= m2 >= l2+b and m1 + m2 = l1 + l2 + a + b: Pieri's
+    horizontal strip adds at most one box per column, so it cannot wrap to a third row.
+    """
     x._check_same_space(y)
-    total = SchubertElement(x.n, {})
-    for (a, b), coeff in sorted(y.terms.items()):
-        partial = x
-        if b:  # sigma_(1,1)^b adds b to both rows; a first row past the box vanishes
-            shifted = {(c + b, d + b): v for (c, d), v in x.terms.items() if c + b <= x.n - 2}
-            partial = SchubertElement(x.n, shifted)
-        partial = pieri_mult(partial, a - b)
-        total = total + partial.scale(coeff)
-    return total
+    out: dict[tuple[int, int], int] = {}
+    for (a, b), c in y.terms.items():
+        for (l1, l2), d in x.terms.items():
+            if l1 + b <= x.n - 2:  # a first row shifted past the box vanishes
+                for m2 in range(l2 + b, l1 + b + 1):
+                    m1 = l1 + l2 + a + b - m2
+                    if max(l1 + b, m2) <= m1 <= x.n - 2:
+                        out[(m1, m2)] = out.get((m1, m2), 0) + c * d
+    return SchubertElement(x.n, out)
 
 
 def integrate(x: SchubertElement) -> int:

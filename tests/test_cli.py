@@ -286,19 +286,22 @@ def test_deform_dims_refuses_a_negative_h12(capsys, plus, minus, message):
     assert run(capsys, "deform-dims", *argv) == (1, "", f"validation error: {message}\n")
 
 
-@pytest.mark.parametrize(
-    "key, value, message",
-    [
-        ("h12", -5, "h12 must be a count >= 0, got -5"),
-        ("h1_TY", -3, "flag h1_ty: expected a count >= 0, got -3"),
-        ("h0_N", -7, "flag h0_normal: expected a count >= 0, got -7"),
-    ],
-)
-def test_a_document_with_a_negative_count_is_one_validation_error(capsys, tmp_path, key, value, message):
+@pytest.mark.parametrize("key, value", [("h12", -5), ("h1_TY", -3), ("h0_N", -7)])
+def test_a_document_with_a_negative_count_is_one_validation_error(capsys, tmp_path, key, value):
     path = tmp_path / "flag.json"
     doc = json.loads(builtin_path("cp3-quartic.json").read_text(encoding="utf-8"))
     path.write_text(json.dumps({**doc, key: value}), encoding="utf-8")
-    assert run(capsys, "validate-flag", str(path)) == (1, "", f"validation error: {message}\n")
+    message = f"validation error: {path}.{key}: expected a count >= 0, got {value}\n"
+    assert run(capsys, "validate-flag", str(path)) == (1, "", message)
+
+
+def test_a_cy3_document_with_c1_nonzero_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "cy3.json"
+    doc = json.loads(builtin_path("cp3-quartic.json").read_text(encoding="utf-8"))
+    doc = {**{k: v for k, v in doc.items() if k not in ("s_coords", "h1_TY")}, "kind": "cy3"}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["--manifold", str(path), "--bundle", "instanton1.json"]
+    assert run(capsys, "vdim", *argv) == (2, "", f"parse error: {path}: a cy3 document must have c1 = 0\n")
 
 
 def test_glue_check_paths(capsys):

@@ -15,8 +15,12 @@ X are then read off the flags (V+-, S):
   h^{1,2}(X) = h^{1,1}(X) - e(X)/2.
 
 Each case writes its rho = 1 rings inline and knows X's invariants
-independently: the quintic (e = -200, h^{1,2} = 101) and the octic double
-solid (e = -296, h^{1,2} = 149).
+independently: the quintic (e = -200, h^{1,2} = 101), the octic double
+solid (e = -296, h^{1,2} = 149) and the other rho = 1 complete
+intersections (3,3), (2,4), (2,2,3) and (2,2,2,2) (Green, Hubsch and
+Lutken, *All the Hodge numbers for all Calabi-Yau complete intersections*),
+whose Fano sides carry the h^{1,2} of Iskovskikh and Prokhorov, *Fano
+varieties*.
 """
 
 from fractions import Fraction
@@ -48,13 +52,26 @@ def flag(name, degree, c1, c2, euler, h12):
 
 QUINTIC = ring("quintic", 5, 0, 50, -200, 101)
 OCTIC_DOUBLE_SOLID = ring("octic-double-solid", 2, 0, 44, -296, 149)
+# The Fano sides; one of index i has c1 = i h and c2.h = 24/i, so chi(O) = 1.
 P3 = flag("P3", 1, 4, 6, 4, 0)
+Q = flag("Q", 2, 3, 8, 4, 0)
+Y3 = flag("Y3", 3, 2, 12, -6, 5)
+Y4 = flag("Y4", 4, 1, 24, -56, 30)
+V22 = flag("V(2,2)", 4, 2, 12, 0, 2)
+V23 = flag("V(2,3)", 6, 1, 24, -36, 20)
+V222 = flag("V(2,2,2)", 8, 1, 24, -24, 14)
+X24 = ring("(2,4) in P5", 8, 0, 56, -176, 89)
 
 # (X, V+, V-, e(X), h^{1,2}(X)); the two sides restrict to the same K3 lattice.
 CASES = {
-    "quintic ~> P3 u quartic": (QUINTIC, P3, flag("Y4", 4, 1, 24, -56, 30), -200, 101),
-    "quintic ~> quadric u cubic": (QUINTIC, flag("Q", 2, 3, 8, 4, 0), flag("Y3", 3, 2, 12, -6, 5), -200, 101),
+    "quintic ~> P3 u quartic": (QUINTIC, P3, Y4, -200, 101),
+    "quintic ~> quadric u cubic": (QUINTIC, Q, Y3, -200, 101),
     "octic double solid ~> P3 u P3": (OCTIC_DOUBLE_SOLID, P3, P3, -296, 149),
+    "(3,3) ~> cubic u V(2,3)": (ring("(3,3) in P5", 9, 0, 54, -144, 73), Y3, V23, -144, 73),
+    "(2,4) ~> quartic u quartic": (X24, Y4, Y4, -176, 89),
+    "(2,4) ~> quadric u V(2,3)": (X24, Q, V23, -176, 89),
+    "(2,2,3) ~> V(2,2) u V(2,2,2)": (ring("(2,2,3) in P6", 12, 0, 60, -144, 73), V22, V222, -144, 73),
+    "(2,2,2,2) ~> V(2,2,2) u V(2,2,2)": (ring("(2,2,2,2) in P7", 16, 0, 64, -128, 65), V222, V222, -128, 65),
 }
 
 

@@ -219,6 +219,15 @@ def test_cy3_document_cannot_carry_flag_data():
         manifold_from_document(doc)
 
 
+def test_cy3_document_must_have_c1_zero():
+    # cp3-quartic without its flag data: were it read, it would skip the Calabi-Yau checks.
+    doc = json.loads(builtin_path("cp3-quartic.json").read_text(encoding="utf-8"))
+    doc = {**{k: v for k, v in doc.items() if k not in ("s_coords", "h1_TY")}, "kind": "cy3"}
+    with pytest.raises(DocumentError) as error:
+        manifold_from_document(doc)
+    assert str(error.value) == "manifold: a cy3 document must have c1 = 0"
+
+
 def test_invalid_fano_document_names_failing_checks():
     doc = dict(quintic_document(), kind="fano3", name="fake-flag", s_coords=[1])
     with pytest.raises(LatticeValidationError, match="section-is-anticanonical"):

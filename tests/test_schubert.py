@@ -179,14 +179,15 @@ def _column_mult(x):
 
 
 def reference_multiply(x, y):
-    """The column-loop product: sigma_(1,1) applied b times, then Pieri by sigma_(a-b)."""
-    total = SchubertElement(x.n, {})
+    """The column-loop product: sigma_(1,1) applied b times, then the strip oracle for sigma_(a-b)."""
+    total = {}
     for (a, b), coeff in sorted(y.terms.items()):
         partial = x
         for _ in range(b):
             partial = _column_mult(partial)
-        total = total + pieri_mult(partial, a - b).scale(coeff)
-    return total
+        for key, value in strip_oracle(x.n, partial.terms, a - b).items():
+            total[key] = total.get(key, 0) + coeff * value
+    return SchubertElement(x.n, total)
 
 
 def dense_element(rng, n):
@@ -266,6 +267,68 @@ def test_top_chern_matches_the_ring_product_at_every_supported_n():
     assert [reference_ctop(n) for n in range(3, 9)] == classical
     for n in range(3, MAX_N + 1):
         assert top_chern_sym_dual_tautological(n, 2 * n - 5) == reference_ctop(n), n
+
+
+# --------------------------------------------------------------------------
+# a third oracle: integrals by Chern roots, sharing no code with the engine
+#
+# A class of degree 2(n-2) is a symmetric form f in the Chern roots x1, x2 of S*,
+# held as the list of its coefficients of x1^i x2^(deg - i).  Then
+#     int_{G(2,n)} f = -1/2 [x1^(n-1) x2^(n-1)] f (x1 - x2)^2,
+# and c_top(Sym^d S*) = prod_{j=0..d} (j x1 + (d-j) x2).
+
+
+def _times(form, u, v):
+    """A binary form times u x1 + v x2."""
+    return [u * s + v * t for s, t in zip([0] + form, form + [0])]
+
+
+def roots_integral(n, form):
+    assert len(form) == 2 * (n - 2) + 1
+    twice = -_times(_times(form, 1, -1), 1, -1)[n - 1]
+    assert twice % 2 == 0
+    return twice // 2
+
+
+def roots_ctop(*degrees):
+    """prod over the degrees d of c_top(Sym^d S*), as a binary form."""
+    form = [1]
+    for d in degrees:
+        for j in range(d + 1):
+            form = _times(form, j, d - j)
+    return form
+
+
+def test_chern_roots_match_ctop_at_every_supported_n():
+    for n in range(3, MAX_N + 1):
+        assert roots_integral(n, roots_ctop(2 * n - 5)) == top_chern_sym_dual_tautological(n, 2 * n - 5), n
+
+
+def test_chern_roots_match_schubert_products_of_e1_and_e2():
+    for n in range(3, 25):
+        for q in range(n - 1):
+            form = [1]
+            for _ in range(2 * (n - 2 - q)):
+                form = _times(form, 1, 1)  # e1 = x1 + x2
+            form = [0] * q + form + [0] * q  # e2^q = (x1 x2)^q
+            schubert = integrate(sigma(n, 1) ** (2 * (n - 2 - q)) * sigma(n, 1, 1) ** q)
+            assert roots_integral(n, form) == schubert, (n, q)
+
+
+@pytest.mark.parametrize(
+    "n, degrees, lines",
+    [
+        (5, (5,), 2875),  # quintic threefold
+        (4, (3,), 27),  # cubic surface
+        # the other rho = 1 CICY threefolds (Libgober-Teitelbaum)
+        (6, (3, 3), 1053),
+        (6, (2, 4), 1280),
+        (7, (2, 2, 3), 720),
+        (8, (2, 2, 2, 2), 512),
+    ],
+)
+def test_chern_roots_give_the_classical_line_counts(n, degrees, lines):
+    assert roots_integral(n, roots_ctop(*degrees)) == lines
 
 
 def test_top_chern_degree_mismatch_is_zero():
